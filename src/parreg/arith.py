@@ -283,6 +283,18 @@ def max_power_decomposition(q, budget: int = DEFAULT_FACTOR_BUDGET) -> PowerDeco
 # Modular and p-adic power tests
 
 
+def _is_residue(num: int, den: int, e: int, p: int) -> bool:
+    """Euler criterion on trusted ints: is num/den an n-th power residue mod p?
+
+    The caller guarantees that p is prime and divides neither num nor den, and
+    passes e = (p-1) // gcd(n, p-1).  Nothing is checked here: every loop over
+    sieve primes runs through this kernel.
+    """
+    if den != 1:
+        num = num * pow(den, -1, p)
+    return pow(num, e, p) == 1
+
+
 def nth_power_mod_p(q, n: int, p: int) -> bool:
     """Euler criterion: is q an n-th power residue mod the prime p?
 
@@ -294,9 +306,7 @@ def nth_power_mod_p(q, n: int, p: int) -> bool:
     _check_prime_arg(p)
     if q.numerator % p == 0 or q.denominator % p == 0:
         raise BadReduction(f"{q} does not reduce to a unit mod {p}")
-    r = q.numerator * pow(q.denominator, -1, p) % p
-    g = gcd(n, p - 1)
-    return pow(r, (p - 1) // g, p) == 1
+    return _is_residue(q.numerator, q.denominator, (p - 1) // gcd(n, p - 1), p)
 
 
 def legendre(a: int, p: int) -> int:
@@ -375,6 +385,13 @@ class PrimeSieve:
 
 
 _sieve_cache: PrimeSieve | None = None
+
+
+def _sieve_primes(bound: int, prime_sieve: PrimeSieve | None) -> tuple[int, ...]:
+    """Primes <= bound, from `prime_sieve` when it reaches that far."""
+    if prime_sieve is not None and prime_sieve.bound >= bound:
+        return prime_sieve.primes_upto(bound)
+    return sieve(bound).primes
 
 
 def _eratosthenes(bound: int) -> tuple[int, ...]:

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import (
+    DEFAULT_FACTOR_BUDGET,
     DegenerateInput,
     FactorizationBudgetExceeded,
     ParregError,
@@ -240,7 +241,7 @@ def classify_equation(eq: EquationSpec, config=None, prime_sieve=None) -> Verdic
         eq = EquationSpec(*eq)
     a, b, c, m, n = eq.a, eq.b, eq.c, eq.m, eq.n
     witness_bound = _config_get(config, "witness_bound", DEFAULT_SEARCH_BOUND)
-    factor_budget = _config_get(config, "factor_budget", None)
+    factor_budget = _config_get(config, "factor_budget", DEFAULT_FACTOR_BUDGET)
     ratios = eq.ratios
     certs: list[Certificate] = []
     pending: list[str] = []
@@ -316,7 +317,9 @@ def classify_equation(eq: EquationSpec, config=None, prime_sieve=None) -> Verdic
         witness = None
         # when a positive rule fired, some ratio is an n-th power in Q, hence
         # an n-th power residue mod every prime: the scan cannot succeed
-        scanned = a + b != 0 and not certs
+        wanted = a + b != 0 and not certs
+        # with min_exclusive >= witness_bound no prime is left to scan
+        scanned = wanted and min_exclusive < witness_bound
         if scanned:
             witness = find_witness_prime(
                 targets,
@@ -417,6 +420,8 @@ def classify_equation(eq: EquationSpec, config=None, prime_sieve=None) -> Verdic
                     pending.append(f"Q:witness:bound-exhausted:{witness_bound}")
                 else:
                     pending.append("Q:witness:hypotheses-unmet")
+            elif rule is None and wanted:
+                pending.append(f"Q:witness:threshold-above-bound:{witness_bound}")
             negative_fired = rule is not None
 
         if not negative_fired and a + b != 0:

@@ -289,12 +289,12 @@ def read_rows_file(path: str):
 
 def _config_from(args) -> RunConfig:
     return RunConfig(
-        witness_bound=args.bound if args.bound else 10**6,
-        box_half_width=args.box if args.box else 300,
+        witness_bound=args.bound if args.bound is not None else 10**6,
+        box_half_width=args.box if args.box is not None else 300,
         factor_budget=DEFAULT_FACTOR_BUDGET,
         sieve_bound=10**5,
         output="json" if args.json else "text",
-        threads=args.threads if args.threads else 1,
+        threads=args.threads if args.threads is not None else 1,
     )
 
 
@@ -407,7 +407,7 @@ def cmd_columns(args, out) -> int:
 def cmd_density(args, out) -> int:
     config = _config_from(args)
     targets = [parse_rational(t) for t in args.targets]
-    bound = args.bound if args.bound else config.sieve_bound
+    bound = args.bound if args.bound is not None else config.sieve_bound
     sieve = _sieve_from(args, bound)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:

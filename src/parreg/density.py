@@ -5,21 +5,40 @@ inclusion-exclusion bookkeeping for joint surveys.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
-from .arith import DegenerateInput, PrimeSieve, nth_power_mod_p, sieve
-
-
-def _primes(prime_bound: int, prime_sieve: PrimeSieve | None):
-    if prime_sieve is not None and prime_sieve.bound >= prime_bound:
-        return prime_sieve.primes_upto(prime_bound)
-    return sieve(prime_bound).primes
+from .arith import DegenerateInput, PrimeSieve, _is_residue, _sieve_primes
 
 
-def _admissible(q: Fraction, p: int) -> bool:
-    return q.numerator % p != 0 and q.denominator % p != 0
+def _targets(targets, n: int = 1) -> tuple[Fraction, ...]:
+    qs = tuple(Fraction(t) for t in targets)
+    if not qs or any(q == 0 for q in qs):
+        raise DegenerateInput("targets must be nonzero and nonempty")
+    if n < 1:
+        raise DegenerateInput("n must be >= 1")
+    return qs
+
+
+def _admissible(pairs, prime_bound: int, prime_sieve: PrimeSieve | None):
+    """Primes <= prime_bound dividing no (num, den) of `pairs`."""
+    for p in _sieve_primes(prime_bound, prime_sieve):
+        if all(num % p and den % p for num, den in pairs):
+            yield p
+
+
+def _flag_rows(qs, n: int, prime_bound: int, prime_sieve: PrimeSieve | None):
+    """The one residue pass over primes: (p, flags) for every prime admissible
+    for every target, where flags[i] says whether qs[i] is an n-th power
+    residue mod p.
+    """
+    pairs = tuple((q.numerator, q.denominator) for q in qs)
+    for p in _admissible(pairs, prime_bound, prime_sieve):
+        e = (p - 1) // gcd(n, p - 1)
+        yield p, tuple(_is_residue(num, den, e, p) for num, den in pairs)
 
 
 @dataclass(frozen=True)
@@ -58,22 +77,14 @@ def survey(
     criterion; primes dividing the target's numerator or denominator are
     inadmissible.
     """
-    q = Fraction(target)
-    if q == 0:
-        raise DegenerateInput("target must be nonzero")
-    if n < 1:
-        raise DegenerateInput("n must be >= 1")
-    admissible = 0
-    hits = 0
-    for p in _primes(prime_bound, prime_sieve):
-        if not _admissible(q, p):
-            continue
+    qs = _targets((target,), n)
+    admissible = hits = 0
+    for _, (hit,) in _flag_rows(qs, n, prime_bound, prime_sieve):
         admissible += 1
-        if nth_power_mod_p(q, n, p):
-            hits += 1
+        hits += hit
     density = Fraction(hits, admissible) if admissible else Fraction(0)
     return DensitySurvey(
-        target=q,
+        target=qs[0],
         n=n,
         prime_bound=prime_bound,
         admissible_count=admissible,
@@ -85,21 +96,16 @@ def survey(
 def admissible_primes(
     target, prime_bound: int, prime_sieve: PrimeSieve | None = None
 ) -> tuple[int, ...]:
-    q = Fraction(target)
-    if q == 0:
-        raise DegenerateInput("target must be nonzero")
-    return tuple(p for p in _primes(prime_bound, prime_sieve) if _admissible(q, p))
+    (q,) = _targets((target,))
+    return tuple(_admissible(((q.numerator, q.denominator),), prime_bound, prime_sieve))
 
 
 def hit_primes(
     target, n: int, prime_bound: int, prime_sieve: PrimeSieve | None = None
 ) -> tuple[int, ...]:
     """The admissible primes modulo which the target is an n-th power residue."""
-    q = Fraction(target)
-    return tuple(
-        p for p in admissible_primes(q, prime_bound, prime_sieve)
-        if nth_power_mod_p(q, n, p)
-    )
+    qs = _targets((target,), n)
+    return tuple(p for p, (hit,) in _flag_rows(qs, n, prime_bound, prime_sieve) if hit)
 
 
 def joint_survey(
@@ -108,34 +114,21 @@ def joint_survey(
     """Per-subset all-hit counts over primes admissible for every target, with
     the inclusion-exclusion identity checked exactly (counts, not estimates).
     """
-    qs = tuple(Fraction(t) for t in targets)
-    if not qs or any(q == 0 for q in qs):
-        raise DegenerateInput("targets must be nonzero and nonempty")
-    if n < 1:
-        raise DegenerateInput("n must be >= 1")
-    k = len(qs)
-    idx = tuple(range(k))
-    subsets = [s for size in range(1, k + 1) for s in combinations(idx, size)]
-    subset_hits = {s: 0 for s in subsets}
-    admissible = 0
-    at_least_one = 0
-    none = 0
-    for p in _primes(prime_bound, prime_sieve):
-        if not all(_admissible(q, p) for q in qs):
-            continue
-        admissible += 1
-        flags = tuple(nth_power_mod_p(q, n, p) for q in qs)
-        if any(flags):
-            at_least_one += 1
-        else:
-            none += 1
-        for s in subsets:
-            if all(flags[i] for i in s):
-                subset_hits[s] += 1
+    qs = _targets(targets, n)
+    patterns = Counter(flags for _, flags in _flag_rows(qs, n, prime_bound, prime_sieve))
+    idx = tuple(range(len(qs)))
+    subsets = [s for size in range(1, len(qs) + 1) for s in combinations(idx, size)]
+    subset_hits = {
+        s: sum(c for flags, c in patterns.items() if all(flags[i] for i in s))
+        for s in subsets
+    }
+    admissible = sum(patterns.values())
+    none = patterns[(False,) * len(qs)]
+    at_least_one = admissible - none
     ie = sum(
         (-1) ** (len(s) + 1) * subset_hits[s] for s in subsets
     )
-    if ie != at_least_one or none != admissible - at_least_one:
+    if ie != at_least_one:
         raise AssertionError("inclusion-exclusion bookkeeping broke")
     return JointSurvey(
         targets=qs,
@@ -160,18 +153,13 @@ def write_csv(
     """Emit one row per admissible prime: prime, prime mod residue_modulus,
     then a hit flag per target.  Returns the number of data rows written.
     """
-    qs = tuple(Fraction(t) for t in targets)
-    if not qs or any(q == 0 for q in qs):
-        raise DegenerateInput("targets must be nonzero and nonempty")
+    qs = _targets(targets, n)
     w = csv.writer(out)
     w.writerow(
         ["prime", f"mod{residue_modulus}"] + [f"hit_{q}" for q in qs]
     )
     rows = 0
-    for p in _primes(prime_bound, prime_sieve):
-        if not all(_admissible(q, p) for q in qs):
-            continue
-        flags = [int(nth_power_mod_p(q, n, p)) for q in qs]
-        w.writerow([p, p % residue_modulus] + flags)
+    for p, flags in _flag_rows(qs, n, prime_bound, prime_sieve):
+        w.writerow([p, p % residue_modulus] + [int(f) for f in flags])
         rows += 1
     return rows

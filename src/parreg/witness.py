@@ -5,18 +5,21 @@ that guarantee such primes exist.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, repeat
 from math import gcd
 
 from .arith import (
     DegenerateInput,
     PrimeSieve,
+    _is_residue,
+    _sieve_primes,
     is_probable_prime,
     nth_power_in_Q,
     nth_power_mod_p,
-    sieve,
 )
 
 DEFAULT_SEARCH_BOUND = 10**6
@@ -141,28 +144,25 @@ def check_hypotheses(targets, n: int) -> HypothesisReport:
     return report
 
 
-def _target_pairs(ts: tuple[Fraction, ...]) -> tuple[tuple[int, int], ...]:
+def _target_pairs(ts) -> tuple[tuple[int, int], ...]:
     return tuple((t.numerator, t.denominator) for t in ts)
 
 
-def _prime_is_witness(p: int, pairs, n: int) -> bool:
-    """True when every target reduces mod p and none is an n-th power residue."""
-    e = (p - 1) // gcd(n, p - 1)
-    for num, den in pairs:
-        r = num % p
-        if r == 0 or den % p == 0:
-            return False
-        if den != 1:
-            r = r * pow(den, p - 2, p) % p
-        if pow(r, e, p) == 1:
-            return False
-    return True
+def _first_witness(primes, pairs, n: int) -> int | None:
+    """First prime in `primes` modulo which every (num, den) target reduces to
+    a unit that is not an n-th power residue.
 
-
-def _scan_block(args) -> int | None:
-    primes, pairs, n = args
+    Primes with gcd(n, p-1) == 1 are skipped: every unit is an n-th power there.
+    """
     for p in primes:
-        if _prime_is_witness(p, pairs, n):
+        g = gcd(n, p - 1)
+        if g == 1:
+            continue
+        e = (p - 1) // g
+        for num, den in pairs:
+            if num % p == 0 or den % p == 0 or _is_residue(num, den, e, p):
+                break
+        else:
             return p
     return None
 
@@ -187,27 +187,19 @@ def find_witness_prime(
         raise DegenerateInput("n must be >= 1")
     if search_bound < min_exclusive:
         raise DegenerateInput("search_bound must be >= min_exclusive")
-    if prime_sieve is not None and prime_sieve.bound >= search_bound:
-        primes = prime_sieve.primes_upto(search_bound)
-    else:
-        primes = sieve(search_bound).primes
+    primes = _sieve_primes(search_bound, prime_sieve)
+    start = bisect_right(primes, min_exclusive)
     pairs = _target_pairs(ts)
-    found: int | None = None
     if workers <= 1:
-        for p in primes:
-            if p <= min_exclusive:
-                continue
-            if _prime_is_witness(p, pairs, n):
-                found = p
-                break
+        found = _first_witness(islice(primes, start, None), pairs, n)
     else:
-        live = [p for p in primes if p > min_exclusive]
         blocks = [
-            (tuple(live[i : i + _PARALLEL_BLOCK]), pairs, n)
-            for i in range(0, len(live), _PARALLEL_BLOCK)
+            primes[i : i + _PARALLEL_BLOCK]
+            for i in range(start, len(primes), _PARALLEL_BLOCK)
         ]
+        found = None
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for hit in pool.map(_scan_block, blocks):
+            for hit in pool.map(_first_witness, blocks, repeat(pairs), repeat(n)):
                 if hit is not None:
                     found = hit
                     break
@@ -284,6 +276,41 @@ def _system_conditions(p: int, rows, union, inter, n: int) -> tuple[bool, bool, 
     return (True, True, True)
 
 
+def _reduce_system(rows, union, inter) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Integer form of the system conditions: (B, the intersection as pairs).
+
+    B is the product of every a_i, b_i, c_i, a_i+b_i and every cross-difference
+    n_u*d_v - n_v*d_u over pairs of union members u = n_u/d_u, v = n_v/d_v.  A
+    prime fails condition (i) or (ii) exactly when it divides B: once (i)
+    holds, every union member reduces to a unit, and two of them collide mod p
+    iff p divides their cross-difference.
+    """
+    bad = 1
+    for a, b, c in rows:
+        bad *= a * b * c * (a + b)
+    for i, u in enumerate(union):
+        for v in union[i + 1 :]:
+            bad *= u.numerator * v.denominator - v.numerator * u.denominator
+    return bad, _target_pairs(inter)
+
+
+def _system_prime_ok(p: int, bad: int, inter, n: int) -> bool:
+    """all(_system_conditions(p, ...)) from the reduced system of
+    `_reduce_system`, in integer arithmetic only."""
+    if bad % p == 0:
+        return False
+    if not inter:
+        return True
+    g = gcd(n, p - 1)
+    if g == 1:
+        return False
+    e = (p - 1) // g
+    for num, den in inter:
+        if _is_residue(num, den, e, p):
+            return False
+    return True
+
+
 def find_system_witness(
     rows,
     n: int,
@@ -303,12 +330,9 @@ def find_system_witness(
         raise DegenerateInput("n must be >= 1")
     union = sorted(system_union(rows))
     inter = sorted(system_intersection(rows))
-    if prime_sieve is not None and prime_sieve.bound >= search_bound:
-        primes = prime_sieve.primes_upto(search_bound)
-    else:
-        primes = sieve(search_bound).primes
-    for p in primes:
-        if all(_system_conditions(p, rows, union, inter, n)):
+    bad, inter_pairs = _reduce_system(rows, union, inter)
+    for p in _sieve_primes(search_bound, prime_sieve):
+        if _system_prime_ok(p, bad, inter_pairs, n):
             return WitnessPrime(
                 p=p,
                 n=n,

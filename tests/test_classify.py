@@ -417,3 +417,43 @@ def test_reverify_rejects_wrong_system_witness():
         p=41, n=w.n, targets=w.targets, lower_bound_satisfied=True
     )
     assert not reverify(v)
+
+
+# ---------------------------------------------------------------------------
+# inputs that once escaped as exceptions
+
+
+def test_default_config_has_a_factor_budget():
+    # (a+b)/c = 1000036000099 needs Pollard rho to factor for the p-adic rule
+    v = classify_equation(EquationSpec(1000036000098, 1, 1, 1, 2))
+    assert statuses(v) == (PR, PR, PR)
+    assert reverify(v)
+
+
+def test_threshold_above_witness_bound():
+    # min_exclusive = |a| + |b| exceeds the default witness bound of 10^6
+    v = classify_equation(EquationSpec(1000036000083, 16, 1, 1, 8))
+    assert statuses(v) == (UNKNOWN, UNKNOWN, UNKNOWN)
+    assert rules_of(v) == set()
+    assert v.reasons[0] == "Q:witness:threshold-above-bound:1000000"
+    assert reverify(v)
+    # min_exclusive == witness_bound leaves no prime to scan either
+    v = classify_equation(
+        EquationSpec(9, 2, 1, 1, 8), config=SimpleNamespace(witness_bound=11)
+    )
+    assert v.reasons == (
+        "Q:witness:threshold-above-bound:11",
+        "Z:padic:no-candidate-fired",
+        "N:sign-analysis-inconclusive",
+    )
+
+
+def test_threshold_above_bound_leaves_hypothesis_rules():
+    # R7 needs no witness: Q is still decided, only the supporting prime goes
+    v = classify_equation(
+        EquationSpec(2, 3, 1, 1, 2), config=SimpleNamespace(witness_bound=5)
+    )
+    assert statuses(v) == (NOT_PR, NOT_PR, NOT_PR)
+    assert rules_of(v) == {"R7"}
+    assert not [c for c in v.certificates if c.kind == "witness"]
+    assert reverify(v)

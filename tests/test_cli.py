@@ -102,6 +102,18 @@ def test_config_validation():
     assert run(["classify", "2", "3", "1", "1", "2", "--threads", "-1"])[0] == EXIT_USAGE
 
 
+def test_zero_options_are_rejected():
+    for opt in ("--bound", "--box", "--threads"):
+        assert run(["classify", "2", "3", "1", "1", "2", opt, "0"])[0] == EXIT_USAGE, opt
+    assert run(["density", "2", "3", "--bound", "0"])[0] == EXIT_USAGE
+
+
+def test_coefficients_above_witness_bound():
+    code, text = run(["classify", "1000036000083", "16", "1", "1", "8"])
+    assert code == EXIT_OK
+    assert "reason: Q:witness:threshold-above-bound:1000000" in text
+
+
 # ---------------------------------------------------------------------------
 # classify / system
 

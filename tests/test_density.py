@@ -181,3 +181,54 @@ def test_csv_output():
         assert int(cls) == p % 24
         assert int(h2) == (1 if brute_hit(2, p, 2) else 0)
         assert int(h3) == (1 if brute_hit(3, p, 2) else 0)
+
+
+def test_csv_flags_match_brute_force_rational_targets():
+    targets = [Fraction(-3, 5), 12, Fraction(7, 4)]
+    for n in (3, 4, 6):
+        out = io.StringIO()
+        rows = write_csv(out, targets, n, 400, residue_modulus=12)
+        parsed = list(csv.reader(io.StringIO(out.getvalue())))[1:]
+        admissible = [p for p in sieve(400).primes if p not in (2, 3, 5, 7)]
+        assert rows == len(parsed) == len(admissible)
+        for (prime, cls, *flags), p in zip(parsed, admissible):
+            assert (int(prime), int(cls)) == (p, p % 12)
+            assert [int(f) for f in flags] == [int(brute_hit(q, p, n)) for q in targets]
+
+
+# Counts over the 1,225 primes below 10^4 admissible for 2, -3/5 and 7,
+# produced by brute-force residue sets.
+PINNED = {
+    3: (815, 809, 808, 683, 677, 675, 643, 185, 810),
+    4: (450, 462, 461, 183, 183, 189, 84, 323, 463),
+    6: (401, 401, 400, 169, 165, 165, 80, 442, 402),
+}
+
+
+def test_pinned_counts_unchanged():
+    targets = [2, Fraction(-3, 5), 7]
+    for n, (h0, h1, h2, h01, h02, h12, h012, none, single) in PINNED.items():
+        js = joint_survey(targets, n, 10**4)
+        assert js.admissible_count == 1225
+        assert js.subset_hits == {
+            (0,): h0, (1,): h1, (2,): h2,
+            (0, 1): h01, (0, 2): h02, (1, 2): h12, (0, 1, 2): h012,
+        }
+        assert (js.none, js.all_targets) == (none, h012)
+        out = io.StringIO()
+        assert write_csv(out, targets, n, 10**4) == 1225
+        parsed = list(csv.reader(io.StringIO(out.getvalue())))[1:]
+        assert [sum(int(row[2 + i]) for row in parsed) for i in range(3)] == [h0, h1, h2]
+        s = survey(Fraction(-3, 5), n, 10**4)
+        assert (s.hit_count, s.admissible_count) == (single, 1227)
+
+
+def test_every_entry_point_validates():
+    with pytest.raises(DegenerateInput):
+        admissible_primes(0, 100)
+    with pytest.raises(DegenerateInput):
+        hit_primes(2, 0, 100)
+    with pytest.raises(DegenerateInput):
+        write_csv(io.StringIO(), [2, 0], 2, 100)
+    with pytest.raises(DegenerateInput):
+        write_csv(io.StringIO(), [2], 0, 100)

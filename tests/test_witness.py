@@ -11,13 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parreg.arith import DegenerateInput, sieve
+from parreg.arith import DegenerateInput, _is_residue, sieve
 from parreg.witness import (
     MODE_EVEN_N,
     MODE_ODD_N,
     MODE_SQUARES,
     MODE_TWO_VAR,
     WitnessPrime,
+    _reduce_system,
+    _system_conditions,
+    _system_prime_ok,
     check_hypotheses,
     find_system_witness,
     find_witness_prime,
@@ -254,3 +257,104 @@ def test_verify_system_witness_rejects_tampering():
     bad_flags = tuple((q, True) for q, _ in w.targets)
     assert not verify_system_witness(WitnessPrime(w.p, w.n, bad_flags, True), rows, 8)
     assert not verify_system_witness(w, ((16, 17, 1), (33, 17, 1)), 8)
+
+
+# ---------------------------------------------------------------------------
+# the residue kernel and the integer system test against their oracles
+
+
+def test_kernel_matches_brute_force_power_sets():
+    for p in naive_primes(300):
+        for n in range(1, 13):
+            powers = {pow(x, n, p) for x in range(1, p)}
+            e = (p - 1) // gcd(n, p - 1)
+            for r in range(1, p):
+                want = r in powers
+                assert _is_residue(r, 1, e, p) == want, (r, p, n)
+                # the same residue as an unreduced, signed numerator
+                assert _is_residue(r - 3 * p, 1, e, p) == want, (r, p, n)
+                # and as a fraction r*d / d
+                d = 3 if p == 2 else p + 2
+                assert _is_residue(r * d, d, e, p) == want, (r, p, n)
+
+
+def _derived_row(base, how, k):
+    a, b, c = base
+    shapes = {
+        "scale": (a, b, c),
+        "swap": (b, a, c),
+        "sum-a": (a + b, -b, c),
+        "sum-b": (a + b, -a, c),
+    }
+    x, y, z = shapes[how]
+    return (k * x, k * y, k * z)
+
+
+nonzero_small = st.integers(min_value=-30, max_value=30).filter(bool)
+free_row = st.tuples(nonzero_small, nonzero_small, nonzero_small)
+derived = st.tuples(
+    st.sampled_from(("scale", "swap", "sum-a", "sum-b")),
+    st.integers(min_value=-3, max_value=3).filter(bool),
+)
+
+
+@st.composite
+def systems(draw):
+    """1-4 rows; rows derived from the first share its ratios, so the
+    intersection is often nonempty."""
+    base = draw(free_row)
+    rows = [base]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        if draw(st.booleans()):
+            how, k = draw(derived)
+            row = _derived_row(base, how, k)
+            if 0 in row:
+                row = base
+            rows.append(row)
+        else:
+            rows.append(draw(free_row))
+    return tuple(rows), draw(st.integers(min_value=1, max_value=12))
+
+
+@given(systems())
+@settings(max_examples=60, deadline=None)
+def test_integer_system_test_matches_literal_conditions(system):
+    rows, n = system
+    union = sorted(system_union(rows))
+    inter = sorted(system_intersection(rows))
+    bad, pairs = _reduce_system(rows, union, inter)
+    for p in sieve(2000).primes:
+        assert _system_prime_ok(p, bad, pairs, n) == all(
+            _system_conditions(p, rows, union, inter, n)
+        ), (p, rows, n)
+
+
+def _brute_least_witness(targets, n, min_exclusive, bound):
+    for p in naive_primes(bound):
+        if p > min_exclusive and brute_is_witness(p, targets, n):
+            return p
+    return None
+
+
+def test_search_start_at_and_around_a_prime():
+    for targets, n in (([2, 3, 5], 2), ([2, 3], 3), ([Fraction(5, 2), 7], 5), ([3, 10], 7)):
+        for prime in (43, 101, 307, 1009):
+            for lo in (prime - 1, prime, prime + 1):
+                w = find_witness_prime(targets, n, min_exclusive=lo, search_bound=3000)
+                want = _brute_least_witness(targets, n, lo, 3000)
+                assert (None if w is None else w.p) == want, (targets, n, lo)
+
+
+def test_odd_n_skips_primes_where_every_unit_is_a_power():
+    # n = 3: at p = 2 mod 3 every unit is a cube, so no such prime is a witness
+    w = find_witness_prime([2, 3, 5], 3, search_bound=10**4)
+    assert w is not None and w.p % 3 == 1
+    assert w.p == _brute_least_witness([2, 3, 5], 3, 1, 10**4)
+    for p in naive_primes(w.p - 1):
+        assert not brute_is_witness(p, [2, 3, 5], 3)
+
+
+def test_search_bound_below_threshold_raises():
+    with pytest.raises(DegenerateInput):
+        find_witness_prime([2, 3, 5], 2, min_exclusive=100, search_bound=99)
+    assert find_witness_prime([2, 3, 5], 2, min_exclusive=100, search_bound=100) is None

@@ -5,7 +5,7 @@ certificates attached to every decided status.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (
@@ -13,13 +13,11 @@ from .arith import (
     DegenerateInput,
     FactorizationBudgetExceeded,
     ParregError,
-    Rat,
     factor,
     nth_power_in_Q,
     nth_power_in_Q_nonneg,
     nth_power_in_Qp,
     nth_power_mod_p,
-    p_unit_residue,
     valuation,
 )
 from .witness import (

@@ -365,7 +365,8 @@ def cmd_verify(args, out) -> int:
         stop_on_find=args.stop_on_find,
     )
     lines = [
-        f"box [{lo},{hi}] engine={args.engine} scanned={rep.candidates_scanned}",
+        f"box [{lo},{hi}] engine={args.engine} scanned={rep.candidates_scanned}"
+        f" pairs_indexed={rep.pairs_indexed} lookups={rep.lookups}",
         f"monochromatic solutions: {rep.solutions_found}"
         + (f", first {rep.found}" if rep.found else ""),
         f"caveat: {rep.caveat}",
@@ -375,6 +376,8 @@ def cmd_verify(args, out) -> int:
         "box": (box.lo, box.hi, box.exclude_zero),
         "found": rep.found,
         "candidates_scanned": rep.candidates_scanned,
+        "pairs_indexed": rep.pairs_indexed,
+        "lookups": rep.lookups,
         "solutions_found": rep.solutions_found,
         "elapsed": rep.elapsed,
         "caveat": rep.caveat,

@@ -128,8 +128,11 @@ class MonoReport:
     found is a single (w, x, y, z) tuple for an equation, or one such tuple
     per row (all sharing a color) for a system; None certifies absence over
     the box.  candidates_scanned is the full triple-space size on a completed
-    scan, or the number of triples actually examined when the scan stopped at
-    the first hit.
+    scan; when the scan stopped at the first hit it is lookups times the
+    class size, summed over the classes reached, which never exceeds the
+    full size.  pairs_indexed (the sum of k^2 over the color classes of size
+    k that were indexed) and lookups (the (w, z) probes made) count the work
+    the sumset join actually did; the full engine leaves both at 0.
     """
 
     subject: tuple
@@ -140,6 +143,8 @@ class MonoReport:
     solutions_found: int
     elapsed: float
     caveat: str = field(default=BOX_CAVEAT)
+    pairs_indexed: int = 0
+    lookups: int = 0
 
 
 def _eq_params(eq) -> tuple[int, int, int, int, int]:
@@ -159,42 +164,75 @@ def _color_map(values, spec) -> dict:
     return {v: color_of(v, spec) for v in values}
 
 
-def _scan_bucketed(values, cmap, params, stop_on_find):
-    """Group the box by color first; only same-colored (w, z, x) triples can
-    yield a monochromatic tuple, so only those are walked.
+def _buckets(values, cmap) -> list[list]:
+    """The box split into color classes, classes in repr order of their
+    color and values in box order within each class.
     """
-    a, b, c, m, n = params
     buckets: dict = {}
     for v in values:
         buckets.setdefault(cmap[v], []).append(v)
-    exact = isinstance(values[0], int) if values else True
+    return [buckets[d] for d in sorted(buckets, key=repr)]
+
+
+def _scan_bucketed(vals, params, stop_on_find):
+    """Sumset join over one color class vals (ascending, as in the box): only
+    same-colored tuples can be monochromatic, so every variable ranges over
+    vals.
+
+    The class is first scaled to integers by the common denominator den of
+    its values (1 on an integer box); a*x + b*y = c*w^m*z^n then becomes
+    A*X + B*Y = c*W^m*Z^n with A, B = a, b times den^(m+n-1), so every key
+    below is an exact integer.  Index A*X + B*Y over the class's (X, Y)
+    pairs, each key mapped to its pair count and its least X (Y follows
+    from the key), then look up c*W^m*Z^n once per (W, Z), with Z^n
+    computed once per class.
+
+    Returns (count, best, lookups): the class's solution count, its least
+    (w, x, y, z) in the original values and the number of (w, z) probes.
+    Under stop_on_find the join stops at the first (w, z) in walk order
+    that hits and returns its least x, the very tuple the literal walk
+    meets first, with count 1.
+    """
+    from math import lcm
+
+    a, b, c, m, n = params
+    # a list, not a generator: on CPython 3.11 lcm(*generator) made the
+    # process's peak RSS creep up by about 3 MB over repeated scans
+    den = lcm(*[v.denominator for v in vals])
+    ivals = [v.numerator * (den // v.denominator) for v in vals]
+    scale = den ** (m + n - 1)
+    a, b = a * scale, b * scale
+    orig = dict(zip(ivals, vals))
+    bys = [b * y for y in ivals]
+    counts: dict = {}
+    least: dict = {}
+    for x in reversed(ivals):  # descending, so each key keeps its least x
+        ax = a * x
+        for by in bys:
+            key = ax + by
+            counts[key] = counts.get(key, 0) + 1
+            least[key] = x
+    zns = [z**n for z in ivals]
+    k = len(vals)
     count = 0
     best = None
-    examined = 0
-    for d in sorted(buckets, key=repr):
-        vals = buckets[d]
-        for w in vals:
-            cwm = c * w**m
-            for z in vals:
-                rhs = cwm * z**n
-                for x in vals:
-                    examined += 1
-                    num = rhs - a * x
-                    if exact:
-                        y, r = divmod(num, b)
-                        if r:
-                            continue
-                    else:
-                        y = num / b
-                    if cmap.get(y) != d:
-                        continue
-                    count += 1
-                    t = (w, x, y, z)
-                    if best is None or t < best:
-                        best = t
-                    if stop_on_find:
-                        return count, best, examined
-    return count, best, examined
+    for i, w in enumerate(ivals):
+        cwm = c * w**m
+        row = [cwm * zn for zn in zns]
+        if counts.keys().isdisjoint(row):
+            continue
+        for j, rhs in enumerate(row):
+            hits = counts.get(rhs)
+            if hits is None:
+                continue
+            x = least[rhs]
+            t = (vals[i], orig[x], orig[(rhs - a * x) // b], vals[j])
+            if stop_on_find:
+                return 1, t, i * k + j + 1
+            count += hits
+            if best is None or t < best:
+                best = t
+    return count, best, k * k
 
 
 def _scan_full_shard(args):
@@ -252,25 +290,41 @@ def verify_no_mono_solution(
     stop_on_find: bool = False,
     rational: bool = False,
 ) -> MonoReport:
-    """Walk every (w, z, x) triple over the box, solve a*x + b*y = c*w^m*z^n
-    for y exactly, and collect monochromatic solutions with y in the box.
+    """Find the monochromatic solutions of a*x + b*y = c*w^m*z^n with every
+    variable in the box.
 
-    found None certifies absence over this box only.  The full engine shards
-    by w across workers; reports are identical for any worker count.
-    stop_on_find needs workers=1 and makes candidates_scanned the examined
-    count instead of the closed-form total.
+    The bucketed engine runs the sumset join of _scan_bucketed once per
+    color class and reports pairs_indexed and lookups.  The full engine is
+    the literal reference walk: it solves for y exactly at every (w, z, x)
+    triple and shards by w across workers; its reports are identical for
+    any worker count.  Both give the same found (the least tuple),
+    solutions_found and closed-form candidates_scanned.  found None
+    certifies absence over this box only.  stop_on_find needs the bucketed
+    engine (it ignores workers) and makes candidates_scanned lookups times
+    the class size.
     """
     params = _eq_params(eq)
     values = rational_box_values(box) if rational else box.values()
     start = time.perf_counter()
     cmap = _color_map(values, spec)
     total = len(values) ** 3
-    if stop_on_find and (workers > 1 or engine != ENGINE_BUCKETED):
-        raise DegenerateInput("stop_on_find needs the bucketed engine, workers=1")
+    if stop_on_find and engine != ENGINE_BUCKETED:
+        raise DegenerateInput("stop_on_find needs the bucketed engine")
+    count, best, pairs, lookups, examined = 0, None, 0, 0, 0
     if not values:
-        count, best, scanned = 0, None, 0
+        scanned = 0
     elif engine == ENGINE_BUCKETED:
-        count, best, examined = _scan_bucketed(values, cmap, params, stop_on_find)
+        for vals in _buckets(values, cmap):
+            k = len(vals)
+            rc, rb, rl = _scan_bucketed(vals, params, stop_on_find)
+            pairs += k * k
+            lookups += rl
+            examined += rl * k
+            count += rc
+            if rb is not None and (best is None or rb < best):
+                best = rb
+            if stop_on_find and rb is not None:
+                break
         scanned = examined if stop_on_find else total
     elif engine == ENGINE_FULL:
         if workers <= 1:
@@ -294,6 +348,8 @@ def verify_no_mono_solution(
         candidates_scanned=scanned,
         solutions_found=count,
         elapsed=time.perf_counter() - start,
+        pairs_indexed=pairs,
+        lookups=lookups,
     )
 
 
@@ -311,10 +367,13 @@ def _system_params(system) -> tuple[tuple[tuple[int, int, int], ...], int]:
 
 
 def verify_system_no_mono(system, spec, box: SearchBox) -> MonoReport:
-    """Scan each row a_i*x + b_i*y = c_i*w*z^n separately per color class; a
-    monochromatic system solution is one per-row tuple for every row with all
-    values sharing a single color.  solutions_found multiplies the per-row
-    counts within each color (rows have disjoint variables).
+    """Join each row a_i*x + b_i*y = c_i*w*z^n separately per color class,
+    building one index per row per class; a monochromatic system solution
+    is one per-row tuple for every row with all values sharing a single
+    color.  solutions_found multiplies the per-row counts within each color
+    (rows have disjoint variables), and a class stops at its first row
+    without a solution.  candidates_scanned stays the closed form rows *
+    |box|^3; pairs_indexed and lookups count the join's work.
     """
     rows, n = _system_params(system)
     start = time.perf_counter()
@@ -329,22 +388,23 @@ def verify_system_no_mono(system, spec, box: SearchBox) -> MonoReport:
             candidates_scanned=rep.candidates_scanned,
             solutions_found=rep.solutions_found,
             elapsed=time.perf_counter() - start,
+            pairs_indexed=rep.pairs_indexed,
+            lookups=rep.lookups,
         )
     values = box.values()
     cmap = _color_map(values, spec)
     total = len(rows) * len(values) ** 3
-    buckets: dict = {}
-    for v in values:
-        buckets.setdefault(cmap[v], []).append(v)
     count = 0
     best = None
-    for d in sorted(buckets, key=repr):
-        vals = buckets[d]
-        sub = {v: d for v in vals}
+    pairs = 0
+    lookups = 0
+    for vals in _buckets(values, cmap):
         per_row = []
         prod = 1
         for a, b, c in rows:
-            rc, rb, _ = _scan_bucketed(vals, sub, (a, b, c, 1, n), False)
+            rc, rb, rl = _scan_bucketed(vals, (a, b, c, 1, n), False)
+            pairs += len(vals) ** 2
+            lookups += rl
             if rc == 0:
                 prod = 0
                 break
@@ -361,4 +421,6 @@ def verify_system_no_mono(system, spec, box: SearchBox) -> MonoReport:
         candidates_scanned=total,
         solutions_found=count,
         elapsed=time.perf_counter() - start,
+        pairs_indexed=pairs,
+        lookups=lookups,
     )

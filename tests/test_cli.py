@@ -218,6 +218,9 @@ def test_verify_json_result():
     result = decode_value(json.loads(text)["result"])
     assert result["found"] == (1, 1, 43, 44)
     assert result["candidates_scanned"] == 125000
+    # color 1 is {1, 43, 44}, colors 2-7 pair k with k + 43, the other 35
+    # values of [1, 50] are alone in their class: 9 + 6 * 4 + 35
+    assert result["pairs_indexed"] == result["lookups"] == 68
     assert result["subject"] == ("equation", 1, 1, 1, 1, 1)
 
 
@@ -230,6 +233,22 @@ def test_verify_mod_probe():
     )
     assert code == EXIT_OK
     assert "monochromatic solutions: 1" in text
+
+
+def test_verify_stop_on_find_ignores_threads():
+    code, text = run(
+        [
+            "verify", "1", "1", "1", "1", "1", "--mod", "3", "--lo", "1",
+            "--hi", "12", "--stop-on-find", "--threads", "2", "--json",
+        ]
+    )
+    assert code == EXIT_OK
+    result = decode_value(json.loads(text)["result"])
+    assert result["solutions_found"] == 1
+    w, x, y, z = result["found"]
+    assert x + y == w * z
+    assert len({v % 3 for v in (w, x, y, z)}) == 1
+    assert all(1 <= v <= 12 for v in (w, x, y, z))
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,12 @@ from scratch so scan results are cross-checked against independent logic.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parreg.arith import DegenerateInput
 from parreg.classify import EquationSpec, SystemSpec
@@ -231,6 +234,52 @@ def test_stop_on_find():
         )
 
 
+def test_three_colour_probe_pinned():
+    # pinned from the literal triple walk, which test_engines_agree ties to
+    # the full engine; the join runs it in well under the ceiling
+    start = time.perf_counter()
+    rep = verify_no_mono_solution(
+        EquationSpec(2, 3, 1, 1, 2), ModColoring(3, (0, 1, 2)), SearchBox(-300, 300)
+    )
+    elapsed = time.perf_counter() - start
+    assert rep.solutions_found == 12_380
+    assert rep.found == (-165, -297, -297, -3)
+    assert rep.candidates_scanned == 216_000_000
+    assert elapsed < 2.0, f"3-colour probe took {elapsed:.2f}s"
+
+
+def test_work_counts_pinned():
+    eq = EquationSpec(1, 1, 1, 1, 1)
+    spec = ModColoring(3, (0, 1, 2))
+    box = SearchBox(1, 12)
+    # three classes of four values each: {3, 6, 9, 12}, {1, 4, 7, 10}, {2, 5, 8, 11}
+    rep = verify_no_mono_solution(eq, spec, box)
+    assert rep.pairs_indexed == 3 * 4**2
+    assert rep.lookups == 48
+    assert rep.candidates_scanned == 12**3
+    # the class of color 0 comes first and 3 + 6 = 3 * 3 hits at the first
+    # (w, z) probe: one class indexed, one lookup, one class size examined
+    first = verify_no_mono_solution(eq, spec, box, stop_on_find=True)
+    assert first.found == (3, 3, 6, 3)
+    assert (first.pairs_indexed, first.lookups, first.candidates_scanned) == (16, 1, 4)
+    full = verify_no_mono_solution(eq, spec, box, engine=ENGINE_FULL)
+    assert (full.pairs_indexed, full.lookups) == (0, 0)
+    assert (full.found, full.solutions_found) == (rep.found, rep.solutions_found)
+
+
+def test_stop_on_find_examined_is_lookups_times_class_size():
+    eq = EquationSpec(2, 3, 1, 1, 2)
+    spec = ValuationColoring(43)
+    box = SearchBox(-60, 60)
+    rep = verify_no_mono_solution(eq, spec, box, stop_on_find=True)
+    # no solution: every class is indexed and fully probed
+    colors = [oracle_color(v, 43) for v in box.values()]
+    sizes = [colors.count(d) for d in set(colors)]
+    assert rep.found is None and rep.solutions_found == 0
+    assert rep.pairs_indexed == rep.lookups == sum(k * k for k in sizes)
+    assert rep.candidates_scanned == sum(k**3 for k in sizes) < 120**3
+
+
 def test_empty_box():
     rep = verify_no_mono_solution(
         EquationSpec(1, 1, 1, 1, 1), ValuationColoring(7), SearchBox(5, 4)
@@ -343,3 +392,79 @@ def test_obstructed_system_empty_on_witness_coloring():
     assert rep.found is None
     assert rep.solutions_found == 0
     assert rep.candidates_scanned == 2 * 80**3
+
+
+def test_system_work_counts_pinned():
+    rows = ((1, 1, 1), (1, 2, 1))
+    spec = ModColoring(3, (0, 1, 2))
+    rep = verify_system_no_mono(SystemSpec(rows, 1), spec, SearchBox(1, 12))
+    # classes of four values; mod 3 the rows read x + y = wz and x + 2y = wz.
+    # Color 0 indexes both rows; color 1 (x + y = 2, wz = 1) stops after
+    # row 1; color 2 (x + 2y = 0, wz = 1) stops after row 2.
+    assert rep.pairs_indexed == rep.lookups == (2 + 1 + 2) * 16
+    assert rep.candidates_scanned == 2 * 12**3
+
+
+# ---------------------------------------------------------------------------
+# the sumset join against the literal walk
+
+nonzero_coeff = st.integers(min_value=1, max_value=9).flatmap(
+    lambda v: st.sampled_from((v, -v))
+)
+equations = st.tuples(
+    nonzero_coeff,
+    nonzero_coeff,
+    st.sampled_from((1, -1, 2, -2)),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+)
+colorings = st.one_of(
+    st.integers(min_value=2, max_value=4).flatmap(
+        lambda k: st.permutations(range(k)).map(lambda pal: ModColoring(k, tuple(pal)))
+    ),
+    st.sampled_from((2, 3, 5, 7, 11)).map(ValuationColoring),
+)
+int_boxes = st.tuples(
+    st.integers(min_value=-14, max_value=4), st.integers(min_value=4, max_value=24)
+).map(lambda t: (SearchBox(t[0], t[0] + t[1]), False))
+rational_boxes = st.integers(min_value=1, max_value=4).map(
+    lambda h: (SearchBox(-h, h), True)
+)
+
+
+def _scan_outcome(eq, spec, box, rational, engine):
+    try:
+        rep = verify_no_mono_solution(eq, spec, box, engine=engine, rational=rational)
+    except DegenerateInput as exc:  # a denominator with no residue mod m
+        return str(exc)
+    return rep.found, rep.solutions_found, rep.candidates_scanned
+
+
+@given(equations, colorings, st.one_of(int_boxes, rational_boxes))
+@settings(max_examples=150, deadline=None)
+def test_join_matches_full_walk(eq, spec, box_mode):
+    box, rational = box_mode
+    assert _scan_outcome(eq, spec, box, rational, ENGINE_BUCKETED) == _scan_outcome(
+        eq, spec, box, rational, ENGINE_FULL
+    )
+
+
+@given(
+    st.lists(
+        st.tuples(nonzero_coeff, nonzero_coeff, st.sampled_from((1, -1, 2, -2))),
+        min_size=2,
+        max_size=3,
+    ),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from((2, 3, 5, 7)),
+    st.integers(min_value=1, max_value=8),
+)
+@settings(max_examples=60, deadline=None)
+def test_system_join_matches_oracle(rows, n, p, half):
+    rows = tuple(rows)
+    box = SearchBox(-half, half)
+    rep = verify_system_no_mono(SystemSpec(rows, n), ValuationColoring(p), box)
+    total, best = oracle_system_scan(rows, n, p, box.values())
+    assert rep.solutions_found == total
+    assert rep.found == best
+    assert rep.candidates_scanned == len(rows) * (2 * half) ** 3

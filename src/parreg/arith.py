@@ -1,8 +1,8 @@
 """Exact arithmetic primitives: factorization, rational n-th roots, modular and
 p-adic power tests, and a prime sieve with a binary disk cache.
 
-All rational values are `fractions.Fraction` (re-exported as `Rat`); nothing in
-this module falls back to floating point.
+All rational values are `fractions.Fraction`; nothing in this module falls
+back to floating point.
 """
 
 from __future__ import annotations
@@ -12,10 +12,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import gcd, isqrt
-
-Rat = Fraction
 
 TRIAL_DIVISION_BOUND = 10**6
 DEFAULT_FACTOR_BUDGET = 2**20
@@ -74,14 +71,6 @@ class Factorization:
         for p, e in self.exponents.items():
             out *= Fraction(p) ** e
         return out
-
-
-@dataclass(frozen=True)
-class PowerDecomposition:
-    """q = base ** exponent with the exponent maximal."""
-
-    base: Fraction
-    exponent: int
 
 
 def is_probable_prime(n: int) -> bool:
@@ -262,21 +251,6 @@ def nth_power_in_Q_nonneg(q, n: int) -> Fraction | None:
     """The root r >= 0 with r**n == q, or None (the positive-reals variant)."""
     r = nth_power_in_Q(q, n)
     return r if r is not None and r >= 0 else None
-
-
-def max_power_decomposition(q, budget: int = DEFAULT_FACTOR_BUDGET) -> PowerDecomposition:
-    """Write q as base**d with d maximal (largest odd d when q < 0)."""
-    q = _as_rat(q)
-    if q == 0 or q == 1 or q == -1:
-        raise DegenerateInput("max_power_decomposition needs q not in {0, 1, -1}")
-    f = factor(q, budget=budget)
-    d = reduce(gcd, (abs(e) for e in f.exponents.values()))
-    if q < 0:
-        while d % 2 == 0:
-            d //= 2
-    base = nth_power_in_Q(q, d)
-    assert base is not None, "exponent gcd guarantees a d-th root"
-    return PowerDecomposition(base=base, exponent=d)
 
 
 # ---------------------------------------------------------------------------

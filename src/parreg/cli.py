@@ -37,7 +37,13 @@ from .coloring import (
     ValuationColoring,
     verify_no_mono_solution,
 )
-from .density import joint_survey, survey, write_csv
+from .density import (
+    MAX_PREDICTED_N,
+    MAX_PREDICTED_TARGETS,
+    joint_survey,
+    survey,
+    write_csv,
+)
 from .radolinear import (
     DimensionLimitExceeded,
     QMatrix,
@@ -407,6 +413,15 @@ def cmd_columns(args, out) -> int:
     return EXIT_OK
 
 
+def _predicted(d) -> str:
+    if d is None:
+        return (
+            f"unknown (n > {MAX_PREDICTED_N}, more than {MAX_PREDICTED_TARGETS}"
+            " targets, or factoring budget spent)"
+        )
+    return f"{_frac(d)} ~ {float(d):.4f}"
+
+
 def cmd_density(args, out) -> int:
     config = _config_from(args)
     targets = [parse_rational(t) for t in args.targets]
@@ -423,6 +438,7 @@ def cmd_density(args, out) -> int:
             f"target {_frac(s.target)} n={s.n} bound={s.prime_bound}",
             f"admissible={s.admissible_count} hits={s.hit_count} "
             f"density={_frac(s.density)} ~ {float(s.density):.4f}",
+            f"predicted={_predicted(s.predicted)}",
         ]
         result = asdict(s)
     else:
@@ -431,6 +447,7 @@ def cmd_density(args, out) -> int:
             f"targets {', '.join(_frac(q) for q in j.targets)} n={j.n} bound={j.prime_bound}",
             f"admissible={j.admissible_count} at_least_one={j.at_least_one} "
             f"all={j.all_targets} none={j.none}",
+            f"predicted none={_predicted(j.predicted_none)}",
         ]
         result = {
             "targets": j.targets,
@@ -441,6 +458,8 @@ def cmd_density(args, out) -> int:
             "at_least_one": j.at_least_one,
             "all_targets": j.all_targets,
             "none": j.none,
+            "predicted_none": j.predicted_none,
+            "predicted_subset_hits": j.predicted_subset_hits,
         }
     emit(out, report("density", config, result), config, lines)
     return EXIT_OK

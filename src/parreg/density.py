@@ -1,5 +1,6 @@
-"""Empirical n-th-power-residue densities over primes, with exact counts and
-inclusion-exclusion bookkeeping for joint surveys.
+"""n-th-power-residue densities over primes: exact counts with
+inclusion-exclusion bookkeeping for joint surveys, and the exact Chebotarev
+densities those counts tend to.
 """
 
 from __future__ import annotations
@@ -9,9 +10,21 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
-from .arith import DegenerateInput, PrimeSieve, _is_residue, _sieve_primes
+from .arith import (
+    DegenerateInput,
+    FactorizationBudgetExceeded,
+    PrimeSieve,
+    _is_residue,
+    _sieve_primes,
+    factor,
+    legendre,
+)
+
+# residue_pattern_densities enumerates subgroups of (Z/g)^k with g | n
+MAX_PREDICTED_N = 24
+MAX_PREDICTED_TARGETS = 3
 
 
 def _targets(targets, n: int = 1) -> tuple[Fraction, ...]:
@@ -41,6 +54,91 @@ def _flag_rows(qs, n: int, prime_bound: int, prime_sieve: PrimeSieve | None):
         yield p, tuple(_is_residue(num, den, e, p) for num, den in pairs)
 
 
+def _nonresidue_bit(ell: int, a: int) -> int:
+    """1 when the prime ell is a quadratic non-residue modulo every prime
+    p = a (mod 8*ell): (2|p) by p mod 8, an odd ell by reciprocity."""
+    if ell == 2:
+        return int(a % 8 in (3, 5))
+    sign = legendre(a, ell)
+    if a % 4 == 3 and ell % 4 == 3:
+        sign = -sign
+    return int(sign == -1)
+
+
+def _span(gens, g: int, k: int) -> set:
+    """The subgroup of (Z/g)^k generated by `gens`."""
+    span = {(0,) * k}
+    for v in gens:
+        v = tuple(x % g for x in v)
+        # H + <v> is the union of H + j*v up to the first j*v already in H
+        steps, m = [(0,) * k], v
+        while m not in span:
+            steps.append(m)
+            m = tuple((x + y) % g for x, y in zip(m, v))
+        span = {tuple((x + y) % g for x, y in zip(h, s)) for h in span for s in steps}
+    return span
+
+
+def residue_pattern_densities(targets, n: int) -> dict | None:
+    """Exact density among all primes of each residue pattern of the targets,
+    as {flags: Fraction} over the patterns that occur; flags[i] says whether
+    targets[i] is an n-th power residue, as in the surveys.
+
+    By Chebotarev a pattern of density 0 occurs at no prime dividing neither
+    2n nor a target.  Fix p = a (mod M), M = lcm(8, 2n), and g = gcd(n, a-1).
+    A unit is an n-th power residue mod p iff its class in
+    F_p^* / F_p^*g = Z/g is 0.  The class of -1 is (a-1)/2.  When g is even,
+    the class of 2 and of each odd prime dividing n has the parity of its
+    quadratic character at a, since sqrt(d) lies in Q(zeta_M) for these d.
+    Over Q that quadratic entanglement is the only one (Schinzel; Wang on
+    Grunwald's theorem, whose counterexample is 16 at n = 8).  Every other
+    prime's class is uniform and independent, so the target classes are
+    uniform on a coset of (Z/g)^k, averaged over the phi(M) classes a.
+
+    None when n > MAX_PREDICTED_N, with more than MAX_PREDICTED_TARGETS
+    targets, or when factoring a target exceeds the default budget.
+    """
+    qs = _targets(targets, n)
+    if n > MAX_PREDICTED_N or len(qs) > MAX_PREDICTED_TARGETS:
+        return None
+    try:
+        exps = [factor(q).exponents for q in qs]
+    except FactorizationBudgetExceeded:
+        return None
+    k = len(qs)
+    primes = sorted(set().union(*exps))
+    # the primes whose quadratic character p mod M decides: 2 and those dividing n
+    fixed = [ell for ell in primes if 2 * n % ell == 0]
+    modulus = lcm(8, 2 * n)
+    units = [a for a in range(1, modulus) if gcd(a, modulus) == 1]
+    cosets = Counter()
+    for a in units:
+        g = gcd(n, a - 1)
+        shift = [(a - 1) // 2 if q < 0 else 0 for q in qs]
+        if g % 2 == 0:
+            for ell in fixed:
+                if _nonresidue_bit(ell, a):
+                    shift = [s + e.get(ell, 0) for s, e in zip(shift, exps)]
+        cosets[g, tuple(s % g for s in shift)] += 1
+    spans = {}
+    densities = Counter()
+    for (g, shift), weight in cosets.items():
+        if g not in spans:
+            double = g % 2 == 0
+            gens = (
+                [e.get(ell, 0) * (2 if double and ell in fixed else 1) for e in exps]
+                for ell in primes
+            )
+            spans[g] = _span(gens, g, k)
+        span = spans[g]
+        tally = Counter(
+            tuple((s + h) % g == 0 for s, h in zip(shift, x)) for x in span
+        )
+        for flags, count in tally.items():
+            densities[flags] += Fraction(weight * count, len(units) * len(span))
+    return dict(densities)
+
+
 @dataclass(frozen=True)
 class DensitySurvey:
     target: Fraction
@@ -49,6 +147,7 @@ class DensitySurvey:
     admissible_count: int
     hit_count: int
     density: Fraction
+    predicted: Fraction | None
 
 
 @dataclass(frozen=True)
@@ -58,6 +157,8 @@ class JointSurvey:
     subset_hits[idx_tuple] counts primes where ALL targets in the subset are
     n-th power residues; at_least_one / all_targets / none derive from it and
     the inclusion-exclusion identity is asserted exactly at construction time.
+    predicted_none and predicted_subset_hits are the exact densities these
+    counts tend to (None where `residue_pattern_densities` gives none).
     """
 
     targets: tuple[Fraction, ...]
@@ -68,6 +169,8 @@ class JointSurvey:
     at_least_one: int
     all_targets: int
     none: int
+    predicted_none: Fraction | None
+    predicted_subset_hits: dict | None
 
 
 def survey(
@@ -75,7 +178,7 @@ def survey(
 ) -> DensitySurvey:
     """Exact hit and admissibility counts for one target via the Euler
     criterion; primes dividing the target's numerator or denominator are
-    inadmissible.
+    inadmissible.  `predicted` is the exact hit density the ratio tends to.
     """
     qs = _targets((target,), n)
     admissible = hits = 0
@@ -83,6 +186,7 @@ def survey(
         admissible += 1
         hits += hit
     density = Fraction(hits, admissible) if admissible else Fraction(0)
+    predicted = residue_pattern_densities(qs, n)
     return DensitySurvey(
         target=qs[0],
         n=n,
@@ -90,6 +194,7 @@ def survey(
         admissible_count=admissible,
         hit_count=hits,
         density=density,
+        predicted=None if predicted is None else predicted.get((True,), Fraction(0)),
     )
 
 
@@ -108,6 +213,16 @@ def hit_primes(
     return tuple(p for p, (hit,) in _flag_rows(qs, n, prime_bound, prime_sieve) if hit)
 
 
+def _subset_totals(patterns, subsets, zero) -> dict:
+    """For each subset of target indices, the total of `patterns` (counts or
+    densities per flags tuple) over the patterns where every target in the
+    subset hits."""
+    return {
+        s: sum((v for flags, v in patterns.items() if all(flags[i] for i in s)), zero)
+        for s in subsets
+    }
+
+
 def joint_survey(
     targets, n: int, prime_bound: int, prime_sieve: PrimeSieve | None = None
 ) -> JointSurvey:
@@ -118,10 +233,7 @@ def joint_survey(
     patterns = Counter(flags for _, flags in _flag_rows(qs, n, prime_bound, prime_sieve))
     idx = tuple(range(len(qs)))
     subsets = [s for size in range(1, len(qs) + 1) for s in combinations(idx, size)]
-    subset_hits = {
-        s: sum(c for flags, c in patterns.items() if all(flags[i] for i in s))
-        for s in subsets
-    }
+    subset_hits = _subset_totals(patterns, subsets, 0)
     admissible = sum(patterns.values())
     none = patterns[(False,) * len(qs)]
     at_least_one = admissible - none
@@ -130,6 +242,11 @@ def joint_survey(
     )
     if ie != at_least_one:
         raise AssertionError("inclusion-exclusion bookkeeping broke")
+    predicted = residue_pattern_densities(qs, n)
+    predicted_none = predicted_hits = None
+    if predicted is not None:
+        predicted_none = predicted.get((False,) * len(qs), Fraction(0))
+        predicted_hits = _subset_totals(predicted, subsets, Fraction(0))
     return JointSurvey(
         targets=qs,
         n=n,
@@ -139,6 +256,8 @@ def joint_survey(
         at_least_one=at_least_one,
         all_targets=subset_hits[idx],
         none=none,
+        predicted_none=predicted_none,
+        predicted_subset_hits=predicted_hits,
     )
 
 

@@ -21,6 +21,7 @@ from .arith import (
     nth_power_in_Q,
     nth_power_mod_p,
 )
+from .density import residue_pattern_densities
 
 DEFAULT_SEARCH_BOUND = 10**6
 
@@ -30,6 +31,11 @@ MODE_SQUARES = "SQUARES"
 MODE_TWO_VAR = "TWO_VAR"
 
 _PARALLEL_BLOCK = 4096
+
+# Candidate primes a search scans before it asks whether a witness exists at
+# all.  A witness, when there is one, nearly always lies among them, and they
+# include every prime dividing 2n for the n the decision covers.
+_DECIDE_AFTER = 1000
 
 
 @dataclass(frozen=True)
@@ -167,6 +173,13 @@ def _first_witness(primes, pairs, n: int) -> int | None:
     return None
 
 
+def _no_witness_exists(targets, n: int) -> bool:
+    """True when no prime dividing neither 2n nor a target makes every target a
+    non-n-th-power residue: that pattern has Chebotarev density 0."""
+    densities = residue_pattern_densities(targets, n)
+    return densities is not None and (False,) * len(targets) not in densities
+
+
 def find_witness_prime(
     targets,
     n: int,
@@ -180,7 +193,10 @@ def find_witness_prime(
     caller distinguishes "enlarge the bound" from "hypotheses unmet".
 
     Primes dividing any target's numerator or denominator are skipped (no
-    residue to test).  Sharded scans still return the global minimum.
+    residue to test).  When the first _DECIDE_AFTER candidates miss and no
+    witness exists (`_no_witness_exists`), the rest of the range is not
+    scanned: the result is the same None.  Only that rest is sharded over
+    `workers` processes, and sharded scans still return the global minimum.
     """
     ts = _normalize_targets(targets)
     if n < 1:
@@ -190,14 +206,16 @@ def find_witness_prime(
     primes = _sieve_primes(search_bound, prime_sieve)
     start = bisect_right(primes, min_exclusive)
     pairs = _target_pairs(ts)
-    if workers <= 1:
-        found = _first_witness(islice(primes, start, None), pairs, n)
-    else:
+    cut = start + _DECIDE_AFTER
+    found = _first_witness(islice(primes, start, cut), pairs, n)
+    more = found is None and cut < len(primes) and not _no_witness_exists(ts, n)
+    if more and workers <= 1:
+        found = _first_witness(islice(primes, cut, None), pairs, n)
+    elif more:
         blocks = [
             primes[i : i + _PARALLEL_BLOCK]
-            for i in range(start, len(primes), _PARALLEL_BLOCK)
+            for i in range(cut, len(primes), _PARALLEL_BLOCK)
         ]
-        found = None
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for hit in pool.map(_first_witness, blocks, repeat(pairs), repeat(n)):
                 if hit is not None:
@@ -321,7 +339,10 @@ def find_system_witness(
 
     The returned targets are the members of the row-ratio intersection I with
     their (all-False) n-th-power booleans; an empty I makes condition (iii)
-    vacuous and any prime clearing (i) and (ii) qualifies.
+    vacuous and any prime clearing (i) and (ii) qualifies.  As in
+    `find_witness_prime`, the scan stops after the first _DECIDE_AFTER primes
+    when no prime can make every member of I a non-residue: primes dividing a
+    member also divide B (see `_reduce_system`) and never qualify.
     """
     rows = tuple((int(a), int(b), int(c)) for a, b, c in rows)
     if not rows:
@@ -331,7 +352,9 @@ def find_system_witness(
     union = sorted(system_union(rows))
     inter = sorted(system_intersection(rows))
     bad, inter_pairs = _reduce_system(rows, union, inter)
-    for p in _sieve_primes(search_bound, prime_sieve):
+    for i, p in enumerate(_sieve_primes(search_bound, prime_sieve)):
+        if i == _DECIDE_AFTER and inter and _no_witness_exists(inter, n):
+            return None
         if _system_prime_ok(p, bad, inter_pairs, n):
             return WitnessPrime(
                 p=p,

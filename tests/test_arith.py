@@ -23,7 +23,6 @@ from parreg.arith import (
     legendre,
     load_or_build_sieve,
     load_sieve,
-    max_power_decomposition,
     nth_power_in_Q,
     nth_power_in_Q_nonneg,
     nth_power_in_Qp,
@@ -179,22 +178,6 @@ def test_nth_power_nonneg_variant():
     assert nth_power_in_Q_nonneg(4, 2) == 2
     assert nth_power_in_Q_nonneg(-8, 3) is None
     assert nth_power_in_Q_nonneg(9, 2) == 3
-
-
-def test_max_power_decomposition():
-    d = max_power_decomposition(64)
-    assert d.base**d.exponent == 64 and d.exponent == 6
-    d = max_power_decomposition(Fraction(4, 9))
-    assert d.exponent == 2 and d.base == Fraction(2, 3)
-    d = max_power_decomposition(-27)
-    assert d.base**d.exponent == -27 and d.exponent == 3
-    d = max_power_decomposition(12)
-    assert d.exponent == 1 and d.base == 12
-    # maximality against the root-based tester
-    for q in (64, Fraction(4, 9), 729, -27, 12):
-        e = max_power_decomposition(q).exponent
-        for bigger in range(e + 1, 3 * e + 2):
-            assert nth_power_in_Q(q, bigger) is None or abs(q) == 1
 
 
 # ---------------------------------------------------------------------------

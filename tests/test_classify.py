@@ -6,6 +6,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parreg.arith import DegenerateInput
 from parreg.classify import (
@@ -457,3 +459,21 @@ def test_threshold_above_bound_leaves_hypothesis_rules():
     assert rules_of(v) == {"R7"}
     assert not [c for c in v.certificates if c.kind == "witness"]
     assert reverify(v)
+
+
+coefficient = st.builds(
+    lambda magnitude, negative: -magnitude if negative else magnitude,
+    st.one_of(st.integers(1, 100), st.integers(1, 10**6), st.integers(1, 10**15)),
+    st.booleans(),
+)
+
+
+@given(coefficient, coefficient, coefficient, st.integers(1, 4), st.integers(1, 24))
+@settings(max_examples=150, deadline=None)
+def test_every_equation_gets_a_checkable_verdict(a, b, c, m, n):
+    # default config: the witness decision, factoring budget and bounds as shipped
+    v = classify_equation(EquationSpec(a, b, c, m, n))
+    assert reverify(v)
+    for domain, status in zip("NZQ", statuses(v)):
+        if status == UNKNOWN:
+            assert any(r.startswith(domain + ":") for r in v.reasons), (domain, v.reasons)

@@ -4,18 +4,26 @@ classical residue identities, and the heuristic odd-exponent prediction.
 
 import csv
 import io
+import time
+from collections import Counter
 from fractions import Fraction
+from itertools import product
+from math import gcd, lcm, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parreg.arith import DegenerateInput, sieve
 from parreg.density import (
     admissible_primes,
     hit_primes,
     joint_survey,
+    residue_pattern_densities,
     survey,
     write_csv,
 )
+from parreg.witness import find_witness_prime
 
 BOUND = 10**5
 
@@ -232,3 +240,150 @@ def test_every_entry_point_validates():
         write_csv(io.StringIO(), [2, 0], 2, 100)
     with pytest.raises(DegenerateInput):
         write_csv(io.StringIO(), [2], 0, 100)
+
+
+# ---------------------------------------------------------------------------
+# predicted densities
+
+
+def test_predicted_densities_pinned():
+    # AC9's windows: 2 is a cube residue with density 2/3, a square with 1/2
+    assert survey(2, 3, 1000).predicted == Fraction(2, 3)
+    assert survey(2, 2, 1000).predicted == Fraction(1, 2)
+    # the {36, 9} none-set is p = 17 (mod 24): one unit class of eight
+    js = joint_survey([36, 9], 4, BOUND)
+    assert (js.none, js.admissible_count) == (1203, 9590)
+    assert js.predicted_none == Fraction(1, 8)
+    assert js.predicted_subset_hits == {
+        (0,): Fraction(3, 4), (1,): Fraction(3, 4), (0, 1): Fraction(5, 8)
+    }
+    assert survey(16, 8, 1000).predicted == 1
+    assert joint_survey([4, -4], 4, 1000).predicted_none == 0
+
+
+def test_predicted_is_none_outside_the_model():
+    assert survey(2, 25, 100).predicted is None
+    js = joint_survey([2, 3, 5, 7], 2, 100)
+    assert js.predicted_none is None and js.predicted_subset_hits is None
+    assert residue_pattern_densities([2], 24) is not None
+
+
+SUPPORT = (2, 3, 5, 7, 13, 17)
+
+
+def _target(negative: bool, exps: dict) -> Fraction:
+    q = prod((Fraction(ell) ** e for ell, e in exps.items()), start=Fraction(1))
+    return -q if negative else q
+
+
+targets_st = st.lists(
+    st.builds(
+        _target,
+        st.booleans(),
+        st.dictionaries(st.sampled_from(SUPPORT), st.integers(-6, 24), max_size=3),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _euler_flags(qs, n, p):
+    e = (p - 1) // gcd(n, p - 1)
+    return tuple(
+        pow(q.numerator * pow(q.denominator, -1, p), e, p) == 1 for q in qs
+    )
+
+
+@given(targets_st, st.integers(1, 24))
+@settings(max_examples=60, deadline=None)
+def test_observed_patterns_are_predicted(qs, n):
+    """Every prime not dividing 2n or a target shows a pattern of positive
+    predicted density; so a predicted 0 is never observed, and the witness
+    search (which skips the scan past its prefix on a predicted 0) returns
+    the first prime a full scan finds."""
+    densities = residue_pattern_densities(qs, n)
+    assert sum(densities.values()) == 1
+    bound = 2 * 10**4
+    first = None
+    for p in sieve(bound).primes:
+        if any(q.numerator % p == 0 or q.denominator % p == 0 for q in qs):
+            continue
+        flags = _euler_flags(qs, n, p)
+        if 2 * n % p:
+            assert densities.get(flags, 0) > 0, (p, flags)
+        if first is None and gcd(n, p - 1) > 1 and not any(flags):
+            first = p
+    w = find_witness_prime(qs, n, search_bound=bound)
+    assert (None if w is None else w.p) == first
+
+
+def _oracle_densities(qs, n):
+    """Every generator's class enumerated explicitly: at p = a (mod M) the
+    class of -1 is (p-1)/2, the class of a prime dividing 2n keeps the parity
+    of its Euler square test at an actual prime p = a (mod M) when g is even,
+    and every other class ranges over all of Z/g (2^r cases at n = 2)."""
+    exps = [{ell: 0 for ell in SUPPORT} for _ in qs]
+    for q, e in zip(qs, exps):
+        for ell in SUPPORT:
+            for part, sign in ((q.numerator, 1), (q.denominator, -1)):
+                while part % ell == 0:
+                    part //= ell
+                    e[ell] += sign
+    gens = [ell for ell in SUPPORT if any(e[ell] for e in exps)]
+    modulus = lcm(8, 2 * n)
+    units = [a for a in range(1, modulus) if gcd(a, modulus) == 1]
+    primes = sieve(10**4).primes
+    out = Counter()
+    for a in units:
+        p = next(p for p in primes if p % modulus == a and p > 2 * n)
+        g = gcd(n, p - 1)
+        choices = []
+        for ell in gens:
+            if g % 2 == 0 and 2 * n % ell == 0:
+                parity = 0 if pow(ell, (p - 1) // 2, p) == 1 else 1
+                choices.append(range(parity, g, 2))
+            else:
+                choices.append(range(g))
+        cases = list(product(*choices))
+        for classes in cases:
+            flags = tuple(
+                ((p - 1) // 2 * (q < 0) + sum(e[ell] * c for ell, c in zip(gens, classes))) % g == 0
+                for q, e in zip(qs, exps)
+            )
+            out[flags] += Fraction(1, len(units) * len(cases))
+    return dict(out)
+
+
+small_targets_st = st.lists(
+    st.builds(
+        _target,
+        st.booleans(),
+        st.dictionaries(st.sampled_from((2, 3, 5)), st.integers(-4, 12), max_size=2),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@given(small_targets_st, st.integers(1, 12))
+@settings(max_examples=60, deadline=None)
+def test_densities_match_explicit_enumeration(qs, n):
+    assert residue_pattern_densities(qs, n) == _oracle_densities(qs, n)
+
+
+def test_densities_match_explicit_enumeration_grid():
+    singles = [-1, 2, -2, 3, -3, 5, 6, -12, 18, 45, Fraction(3, 4), Fraction(-5, 18)]
+    for n in range(1, 13):
+        for q in singles:
+            assert residue_pattern_densities([q], n) == _oracle_densities([Fraction(q)], n), (q, n)
+    for n in (4, 6, 8, 12):
+        for qs in ([36, 9], [4, -4], [-3, 12], [2, 3, 6], [Fraction(-1, 2), 10, 15]):
+            qs = [Fraction(q) for q in qs]
+            assert residue_pattern_densities(qs, n) == _oracle_densities(qs, n), (qs, n)
+
+
+def test_decision_is_fast():
+    for n in (12, 16, 20, 23, 24):
+        start = time.perf_counter()
+        residue_pattern_densities([-2 * 3 * 5 * 7, Fraction(13, 17), -2 * 11 * 19 * 23], n)
+        assert time.perf_counter() - start < 0.5, n

@@ -4,15 +4,20 @@ Brute-force residue oracles live in this file; frozen values below were
 produced by those oracles, not by the code under test.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parreg.arith import DegenerateInput, _is_residue, sieve
+from parreg import density, witness
+from parreg.arith import DegenerateInput, FactorizationBudgetExceeded, _is_residue, sieve
+from parreg.classify import EquationSpec, SystemSpec, classify_equation, classify_system
 from parreg.witness import (
+    _DECIDE_AFTER,
     MODE_EVEN_N,
     MODE_ODD_N,
     MODE_SQUARES,
@@ -358,3 +363,86 @@ def test_search_bound_below_threshold_raises():
     with pytest.raises(DegenerateInput):
         find_witness_prime([2, 3, 5], 2, min_exclusive=100, search_bound=99)
     assert find_witness_prime([2, 3, 5], 2, min_exclusive=100, search_bound=100) is None
+
+
+# ---------------------------------------------------------------------------
+# deciding that no witness exists
+
+
+@pytest.fixture
+def residue_tests(monkeypatch):
+    """The primes at which the witness searches run a residue test."""
+    seen = []
+
+    def counted(num, den, e, p):
+        seen.append(p)
+        return _is_residue(num, den, e, p)
+
+    monkeypatch.setattr(witness, "_is_residue", counted)
+    return seen
+
+
+# The reproduction table's searches with no witness at any prime: 16 and 4096
+# are 8th-power residues everywhere, 60*90*150 and 32400*57600*90000 are
+# squares, and one of 81, 729 is a 12th-power residue at every prime.
+FUTILE_EQUATIONS = (
+    (3, 13, 1, 1, 8),
+    (16, 16, 1, 1, 8),
+    (16, 17, 1, 1, 8),
+    (33, 4063, 1, 1, 8),
+    (60, 90, 1, 1, 2),
+    (32400, 57600, 1, 1, 4),
+    (81, 729, 1, 1, 12),
+)
+FUTILE_SYSTEMS = (
+    (((16, 17, 1), (33, -17, 1)), 8),
+    (((625, 729, 1), (-104, 729, 1)), 12),
+)
+
+
+def test_futile_searches_stop_after_the_prefix(residue_tests):
+    primes = sieve(10**6).primes
+    for spec in FUTILE_EQUATIONS:
+        residue_tests.clear()
+        v = classify_equation(EquationSpec(*spec))
+        assert "Q:witness:hypotheses-unmet" in v.reasons
+        # at most one test per target per prefix prime (the full scan: 78,000+)
+        assert 0 < len(residue_tests) <= 3 * _DECIDE_AFTER, spec
+        start = bisect_right(primes, spec[0] + spec[1])
+        assert max(residue_tests) <= primes[start + _DECIDE_AFTER - 1], spec
+    for rows, n in FUTILE_SYSTEMS:
+        residue_tests.clear()
+        v = classify_system(SystemSpec(rows, n))
+        assert v.reasons == ("Z:system-witness:bound-exhausted:1000000",)
+        assert 0 < len(residue_tests) <= 2 * _DECIDE_AFTER
+        assert max(residue_tests) <= primes[_DECIDE_AFTER - 1]
+
+
+def test_small_bound_still_scans_to_the_bound(residue_tests):
+    v = classify_equation(EquationSpec(9, 2, 1, 1, 8), config=SimpleNamespace(witness_bound=13))
+    assert residue_tests and max(residue_tests) == 13
+    assert "Q:witness:bound-exhausted:13" in v.reasons
+
+
+def test_possible_witness_keeps_scanning_past_the_prefix(residue_tests):
+    # every prefix prime divides q, which is a non-square at half the primes
+    prefix = sieve(10**5).primes[:_DECIDE_AFTER]
+    q = prod(prefix)
+    w = find_witness_prime([q], 2, search_bound=10**5)
+    assert w is not None and w.p > prefix[-1]
+    assert w.p == next(p for p in sieve(10**5).primes if brute_is_witness(p, [q], 2))
+    w = find_system_witness(((q, q, 1), (q, 3 * q, 1)), 2, search_bound=10**5)
+    assert w is not None and w.p > prefix[-1]
+
+
+def test_budget_spent_falls_back_to_the_full_scan(residue_tests, monkeypatch):
+    def spent(q, budget=None):
+        raise FactorizationBudgetExceeded("budget spent")
+
+    monkeypatch.setattr(density, "factor", spent)
+    assert density.residue_pattern_densities([16, 17, 33], 8) is None
+    assert find_witness_prime([16, 17, 33], 8, min_exclusive=33, search_bound=20000) is None
+    assert max(residue_tests) > 19000
+    residue_tests.clear()
+    assert find_system_witness(((16, 17, 1), (33, -17, 1)), 8, search_bound=20000) is None
+    assert max(residue_tests) > 19000

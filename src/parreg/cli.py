@@ -15,6 +15,7 @@ import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .arith import (
     BadReduction,
@@ -70,6 +71,8 @@ class RunConfig:
     threads: int = 1
 
     def __post_init__(self):
+        if self.output not in ("text", "json"):
+            raise DegenerateInput(f"output must be 'text' or 'json', not {self.output!r}")
         for name in ("witness_bound", "box_half_width", "factor_budget", "sieve_bound", "threads"):
             if getattr(self, name) < 1:
                 raise DegenerateInput(f"{name} must be positive")
@@ -190,10 +193,67 @@ def report(command: str, config: RunConfig, result) -> dict:
     }
 
 
+def canonical_json(v) -> str:
+    """The bytes of ``json.dumps(v, indent=2, sort_keys=True)``, written in
+    one walk.  CPython's C encoder ignores ``indent``, so ``json`` would run
+    its pure-Python generator chain instead, at about three times the cost.
+
+    Exact ``str`` and ``int`` values, dicts, lists and tuples are written
+    here; every other value goes to ``json.dumps``, so floats (``NaN``,
+    ``Infinity``), ``int``/``str`` subclasses and unencodable objects come
+    out, or fail, exactly as ``json`` has them.  Dict keys must be strings
+    (``encode_value`` makes no other kind); any other key raises
+    ``TypeError``.
+    """
+    parts = []
+    _write(v, "\n", parts.append)
+    return "".join(parts)
+
+
+def _write(v, nl, put) -> None:
+    # module-level rather than a closure in canonical_json: a recursive
+    # closure is a reference cycle per report, which only the cyclic
+    # collector frees
+    t = type(v)
+    if t is str:
+        put(_json_str(v))
+    elif t is int:
+        put(int.__repr__(v))
+    elif isinstance(v, dict):
+        if not v:
+            put("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(v):
+            put(sep + _json_str(k) + ": ")
+            _write(v[k], inner, put)
+            sep = "," + inner
+        put(nl + "}")
+    elif isinstance(v, (list, tuple)):
+        if not v:
+            put("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for x in v:
+            put(sep)
+            _write(x, inner, put)
+            sep = "," + inner
+        put(nl + "]")
+    elif v is None:
+        put("null")
+    elif v is True:
+        put("true")
+    elif v is False:
+        put("false")
+    else:
+        put(json.dumps(v))
+
+
 def emit(out, rep: dict, config: RunConfig, text_lines) -> None:
     if config.output == "json":
-        json.dump(rep, out, indent=2, sort_keys=True)
-        out.write("\n")
+        out.write(canonical_json(rep) + "\n")
     else:
         for line in text_lines:
             out.write(line + "\n")
@@ -559,8 +619,7 @@ def cmd_reproduce(args, out) -> int:
     table = reproduction_table(config, prime_sieve=sieve)
     current = json.loads(json.dumps(table, sort_keys=True))
     if args.emit:
-        json.dump(current, out, indent=2, sort_keys=True)
-        out.write("\n")
+        out.write(canonical_json(current) + "\n")
         return EXIT_OK
     expected = _fixture()
     failures = []

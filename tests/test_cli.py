@@ -1,13 +1,16 @@
-"""Command-line surface: exit codes, JSON report round-tripping, input file
-parsing, and the reproduction diff.
+"""Command-line surface: exit codes, JSON report round-tripping, the report
+writer's bytes, input file parsing, and the reproduction diff.
 """
 
 import io
 import json
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import parreg.cli as cli
 from parreg.classify import (
@@ -22,6 +25,7 @@ from parreg.cli import (
     EXIT_OK,
     EXIT_USAGE,
     RunConfig,
+    canonical_json,
     decode_value,
     encode_value,
     main,
@@ -90,6 +94,86 @@ def test_codec_rejects_unknown_type():
 
 
 # ---------------------------------------------------------------------------
+# report writer: the bytes of json.dumps(v, indent=2, sort_keys=True)
+
+
+def stdlib_bytes(v) -> str:
+    return json.dumps(v, indent=2, sort_keys=True)
+
+
+# every character, lone surrogates and control characters included
+any_text = st.text(st.characters(exclude_categories=()), max_size=12)
+json_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, 5e-324]),
+)
+json_ints = st.one_of(st.integers(-(2**200), 2**200), st.sampled_from([2**200, -(2**200)]))
+json_leaves = st.one_of(st.none(), st.booleans(), json_ints, json_floats, any_text)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(any_text, inner, max_size=4),
+    max_leaves=20,
+)
+
+nonzero = st.integers(-(10**6), 10**6).filter(bool)
+hashable_leaves = st.one_of(st.integers(-(2**70), 2**70), any_text, st.fractions())
+equation_specs = st.builds(
+    EquationSpec, nonzero, nonzero, nonzero, st.integers(1, 12), st.integers(1, 12)
+)
+witness_primes = st.builds(
+    WitnessPrime,
+    st.integers(2, 10**6),
+    st.integers(1, 24),
+    st.lists(st.tuples(st.fractions(), st.booleans()), max_size=3).map(tuple),
+    st.booleans(),
+)
+program_values = st.recursive(
+    st.one_of(
+        json_leaves, st.fractions(), equation_specs, witness_primes,
+        st.frozensets(hashable_leaves, max_size=4),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(any_text, inner, max_size=3),
+        st.dictionaries(hashable_leaves, inner, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+@given(json_values)
+@settings(max_examples=400, deadline=None)
+def test_writer_matches_stdlib_on_json_values(v):
+    assert canonical_json(v) == stdlib_bytes(v)
+
+
+@given(program_values)
+@settings(max_examples=300, deadline=None)
+def test_writer_matches_stdlib_on_encoded_values(v):
+    encoded = encode_value(v)
+    assert canonical_json(encoded) == stdlib_bytes(encoded)
+
+
+def test_writer_fixed_cases():
+    cases = [
+        [], {}, [[]], {"a": {}}, [{}, []], "", "\ud800x\udfff", "\x00\x1f\x7f\u2028",
+        2**200, -(2**200), -0.0, math.nan, [math.inf, -math.inf, 1e300, 5e-324],
+        {"b": [1, True, None], "a": (False, 2.5), "é": "ü😀"},
+    ]
+    for v in cases:
+        assert canonical_json(v) == stdlib_bytes(v), v
+
+
+def test_writer_rejects_non_str_keys():
+    for key in (1, None, True, 1.5, (1, 2)):
+        with pytest.raises(TypeError):
+            canonical_json({key: 1})
+    with pytest.raises(TypeError):
+        canonical_json([object()])
+
+
+# ---------------------------------------------------------------------------
 # config
 
 
@@ -100,6 +184,10 @@ def test_config_validation():
         RunConfig(threads=-1)
     assert run(["classify", "2", "3", "1", "1", "2", "--bound", "-5"])[0] == EXIT_USAGE
     assert run(["classify", "2", "3", "1", "1", "2", "--threads", "-1"])[0] == EXIT_USAGE
+    assert RunConfig(output="json").output == "json"
+    for bad in ("JSON", "Text", "", "yaml"):
+        with pytest.raises(cli.DegenerateInput):
+            RunConfig(output=bad)
 
 
 def test_zero_options_are_rejected():
@@ -366,6 +454,50 @@ def test_reproduce_emit(monkeypatch):
     code, text = run(["reproduce", "--emit"])
     assert code == EXIT_OK
     assert json.loads(text) == {"x": 1}
+
+
+def test_reproduce_emit_bytes(monkeypatch):
+    tables = []
+    real = cli.reproduction_table
+
+    def recorded(config, prime_sieve=None):
+        tables.append(real(config, prime_sieve=prime_sieve))
+        return tables[-1]
+
+    monkeypatch.setattr(cli, "reproduction_table", recorded)
+    code, text = run(["reproduce", "--emit"])
+    assert code == EXIT_OK
+    assert text == json.dumps(tables[0], indent=2, sort_keys=True) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# every --json report is in canonical form, checked with json alone
+
+
+def test_json_reports_are_canonical(tmp_path):
+    rows = tmp_path / "rows.txt"
+    rows.write_text("16 17 1\n33 4063 1\n")
+    mat = tmp_path / "m.txt"
+    mat.write_text("1 1 -1\n")
+    commands = [
+        ["classify", "2", "3", "1", "1", "2"],
+        ["classify", "16", "17", "1", "1", "8", "--bound", "2000"],
+        ["system", str(rows), "8", "--bound", "2000"],
+        ["witness", "2", "2", "3", "5"],
+        ["witness", "8", "3", "13", "16", "--bound", "20000"],
+        ["verify", "1", "1", "1", "1", "1", "--p", "43", "--lo", "1", "--hi", "50"],
+        ["columns", str(mat)],
+        ["density", "3", "2", "--bound", "1000"],
+        ["density", "4", "36", "9", "--bound", "1000"],
+    ]
+    seen = set()
+    for argv in commands:
+        code, text = run(argv + ["--json"])
+        assert code == EXIT_OK, argv
+        rep = json.loads(text)
+        seen.add(rep["command"])
+        assert text == json.dumps(rep, indent=2, sort_keys=True) + "\n", argv
+    assert seen == {"classify", "system", "witness", "verify", "columns", "density"}
 
 
 # ---------------------------------------------------------------------------

@@ -622,17 +622,19 @@ def cmd_reproduce(args, out) -> int:
         out.write(canonical_json(current) + "\n")
         return EXIT_OK
     expected = _fixture()
-    failures = []
-    for name in sorted(set(expected) | set(current)):
-        want = expected.get(name)
-        got = current.get(name)
-        ok = want == got
-        out.write(f"{'PASS' if ok else 'FAIL'}  {name}\n")
-        if not ok:
-            failures.append((name, want, got))
-    for name, want, got in failures:
-        out.write(f"  {name}: expected {want!r}, got {got!r}\n")
-    out.write(f"{len(current) - len(failures)}/{len(current)} rows match\n")
+    names = sorted(set(expected) | set(current))
+    failures = [
+        {"name": name, "expected": expected.get(name), "got": current.get(name)}
+        for name in names
+        if expected.get(name) != current.get(name)
+    ]
+    failed = {f["name"] for f in failures}
+    matched = len(names) - len(failures)
+    lines = [f"{'FAIL' if name in failed else 'PASS'}  {name}" for name in names]
+    lines += [f"  {f['name']}: expected {f['expected']!r}, got {f['got']!r}" for f in failures]
+    lines.append(f"{matched}/{len(names)} rows match")
+    result = {"matched": matched, "rows": len(names), "failures": failures}
+    emit(out, report("reproduce", config, result), config, lines)
     return EXIT_OK if not failures else EXIT_DIFF
 
 

@@ -9,14 +9,16 @@ import csv
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress, repeat
 from math import gcd, lcm
+from operator import mod
 
 from .arith import (
     DegenerateInput,
     FactorizationBudgetExceeded,
     PrimeSieve,
-    _is_residue,
+    _exponents,
+    _residue_column,
     _sieve_primes,
     factor,
     legendre,
@@ -25,6 +27,9 @@ from .arith import (
 # residue_pattern_densities enumerates subgroups of (Z/g)^k with g | n
 MAX_PREDICTED_N = 24
 MAX_PREDICTED_TARGETS = 3
+
+# a residue column's states -> hit flags: 2 (non-residue) -> 0
+_HITS = bytes.maketrans(b"\2", b"\0")
 
 
 def _targets(targets, n: int = 1) -> tuple[Fraction, ...]:
@@ -36,22 +41,27 @@ def _targets(targets, n: int = 1) -> tuple[Fraction, ...]:
     return qs
 
 
-def _admissible(pairs, prime_bound: int, prime_sieve: PrimeSieve | None):
-    """Primes <= prime_bound dividing no (num, den) of `pairs`."""
-    for p in _sieve_primes(prime_bound, prime_sieve):
-        if all(num % p and den % p for num, den in pairs):
-            yield p
+def _columns(qs, n: int, prime_bound: int, prime_sieve: PrimeSieve | None):
+    """The primes <= prime_bound and each target's `_residue_column` over
+    them."""
+    primes = _sieve_primes(prime_bound, prime_sieve)
+    exps = _exponents(n, primes)
+    cols = [_residue_column(q.numerator, q.denominator, n, exps, primes) for q in qs]
+    return primes, cols
 
 
-def _flag_rows(qs, n: int, prime_bound: int, prime_sieve: PrimeSieve | None):
-    """The one residue pass over primes: (p, flags) for every prime admissible
-    for every target, where flags[i] says whether qs[i] is an n-th power
-    residue mod p.
-    """
-    pairs = tuple((q.numerator, q.denominator) for q in qs)
-    for p in _admissible(pairs, prime_bound, prime_sieve):
-        e = (p - 1) // gcd(n, p - 1)
-        yield p, tuple(_is_residue(num, den, e, p) for num, den in pairs)
+def _admissible_mask(cols) -> bytes:
+    """1 at the primes admissible for every target, 0 elsewhere."""
+    return bytes(map(all, zip(*cols)))
+
+
+def _patterns(qs, n: int, prime_bound: int, prime_sieve: PrimeSieve | None) -> Counter:
+    """How many primes admissible for every target show each residue pattern,
+    as {flags: count}, where flags[i] says whether qs[i] is an n-th power
+    residue mod p."""
+    _, cols = _columns(qs, n, prime_bound, prime_sieve)
+    states = Counter(compress(zip(*cols), _admissible_mask(cols)))
+    return Counter({tuple(s == 1 for s in key): c for key, c in states.items()})
 
 
 def _nonresidue_bit(ell: int, a: int) -> int:
@@ -181,10 +191,9 @@ def survey(
     inadmissible.  `predicted` is the exact hit density the ratio tends to.
     """
     qs = _targets((target,), n)
-    admissible = hits = 0
-    for _, (hit,) in _flag_rows(qs, n, prime_bound, prime_sieve):
-        admissible += 1
-        hits += hit
+    patterns = _patterns(qs, n, prime_bound, prime_sieve)
+    admissible = sum(patterns.values())
+    hits = patterns[(True,)]
     density = Fraction(hits, admissible) if admissible else Fraction(0)
     predicted = residue_pattern_densities(qs, n)
     return DensitySurvey(
@@ -202,7 +211,10 @@ def admissible_primes(
     target, prime_bound: int, prime_sieve: PrimeSieve | None = None
 ) -> tuple[int, ...]:
     (q,) = _targets((target,))
-    return tuple(_admissible(((q.numerator, q.denominator),), prime_bound, prime_sieve))
+    primes = _sieve_primes(prime_bound, prime_sieve)
+    # only state 0 is read, which any exponents >= 1 give exactly; 1 is cheapest
+    col = _residue_column(q.numerator, q.denominator, 1, repeat(1), primes)
+    return tuple(compress(primes, col))
 
 
 def hit_primes(
@@ -210,7 +222,8 @@ def hit_primes(
 ) -> tuple[int, ...]:
     """The admissible primes modulo which the target is an n-th power residue."""
     qs = _targets((target,), n)
-    return tuple(p for p, (hit,) in _flag_rows(qs, n, prime_bound, prime_sieve) if hit)
+    primes, (col,) = _columns(qs, n, prime_bound, prime_sieve)
+    return tuple(compress(primes, col.translate(_HITS)))
 
 
 def _subset_totals(patterns, subsets, zero) -> dict:
@@ -230,7 +243,7 @@ def joint_survey(
     the inclusion-exclusion identity checked exactly (counts, not estimates).
     """
     qs = _targets(targets, n)
-    patterns = Counter(flags for _, flags in _flag_rows(qs, n, prime_bound, prime_sieve))
+    patterns = _patterns(qs, n, prime_bound, prime_sieve)
     idx = tuple(range(len(qs)))
     subsets = [s for size in range(1, len(qs) + 1) for s in combinations(idx, size)]
     subset_hits = _subset_totals(patterns, subsets, 0)
@@ -273,12 +286,13 @@ def write_csv(
     then a hit flag per target.  Returns the number of data rows written.
     """
     qs = _targets(targets, n)
+    primes, cols = _columns(qs, n, prime_bound, prime_sieve)
+    mask = _admissible_mask(cols)
     w = csv.writer(out)
     w.writerow(
         ["prime", f"mod{residue_modulus}"] + [f"hit_{q}" for q in qs]
     )
-    rows = 0
-    for p, flags in _flag_rows(qs, n, prime_bound, prime_sieve):
-        w.writerow([p, p % residue_modulus] + [int(f) for f in flags])
-        rows += 1
-    return rows
+    residues = map(mod, primes, repeat(residue_modulus))
+    flags = (col.translate(_HITS) for col in cols)
+    w.writerows(compress(zip(primes, residues, *flags), mask))
+    return mask.count(1)

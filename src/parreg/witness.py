@@ -33,9 +33,11 @@ MODE_TWO_VAR = "TWO_VAR"
 _PARALLEL_BLOCK = 4096
 
 # Candidate primes a search scans before it asks whether a witness exists at
-# all.  A witness, when there is one, nearly always lies among them, and they
-# include every prime dividing 2n for the n the decision covers.
-_DECIDE_AFTER = 1000
+# all.  A witness, when there is one, nearly always lies among them.  The
+# decision is exact only because they include every candidate prime dividing
+# 2n: it covers n <= MAX_PREDICTED_N = 24, so those are among the 9 primes
+# <= 23, which the first 64 candidates above any min_exclusive always hold.
+_DECIDE_AFTER = 64
 
 
 @dataclass(frozen=True)

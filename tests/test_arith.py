@@ -6,6 +6,7 @@ never from the functions under test.
 """
 
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,9 @@ from parreg.arith import (
     DegenerateInput,
     FactorizationBudgetExceeded,
     PrimeSieve,
+    _exponents,
+    _is_residue,
+    _residue_column,
     factor,
     integer_nth_root,
     is_probable_prime,
@@ -293,3 +297,48 @@ def test_sieve_bound_errors():
         s.primes_upto(100)
     with pytest.raises(DegenerateInput):
         s.is_prime(11)
+
+
+# ---------------------------------------------------------------------------
+# the residue column against the scalar Euler-criterion kernel
+
+# products of small primes, so that primes divide numerators and denominators
+_smooth = st.lists(st.sampled_from((2, 3, 5, 7, 11, 13, 97, 997)), max_size=6).map(prod)
+signed_rationals = st.builds(
+    lambda sign, a, x, b, y: Fraction(sign * a * x, b * y),
+    st.sampled_from((1, -1)),
+    _smooth,
+    st.integers(1, 10**9),
+    _smooth,
+    st.integers(1, 10**3),
+)
+
+
+@given(signed_rationals, st.integers(1, 24), st.one_of(st.integers(2, 12), st.integers(2, 5000)))
+@settings(max_examples=150, deadline=None)
+def test_residue_column_matches_scalar_kernel(q, n, bound):
+    primes = sieve(bound).primes
+    num, den = q.numerator, q.denominator
+    col = _residue_column(num, den, n, _exponents(n, primes), primes)
+    assert len(col) == len(primes)
+    for p, state in zip(primes, col):
+        e = (p - 1) // gcd(n, p - 1)
+        want = 0 if num * den % p == 0 else (1 if _is_residue(num, den, e, p) else 2)
+        assert state == want, (p, num, den, n)
+
+
+def test_residue_column_fixed_cases():
+    primes = sieve(30).primes  # 2 3 5 7 11 13 17 19 23 29
+    # 2 is a square mod 7, 17, 23; p = 2 divides it
+    assert _residue_column(2, 1, 2, _exponents(2, primes), primes) == bytes(
+        (0, 2, 2, 1, 2, 2, 1, 2, 1, 2)
+    )
+    # -3/4 at n = 2: p = 2 divides the denominator, p = 3 the numerator
+    assert _residue_column(-3, 4, 2, _exponents(2, primes), primes) == bytes(
+        (0, 0, 2, 1, 2, 1, 2, 1, 2, 2)
+    )
+    # every unit is a first power, and at p = 2 every unit is an n-th power
+    assert _residue_column(35, 6, 1, _exponents(1, primes), primes) == bytes(
+        (0, 0, 0, 0, 1, 1, 1, 1, 1, 1)
+    )
+    assert _residue_column(3, 1, 24, _exponents(24, primes), primes)[:1] == b"\1"

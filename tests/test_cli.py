@@ -447,6 +447,43 @@ def test_reproduce_diff_detected(monkeypatch):
     assert "1/2 rows match" in text
 
 
+def test_reproduce_json_report():
+    code, text = run(["reproduce", "--json"])
+    assert code == EXIT_OK
+    rep = json.loads(text)
+    assert (rep["schema"], rep["command"]) == ("parreg-report/1", "reproduce")
+    assert rep["config"]["output"] == "json"
+    assert rep["result"] == {"matched": 21, "rows": 21, "failures": []}
+    assert text == json.dumps(rep, indent=2, sort_keys=True) + "\n"
+
+
+def test_reproduce_json_reports_drift(monkeypatch):
+    fixture = cli._fixture()
+    drifted = dict(fixture)
+    drifted["identity-16-eighth-powers"] = {"density": "1", "admissible": 9590}
+    drifted["gone"] = {"none": 0}
+    monkeypatch.setattr(cli, "_fixture", lambda: drifted)
+    code, text = run(["reproduce", "--json"])
+    assert code == EXIT_DIFF
+    result = json.loads(text)["result"]
+    assert result == {
+        "matched": 20,
+        "rows": 22,
+        "failures": [
+            {"name": "gone", "expected": {"none": 0}, "got": None},
+            {
+                "name": "identity-16-eighth-powers",
+                "expected": {"density": "1", "admissible": 9590},
+                "got": fixture["identity-16-eighth-powers"],
+            },
+        ],
+    }
+    code, text = run(["reproduce"])
+    assert code == EXIT_DIFF
+    assert "FAIL  gone" in text and "FAIL  identity-16-eighth-powers" in text
+    assert text.endswith("20/22 rows match\n")
+
+
 def test_reproduce_emit(monkeypatch):
     monkeypatch.setattr(
         cli, "reproduction_table", lambda config, prime_sieve=None: {"x": 1}
@@ -454,6 +491,7 @@ def test_reproduce_emit(monkeypatch):
     code, text = run(["reproduce", "--emit"])
     assert code == EXIT_OK
     assert json.loads(text) == {"x": 1}
+    assert run(["reproduce", "--emit", "--json"]) == (EXIT_OK, text)
 
 
 def test_reproduce_emit_bytes(monkeypatch):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parreg.arith import DegenerateInput, sieve
+from parreg.arith import DegenerateInput, nth_power_mod_p, sieve
 from parreg.density import (
     admissible_primes,
     hit_primes,
@@ -387,3 +387,58 @@ def test_decision_is_fast():
         start = time.perf_counter()
         residue_pattern_densities([-2 * 3 * 5 * 7, Fraction(13, 17), -2 * 11 * 19 * 23], n)
         assert time.perf_counter() - start < 0.5, n
+
+
+# ---------------------------------------------------------------------------
+# every survey entry point against per-prime nth_power_mod_p
+
+
+def _oracle_rows(qs, n, bound):
+    """(p, flags) at each prime <= bound admissible for every target."""
+    return [
+        (p, tuple(nth_power_mod_p(q, n, p) for q in qs))
+        for p in sieve(bound).primes
+        if all(q.numerator % p and q.denominator % p for q in qs)
+    ]
+
+
+_smooth = st.lists(st.sampled_from((2, 3, 5, 7, 13, 17, 101)), max_size=5).map(prod)
+survey_targets_st = st.lists(
+    st.builds(
+        lambda sign, a, x, b: Fraction(sign * a * x, b),
+        st.sampled_from((1, -1)),
+        _smooth,
+        st.integers(1, 10**6),
+        _smooth,
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@given(survey_targets_st, st.integers(1, 24), st.one_of(st.integers(2, 12), st.integers(2, 3000)))
+@settings(max_examples=60, deadline=None)
+def test_surveys_match_the_scalar_oracle(qs, n, bound):
+    one = _oracle_rows(qs[:1], n, bound)
+    hits = [p for p, (hit,) in one if hit]
+    s = survey(qs[0], n, bound)
+    assert (s.admissible_count, s.hit_count) == (len(one), len(hits))
+    assert s.density == (Fraction(len(hits), len(one)) if one else 0)
+    assert hit_primes(qs[0], n, bound) == tuple(hits)
+    assert admissible_primes(qs[0], bound) == tuple(p for p, _ in one)
+
+    rows = _oracle_rows(qs, n, bound)
+    js = joint_survey(qs, n, bound)
+    assert js.admissible_count == len(rows)
+    assert js.none == sum(1 for _, f in rows if not any(f))
+    for subset, count in js.subset_hits.items():
+        assert count == sum(1 for _, f in rows if all(f[i] for i in subset)), subset
+
+    want = io.StringIO()
+    w = csv.writer(want)
+    w.writerow(["prime", "mod24"] + [f"hit_{q}" for q in qs])
+    for p, f in rows:
+        w.writerow([p, p % 24] + [int(x) for x in f])
+    got = io.StringIO()
+    assert write_csv(got, qs, n, bound) == len(rows)
+    assert got.getvalue() == want.getvalue()

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from parreg import density, witness
 from parreg.arith import DegenerateInput, FactorizationBudgetExceeded, _is_residue, sieve
 from parreg.classify import EquationSpec, SystemSpec, classify_equation, classify_system
+from parreg.density import MAX_PREDICTED_N
 from parreg.witness import (
     _DECIDE_AFTER,
     MODE_EVEN_N,
@@ -416,6 +417,20 @@ def test_futile_searches_stop_after_the_prefix(residue_tests):
         assert v.reasons == ("Z:system-witness:bound-exhausted:1000000",)
         assert 0 < len(residue_tests) <= 2 * _DECIDE_AFTER
         assert max(residue_tests) <= primes[_DECIDE_AFTER - 1]
+
+
+def test_decision_prefix_holds_every_prime_dividing_2n():
+    # the decision is exact only if no candidate prime dividing 2n lies past
+    # the prefix, for every n it covers and every min_exclusive
+    primes = sieve(10**4).primes
+    for n in range(1, MAX_PREDICTED_N + 1):
+        small = [p for p in primes[:20] if 2 * n % p == 0]
+        for lo in range(0, 2 * MAX_PREDICTED_N):
+            start = bisect_right(primes, lo)
+            prefix = set(primes[start : start + _DECIDE_AFTER])
+            assert {p for p in small if p > lo} <= prefix, (n, lo)
+        # systems scan from p = 2
+        assert set(small) <= set(primes[:_DECIDE_AFTER]), n
 
 
 def test_small_bound_still_scans_to_the_bound(residue_tests):

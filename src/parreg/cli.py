@@ -41,6 +41,10 @@ from .coloring import (
 from .density import (
     MAX_PREDICTED_N,
     MAX_PREDICTED_TARGETS,
+    _hits_outside,
+    _joint_survey,
+    _pass,
+    _targets,
     joint_survey,
     survey,
     write_csv,
@@ -353,14 +357,15 @@ def read_rows_file(path: str):
 # Commands
 
 
-def _config_from(args) -> RunConfig:
+def _config_from(args, bound_field: str = "witness_bound") -> RunConfig:
+    """The command's `RunConfig`; `--bound` sets `bound_field`."""
+    bound = {} if args.bound is None else {bound_field: args.bound}
     return RunConfig(
-        witness_bound=args.bound if args.bound is not None else 10**6,
         box_half_width=args.box if args.box is not None else 300,
         factor_budget=DEFAULT_FACTOR_BUDGET,
-        sieve_bound=10**5,
         output="json" if args.json else "text",
         threads=args.threads if args.threads is not None else 1,
+        **bound,
     )
 
 
@@ -483,9 +488,9 @@ def _predicted(d) -> str:
 
 
 def cmd_density(args, out) -> int:
-    config = _config_from(args)
+    config = _config_from(args, "sieve_bound")
     targets = [parse_rational(t) for t in args.targets]
-    bound = args.bound if args.bound is not None else config.sieve_bound
+    bound = config.sieve_bound
     sieve = _sieve_from(args, bound)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
@@ -585,21 +590,19 @@ def reproduction_table(config: RunConfig, prime_sieve=None) -> dict:
         "density": _frac(s16.density),
         "admissible": s16.admissible_count,
     }
-    j4 = joint_survey([4, -4], 4, bound, prime_sieve=prime_sieve)
+    # one pass over the columns of 4, -4, 9 and 36 at n = 4 gives every row below
+    qs = _targets((4, -4, 9, 36))
+    counts = _pass(qs, 4, bound, prime_sieve)
+    j4 = _joint_survey(qs, 4, bound, counts, (0, 1))
     rows["identity-4,-4-fourth-powers"] = {"none": j4.none, "admissible": j4.admissible_count}
-    j36 = joint_survey([36, 9], 4, bound, prime_sieve=prime_sieve)
-    from .density import admissible_primes, hit_primes
-
-    hits36 = set(hit_primes(36, 4, bound, prime_sieve=prime_sieve))
-    adm36 = admissible_primes(36, bound, prime_sieve=prime_sieve)
+    j36 = _joint_survey(qs, 4, bound, counts, (3, 2))
     rows["pair-36,9-fourth-powers"] = {
         "none": j36.none,
         "admissible": j36.admissible_count,
-        "hits36-is-p-not-13-mod-24": hits36 == {p for p in adm36 if p % 24 != 13},
-        "hits36-is-p-not-13-17-mod-24": hits36
-        == {p for p in adm36 if p % 24 not in (13, 17)},
+        "hits36-is-p-not-13-mod-24": _hits_outside(counts, 3, {13}),
+        "hits36-is-p-not-13-17-mod-24": _hits_outside(counts, 3, {13, 17}),
     }
-    j6 = joint_survey([4, 9, 36], 4, bound, prime_sieve=prime_sieve)
+    j6 = _joint_survey(qs, 4, bound, counts, (0, 2, 3))
     rows["identity-4,9,36-fourth-powers"] = {
         "none": j6.none,
         "admissible": j6.admissible_count,

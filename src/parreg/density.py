@@ -55,13 +55,31 @@ def _admissible_mask(cols) -> bytes:
     return bytes(map(all, zip(*cols)))
 
 
-def _patterns(qs, n: int, prime_bound: int, prime_sieve: PrimeSieve | None) -> Counter:
-    """How many primes admissible for every target show each residue pattern,
-    as {flags: count}, where flags[i] says whether qs[i] is an n-th power
-    residue mod p."""
-    _, cols = _columns(qs, n, prime_bound, prime_sieve)
-    states = Counter(compress(zip(*cols), _admissible_mask(cols)))
-    return Counter({tuple(s == 1 for s in key): c for key, c in states.items()})
+def _pass(qs, n: int, prime_bound: int, prime_sieve: PrimeSieve | None) -> Counter:
+    """One counted pass over the primes <= prime_bound, as
+    {(p mod 24, state of qs[0], state of qs[1], ...): count} with the states
+    of `_residue_column`.  Every survey of a subset of qs projects from it."""
+    primes, cols = _columns(qs, n, prime_bound, prime_sieve)
+    return Counter(zip(map(mod, primes, repeat(24)), *cols))
+
+
+def _patterns(counts: Counter, idx) -> Counter:
+    """How many primes admissible for every target at `idx` show each residue
+    pattern, as {flags: count}, where flags[j] says whether target idx[j] is
+    an n-th power residue mod p."""
+    patterns = Counter()
+    for key, count in counts.items():
+        states = [key[1 + i] for i in idx]
+        if all(states):
+            patterns[tuple(s == 1 for s in states)] += count
+    return patterns
+
+
+def _hits_outside(counts: Counter, i: int, classes) -> bool:
+    """Whether target i is a residue at exactly the primes admissible for it
+    whose class mod 24 is not in `classes`: no such class holds a
+    non-residue, and no class in `classes` holds a residue."""
+    return not any(key[1 + i] == (1 if key[0] in classes else 2) for key in counts)
 
 
 def _nonresidue_bit(ell: int, a: int) -> int:
@@ -191,13 +209,18 @@ def survey(
     inadmissible.  `predicted` is the exact hit density the ratio tends to.
     """
     qs = _targets((target,), n)
-    patterns = _patterns(qs, n, prime_bound, prime_sieve)
+    return _survey(qs, n, prime_bound, _pass(qs, n, prime_bound, prime_sieve), 0)
+
+
+def _survey(qs, n: int, prime_bound: int, counts: Counter, i: int) -> DensitySurvey:
+    """`survey` of qs[i] from a `_pass` over qs."""
+    patterns = _patterns(counts, (i,))
     admissible = sum(patterns.values())
     hits = patterns[(True,)]
     density = Fraction(hits, admissible) if admissible else Fraction(0)
-    predicted = residue_pattern_densities(qs, n)
+    predicted = residue_pattern_densities(qs[i : i + 1], n)
     return DensitySurvey(
-        target=qs[0],
+        target=qs[i],
         n=n,
         prime_bound=prime_bound,
         admissible_count=admissible,
@@ -243,9 +266,17 @@ def joint_survey(
     the inclusion-exclusion identity checked exactly (counts, not estimates).
     """
     qs = _targets(targets, n)
-    patterns = _patterns(qs, n, prime_bound, prime_sieve)
-    idx = tuple(range(len(qs)))
-    subsets = [s for size in range(1, len(qs) + 1) for s in combinations(idx, size)]
+    counts = _pass(qs, n, prime_bound, prime_sieve)
+    return _joint_survey(qs, n, prime_bound, counts, range(len(qs)))
+
+
+def _joint_survey(qs, n: int, prime_bound: int, counts: Counter, idx) -> JointSurvey:
+    """`joint_survey` of the targets qs[i] for i in idx, in that order, from a
+    `_pass` over qs."""
+    patterns = _patterns(counts, idx)
+    qs = tuple(qs[i] for i in idx)
+    every = tuple(range(len(qs)))
+    subsets = [s for size in range(1, len(qs) + 1) for s in combinations(every, size)]
     subset_hits = _subset_totals(patterns, subsets, 0)
     admissible = sum(patterns.values())
     none = patterns[(False,) * len(qs)]
@@ -267,7 +298,7 @@ def joint_survey(
         admissible_count=admissible,
         subset_hits=subset_hits,
         at_least_one=at_least_one,
-        all_targets=subset_hits[idx],
+        all_targets=subset_hits[every],
         none=none,
         predicted_none=predicted_none,
         predicted_subset_hits=predicted_hits,

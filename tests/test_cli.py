@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parreg.cli as cli
+import parreg.density as density
 from parreg.classify import (
     EquationSpec,
     SystemSpec,
@@ -403,6 +404,28 @@ def test_density_csv(tmp_path):
     assert len(lines) == 24
 
 
+def test_density_bound_is_the_sieve_bound(tmp_path, capsys):
+    # --bound is how far a survey runs, so the report's config names it as
+    # the sieve bound and leaves the witness bound at its default
+    witness_default = RunConfig().witness_bound
+    for argv in (["density", "3", "2"], ["density", "4", "36", "9"]):
+        code, text = run(argv + ["--bound", "1000", "--json"])
+        assert code == EXIT_OK
+        rep = json.loads(text)
+        assert rep["config"]["sieve_bound"] == rep["result"]["prime_bound"] == 1000
+        assert rep["config"]["witness_bound"] == witness_default
+    path = tmp_path / "rows.csv"
+    code, text = run(["density", "2", "2", "3", "--bound", "100", "--csv", str(path), "--json"])
+    assert code == EXIT_OK
+    rep = json.loads(text)
+    assert rep["config"]["sieve_bound"] == 100
+    assert rep["config"]["witness_bound"] == witness_default
+    assert rep["result"]["rows"] == 23
+    capsys.readouterr()
+    assert run(["density", "2", "3", "--bound", "0"])[0] == EXIT_USAGE
+    assert "sieve_bound must be positive" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # sieve cache plumbing
 
@@ -434,6 +457,23 @@ def test_reproduce_matches_fixture():
     assert "21/21 rows match" in text
     assert text.count("PASS") == 21
     assert "FAIL" not in text
+
+
+def test_reproduction_table_builds_each_column_once(monkeypatch):
+    # 16 at n = 8, then one pass over 4, -4, 9 and 36 at n = 4
+    built = {"columns": 0, "exponents": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            built[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(density, "_residue_column", counted("columns", density._residue_column))
+    monkeypatch.setattr(density, "_exponents", counted("exponents", density._exponents))
+    cli.reproduction_table(RunConfig())
+    assert built == {"columns": 5, "exponents": 2}
 
 
 def test_reproduce_diff_detected(monkeypatch):

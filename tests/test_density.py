@@ -16,6 +16,10 @@ from hypothesis import strategies as st
 
 from parreg.arith import DegenerateInput, nth_power_mod_p, sieve
 from parreg.density import (
+    _hits_outside,
+    _joint_survey,
+    _pass,
+    _survey,
     admissible_primes,
     hit_primes,
     joint_survey,
@@ -403,17 +407,14 @@ def _oracle_rows(qs, n, bound):
 
 
 _smooth = st.lists(st.sampled_from((2, 3, 5, 7, 13, 17, 101)), max_size=5).map(prod)
-survey_targets_st = st.lists(
-    st.builds(
-        lambda sign, a, x, b: Fraction(sign * a * x, b),
-        st.sampled_from((1, -1)),
-        _smooth,
-        st.integers(1, 10**6),
-        _smooth,
-    ),
-    min_size=1,
-    max_size=3,
+survey_target_st = st.builds(
+    lambda sign, a, x, b: Fraction(sign * a * x, b),
+    st.sampled_from((1, -1)),
+    _smooth,
+    st.integers(1, 10**6),
+    _smooth,
 )
+survey_targets_st = st.lists(survey_target_st, min_size=1, max_size=3)
 
 
 @given(survey_targets_st, st.integers(1, 24), st.one_of(st.integers(2, 12), st.integers(2, 3000)))
@@ -442,3 +443,50 @@ def test_surveys_match_the_scalar_oracle(qs, n, bound):
     got = io.StringIO()
     assert write_csv(got, qs, n, bound) == len(rows)
     assert got.getvalue() == want.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# one counted pass, every survey projected from it
+
+
+def _law_holds(q, n, bound, classes):
+    """The literal class law: q hits exactly at its admissible primes whose
+    class mod 24 is outside `classes`."""
+    law = {p for p in admissible_primes(q, bound) if p % 24 not in classes}
+    return set(hit_primes(q, n, bound)) == law
+
+
+@given(
+    st.lists(survey_target_st, min_size=1, max_size=4),
+    st.integers(1, 24),
+    st.integers(2, 3000),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_projected_surveys_equal_direct_surveys(qs, n, bound, data):
+    qs = tuple(qs)
+    counts = _pass(qs, n, bound, None)
+    idx = data.draw(st.lists(st.integers(0, len(qs) - 1), min_size=1, unique=True))
+    assert _joint_survey(qs, n, bound, counts, idx) == joint_survey(
+        [qs[i] for i in idx], n, bound
+    )
+    for j in range(len(qs)):
+        assert _survey(qs, n, bound, counts, j) == survey(qs[j], n, bound)
+    i = idx[0]
+    # a random class set, and the classes where qs[i] never hits, which makes
+    # the law hold whenever no class mixes hits and misses
+    hitless = {p % 24 for p in admissible_primes(qs[i], bound)} - {
+        p % 24 for p in hit_primes(qs[i], n, bound)
+    }
+    for classes in (data.draw(st.sets(st.integers(0, 23))), hitless):
+        assert _hits_outside(counts, i, classes) == _law_holds(qs[i], n, bound, classes)
+
+
+def test_class_law_of_thirty_six():
+    qs = (Fraction(4), Fraction(-4), Fraction(9), Fraction(36))
+    counts = _pass(qs, 4, BOUND, None)
+    assert _hits_outside(counts, 3, {13, 17})
+    assert not _hits_outside(counts, 3, {13})
+    assert not _hits_outside(counts, 3, {13, 17, 1})
+    # -1 is a square residue exactly at p = 1 (mod 4)
+    assert _hits_outside(_pass((Fraction(-1),), 2, 2000, None), 0, {3, 7, 11, 15, 19, 23})

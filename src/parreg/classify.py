@@ -5,7 +5,7 @@ certificates attached to every decided status.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .arith import (
@@ -151,8 +151,10 @@ _DOWN = {DOMAIN_Q: (DOMAIN_Q, DOMAIN_Z, DOMAIN_N), DOMAIN_Z: (DOMAIN_Z, DOMAIN_N
 
 
 class _Statuses:
-    def __init__(self):
+    def __init__(self, certs=()):
         self.by_domain = {DOMAIN_N: UNKNOWN, DOMAIN_Z: UNKNOWN, DOMAIN_Q: UNKNOWN}
+        for cert in certs:
+            self.apply(cert)
 
     def _set(self, domain: str, status: str):
         cur = self.by_domain[domain]
@@ -177,6 +179,20 @@ class _Statuses:
             self.negative(cert.domain)
         else:
             raise ContradictionError(f"certificate with verdict {cert.verdict!r}")
+
+
+def _verdict(subject, st: _Statuses, certs, pending) -> Verdict:
+    """The verdict the statuses st give, keeping only the pending reasons
+    whose domain st leaves UNKNOWN."""
+    reasons = tuple(r for r in pending if st.by_domain[r.split(":", 1)[0]] == UNKNOWN)
+    return Verdict(
+        subject=subject,
+        status_N=st.by_domain[DOMAIN_N],
+        status_Z=st.by_domain[DOMAIN_Z],
+        status_Q=st.by_domain[DOMAIN_Q],
+        certificates=tuple(certs),
+        reasons=reasons,
+    )
 
 
 def _config_get(config, name: str, default):
@@ -268,31 +284,21 @@ def classify_equation(eq: EquationSpec, config=None, prime_sieve=None) -> Verdic
                 )
             )
         else:
-            hit = _first_root(ratios, n, nonneg=True)
+            # a non-negative root proves PR over N, any other root over Z
+            domain, hit = DOMAIN_N, _first_root(ratios, n, nonneg=True)
+            if hit is None:
+                domain, hit = DOMAIN_Z, _first_root(ratios, n, nonneg=False)
             if hit is not None:
                 label, q, root = hit
                 certs.append(
                     Certificate(
                         kind=KIND_RATIONAL_ROOT,
                         rule="R4",
-                        domain=DOMAIN_N,
+                        domain=domain,
                         verdict=PR,
                         data={"which": label, "ratio": q, "root": root, "n": n},
                     )
                 )
-            else:
-                hit = _first_root(ratios, n, nonneg=False)
-                if hit is not None:
-                    label, q, root = hit
-                    certs.append(
-                        Certificate(
-                            kind=KIND_RATIONAL_ROOT,
-                            rule="R4",
-                            domain=DOMAIN_Z,
-                            verdict=PR,
-                            data={"which": label, "ratio": q, "root": root, "n": n},
-                        )
-                    )
 
     # negative track
     negative_fired = False
@@ -459,10 +465,7 @@ def classify_equation(eq: EquationSpec, config=None, prime_sieve=None) -> Verdic
             elif candidates:
                 pending.append("Z:padic:no-candidate-fired")
 
-    st = _Statuses()
-    for cert in certs:
-        st.apply(cert)
-
+    st = _Statuses(certs)
     # sign feasibility decides status_N when nothing else did
     if st.by_domain[DOMAIN_N] == UNKNOWN:
         if _sign_infeasible(a, b, c):
@@ -477,18 +480,7 @@ def classify_equation(eq: EquationSpec, config=None, prime_sieve=None) -> Verdic
             st.apply(cert)
         else:
             pending.append("N:sign-analysis-inconclusive")
-
-    reasons = tuple(
-        r for r in pending if st.by_domain[r.split(":", 1)[0]] == UNKNOWN
-    )
-    return Verdict(
-        subject=eq,
-        status_N=st.by_domain[DOMAIN_N],
-        status_Z=st.by_domain[DOMAIN_Z],
-        status_Q=st.by_domain[DOMAIN_Q],
-        certificates=tuple(certs),
-        reasons=reasons,
-    )
+    return _verdict(eq, st, certs, pending)
 
 
 def classify_system(sys_spec: SystemSpec, config=None, prime_sieve=None) -> Verdict:
@@ -508,14 +500,7 @@ def classify_system(sys_spec: SystemSpec, config=None, prime_sieve=None) -> Verd
         v = classify_equation(
             EquationSpec(a, b, c, 1, n), config=config, prime_sieve=prime_sieve
         )
-        return Verdict(
-            subject=sys_spec,
-            status_N=v.status_N,
-            status_Z=v.status_Z,
-            status_Q=v.status_Q,
-            certificates=v.certificates,
-            reasons=v.reasons,
-        )
+        return replace(v, subject=sys_spec)
 
     inter = system_intersection(sys_spec.rows)
     sorted_i = sorted(inter)
@@ -602,20 +587,7 @@ def classify_system(sys_spec: SystemSpec, config=None, prime_sieve=None) -> Verd
             else:
                 pending.append(f"Z:system-witness:bound-exhausted:{witness_bound}")
 
-    st = _Statuses()
-    for cert in certs:
-        st.apply(cert)
-    reasons = tuple(
-        r for r in pending if st.by_domain[r.split(":", 1)[0]] == UNKNOWN
-    )
-    return Verdict(
-        subject=sys_spec,
-        status_N=st.by_domain[DOMAIN_N],
-        status_Z=st.by_domain[DOMAIN_Z],
-        status_Q=st.by_domain[DOMAIN_Q],
-        certificates=tuple(certs),
-        reasons=reasons,
-    )
+    return _verdict(sys_spec, _Statuses(certs), certs, pending)
 
 
 # ---------------------------------------------------------------------------

@@ -514,18 +514,7 @@ def cmd_density(args, out) -> int:
             f"all={j.all_targets} none={j.none}",
             f"predicted none={_predicted(j.predicted_none)}",
         ]
-        result = {
-            "targets": j.targets,
-            "n": j.n,
-            "prime_bound": j.prime_bound,
-            "admissible_count": j.admissible_count,
-            "subset_hits": j.subset_hits,
-            "at_least_one": j.at_least_one,
-            "all_targets": j.all_targets,
-            "none": j.none,
-            "predicted_none": j.predicted_none,
-            "predicted_subset_hits": j.predicted_subset_hits,
-        }
+        result = asdict(j)
     emit(out, report("density", config, result), config, lines)
     return EXIT_OK
 

@@ -358,12 +358,14 @@ def _system_params(system) -> tuple[tuple[tuple[int, int, int], ...], int]:
         rows, n = system.rows, system.n
     else:
         rows, n = system
-    rows = tuple((int(a), int(b), int(c)) for a, b, c in rows)
+    rows, n = tuple((int(a), int(b), int(c)) for a, b, c in rows), int(n)
     if not rows:
         raise DegenerateInput("need at least one row")
     if any(a == 0 or b == 0 or c == 0 for a, b, c in rows):
         raise DegenerateInput("row coefficients must be nonzero")
-    return rows, int(n)
+    if n < 1:
+        raise DegenerateInput("exponents must be >= 1")
+    return rows, n
 
 
 def verify_system_no_mono(system, spec, box: SearchBox) -> MonoReport:
@@ -377,20 +379,6 @@ def verify_system_no_mono(system, spec, box: SearchBox) -> MonoReport:
     """
     rows, n = _system_params(system)
     start = time.perf_counter()
-    if len(rows) == 1:
-        a, b, c = rows[0]
-        rep = verify_no_mono_solution((a, b, c, 1, n), spec, box)
-        return MonoReport(
-            subject=("system", rows, n),
-            coloring=spec,
-            box=box,
-            found=(rep.found,) if rep.found is not None else None,
-            candidates_scanned=rep.candidates_scanned,
-            solutions_found=rep.solutions_found,
-            elapsed=time.perf_counter() - start,
-            pairs_indexed=rep.pairs_indexed,
-            lookups=rep.lookups,
-        )
     values = box.values()
     cmap = _color_map(values, spec)
     total = len(rows) * len(values) ** 3

@@ -10,7 +10,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
-from math import gcd
+from math import gcd, prod
 
 from .arith import (
     DegenerateInput,
@@ -152,23 +152,26 @@ def check_hypotheses(targets, n: int) -> HypothesisReport:
     return report
 
 
-def _target_pairs(ts) -> tuple[tuple[int, int], ...]:
-    return tuple((t.numerator, t.denominator) for t in ts)
+def _first_witness(primes, pairs, n: int, bad: int) -> int | None:
+    """First prime in `primes` not dividing `bad` modulo which every (num, den)
+    target is not an n-th power residue; with no targets, the first prime not
+    dividing `bad`.
 
-
-def _first_witness(primes, pairs, n: int) -> int | None:
-    """First prime in `primes` modulo which every (num, den) target reduces to
-    a unit that is not an n-th power residue.
-
-    Primes with gcd(n, p-1) == 1 are skipped: every unit is an n-th power there.
+    `bad` must be divisible by every prime dividing a target's numerator or
+    denominator, so each target left reduces to a unit.  Primes with
+    gcd(n, p-1) == 1 are skipped: every unit is an n-th power there.
     """
     for p in primes:
+        if bad % p == 0:
+            continue
+        if not pairs:
+            return p
         g = gcd(n, p - 1)
         if g == 1:
             continue
         e = (p - 1) // g
         for num, den in pairs:
-            if num % p == 0 or den % p == 0 or _is_residue(num, den, e, p):
+            if _is_residue(num, den, e, p):
                 break
         else:
             return p
@@ -180,6 +183,46 @@ def _no_witness_exists(targets, n: int) -> bool:
     non-n-th-power residue: that pattern has Chebotarev density 0."""
     densities = residue_pattern_densities(targets, n)
     return densities is not None and (False,) * len(targets) not in densities
+
+
+def _search(ts, bad, n, min_exclusive, search_bound, prime_sieve, workers):
+    """The smallest prime p with min_exclusive < p <= search_bound that
+    `_first_witness` accepts for the targets ts, as a WitnessPrime.
+
+    When the first _DECIDE_AFTER candidates miss and no witness exists
+    (`_no_witness_exists`), the rest of the range is not scanned: the result
+    is the same None.  Only that rest is sharded over `workers` processes,
+    and sharded scans still return the global minimum.
+    """
+    primes = _sieve_primes(search_bound, prime_sieve)
+    start = bisect_right(primes, min_exclusive)
+    pairs = tuple((t.numerator, t.denominator) for t in ts)
+    cut = start + _DECIDE_AFTER
+    found = _first_witness(islice(primes, start, cut), pairs, n, bad)
+    # bad == 0 (a system row with a + b = 0) leaves no prime to qualify
+    more = found is None and cut < len(primes) and bad != 0
+    if more and ts:  # with no targets every prime not dividing bad qualifies
+        more = not _no_witness_exists(ts, n)
+    if more and workers <= 1:
+        found = _first_witness(islice(primes, cut, None), pairs, n, bad)
+    elif more:
+        blocks = [
+            primes[i : i + _PARALLEL_BLOCK]
+            for i in range(cut, len(primes), _PARALLEL_BLOCK)
+        ]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            hits = pool.map(
+                _first_witness, blocks, repeat(pairs), repeat(n), repeat(bad)
+            )
+            found = next((hit for hit in hits if hit is not None), None)
+    if found is None:
+        return None
+    return WitnessPrime(
+        p=found,
+        n=n,
+        targets=tuple((t, False) for t in ts),
+        lower_bound_satisfied=found > min_exclusive,
+    )
 
 
 def find_witness_prime(
@@ -195,42 +238,16 @@ def find_witness_prime(
     caller distinguishes "enlarge the bound" from "hypotheses unmet".
 
     Primes dividing any target's numerator or denominator are skipped (no
-    residue to test).  When the first _DECIDE_AFTER candidates miss and no
-    witness exists (`_no_witness_exists`), the rest of the range is not
-    scanned: the result is the same None.  Only that rest is sharded over
-    `workers` processes, and sharded scans still return the global minimum.
+    residue to test).  The search, its early decision and its `workers`
+    shards are those of `_search`.
     """
     ts = _normalize_targets(targets)
     if n < 1:
         raise DegenerateInput("n must be >= 1")
     if search_bound < min_exclusive:
         raise DegenerateInput("search_bound must be >= min_exclusive")
-    primes = _sieve_primes(search_bound, prime_sieve)
-    start = bisect_right(primes, min_exclusive)
-    pairs = _target_pairs(ts)
-    cut = start + _DECIDE_AFTER
-    found = _first_witness(islice(primes, start, cut), pairs, n)
-    more = found is None and cut < len(primes) and not _no_witness_exists(ts, n)
-    if more and workers <= 1:
-        found = _first_witness(islice(primes, cut, None), pairs, n)
-    elif more:
-        blocks = [
-            primes[i : i + _PARALLEL_BLOCK]
-            for i in range(cut, len(primes), _PARALLEL_BLOCK)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for hit in pool.map(_first_witness, blocks, repeat(pairs), repeat(n)):
-                if hit is not None:
-                    found = hit
-                    break
-    if found is None:
-        return None
-    return WitnessPrime(
-        p=found,
-        n=n,
-        targets=tuple((t, False) for t in ts),
-        lower_bound_satisfied=found > min_exclusive,
-    )
+    bad = prod(t.numerator * t.denominator for t in ts)
+    return _search(ts, bad, n, min_exclusive, search_bound, prime_sieve, workers)
 
 
 def verify_witness(w: WitnessPrime) -> bool:
@@ -296,14 +313,16 @@ def _system_conditions(p: int, rows, union, inter, n: int) -> tuple[bool, bool, 
     return (True, True, True)
 
 
-def _reduce_system(rows, union, inter) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Integer form of the system conditions: (B, the intersection as pairs).
+def _reduce_system(rows, union) -> int:
+    """Integer form of system conditions (i) and (ii): a product B that a prime
+    divides exactly when it fails one of them.
 
     B is the product of every a_i, b_i, c_i, a_i+b_i and every cross-difference
-    n_u*d_v - n_v*d_u over pairs of union members u = n_u/d_u, v = n_v/d_v.  A
-    prime fails condition (i) or (ii) exactly when it divides B: once (i)
-    holds, every union member reduces to a unit, and two of them collide mod p
-    iff p divides their cross-difference.
+    n_u*d_v - n_v*d_u over pairs of union members u = n_u/d_u, v = n_v/d_v: once
+    (i) holds, every union member reduces to a unit, and two of them collide
+    mod p iff p divides their cross-difference.  Every prime dividing the
+    numerator or denominator of a union member divides some a_i, b_i, c_i or
+    a_i+b_i, hence B.
     """
     bad = 1
     for a, b, c in rows:
@@ -311,24 +330,7 @@ def _reduce_system(rows, union, inter) -> tuple[int, tuple[tuple[int, int], ...]
     for i, u in enumerate(union):
         for v in union[i + 1 :]:
             bad *= u.numerator * v.denominator - v.numerator * u.denominator
-    return bad, _target_pairs(inter)
-
-
-def _system_prime_ok(p: int, bad: int, inter, n: int) -> bool:
-    """all(_system_conditions(p, ...)) from the reduced system of
-    `_reduce_system`, in integer arithmetic only."""
-    if bad % p == 0:
-        return False
-    if not inter:
-        return True
-    g = gcd(n, p - 1)
-    if g == 1:
-        return False
-    e = (p - 1) // g
-    for num, den in inter:
-        if _is_residue(num, den, e, p):
-            return False
-    return True
+    return bad
 
 
 def find_system_witness(
@@ -341,10 +343,9 @@ def find_system_witness(
 
     The returned targets are the members of the row-ratio intersection I with
     their (all-False) n-th-power booleans; an empty I makes condition (iii)
-    vacuous and any prime clearing (i) and (ii) qualifies.  As in
-    `find_witness_prime`, the scan stops after the first _DECIDE_AFTER primes
-    when no prime can make every member of I a non-residue: primes dividing a
-    member also divide B (see `_reduce_system`) and never qualify.
+    vacuous and any prime clearing (i) and (ii) qualifies.  It is the search
+    of `find_witness_prime` over I, with the primes dividing B (see
+    `_reduce_system`) skipped and no lower threshold.
     """
     rows = tuple((int(a), int(b), int(c)) for a, b, c in rows)
     if not rows:
@@ -352,19 +353,9 @@ def find_system_witness(
     if n < 1:
         raise DegenerateInput("n must be >= 1")
     union = sorted(system_union(rows))
-    inter = sorted(system_intersection(rows))
-    bad, inter_pairs = _reduce_system(rows, union, inter)
-    for i, p in enumerate(_sieve_primes(search_bound, prime_sieve)):
-        if i == _DECIDE_AFTER and inter and _no_witness_exists(inter, n):
-            return None
-        if _system_prime_ok(p, bad, inter_pairs, n):
-            return WitnessPrime(
-                p=p,
-                n=n,
-                targets=tuple((v, False) for v in inter),
-                lower_bound_satisfied=True,
-            )
-    return None
+    inter = tuple(sorted(system_intersection(rows)))
+    bad = _reduce_system(rows, union)
+    return _search(inter, bad, n, 0, search_bound, prime_sieve, workers=1)
 
 
 def verify_system_witness(w: WitnessPrime, rows, n: int) -> bool:

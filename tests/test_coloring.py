@@ -372,6 +372,15 @@ def test_system_k1_delegates():
     assert srep.solutions_found == erep.solutions_found
     assert srep.found == (erep.found,)
     assert srep.candidates_scanned == erep.candidates_scanned
+    assert srep.pairs_indexed == erep.pairs_indexed > 0
+    assert srep.lookups == erep.lookups > 0
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("rows", [((1, 2, 3),), ((1, 2, 3), (2, 5, 1))])
+def test_system_scan_rejects_exponent_below_one(rows, n):
+    with pytest.raises(DegenerateInput):
+        verify_system_no_mono((rows, n), ValuationColoring(5), SearchBox(1, 6))
 
 
 def test_system_scan_matches_oracle():
@@ -452,7 +461,7 @@ def test_join_matches_full_walk(eq, spec, box_mode):
 @given(
     st.lists(
         st.tuples(nonzero_coeff, nonzero_coeff, st.sampled_from((1, -1, 2, -2))),
-        min_size=2,
+        min_size=1,
         max_size=3,
     ),
     st.integers(min_value=1, max_value=3),

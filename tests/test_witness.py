@@ -24,9 +24,9 @@ from parreg.witness import (
     MODE_SQUARES,
     MODE_TWO_VAR,
     WitnessPrime,
+    _first_witness,
     _reduce_system,
     _system_conditions,
-    _system_prime_ok,
     check_hypotheses,
     find_system_witness,
     find_witness_prime,
@@ -244,6 +244,14 @@ def test_system_witness_none_when_member_always_hits():
     assert find_system_witness(rows, 8, search_bound=20000) is None
 
 
+def test_system_witness_none_for_zero_sum_rows():
+    # a + b = 0 fails condition (i) at every prime; when every row has it, 0
+    # is in the intersection, which the exact decision cannot take
+    for rows in (((3, -3, 1),), ((3, -3, 1), (5, -5, 2)), ((3, -3, 1), (2, 3, 1))):
+        assert not any(brute_system_witness(p, rows, 2) for p in naive_primes(1000))
+        assert find_system_witness(rows, 2, search_bound=1000) is None
+
+
 def test_system_witness_condition_ii_distinctness():
     rows = ((2, 3, 1), (2, 3, 1))
     w = find_system_witness(rows, 2, search_bound=200)
@@ -328,11 +336,30 @@ def test_integer_system_test_matches_literal_conditions(system):
     rows, n = system
     union = sorted(system_union(rows))
     inter = sorted(system_intersection(rows))
-    bad, pairs = _reduce_system(rows, union, inter)
+    bad = _reduce_system(rows, union)
+    pairs = tuple((v.numerator, v.denominator) for v in inter)
     for p in sieve(2000).primes:
-        assert _system_prime_ok(p, bad, pairs, n) == all(
+        assert (_first_witness([p], pairs, n, bad) == p) == all(
             _system_conditions(p, rows, union, inter, n)
         ), (p, rows, n)
+
+
+@given(systems(), st.integers(min_value=1, max_value=2000))
+@settings(max_examples=60, deadline=None)
+def test_system_witness_is_least_prime_meeting_the_conditions(system, bound):
+    rows, n = system
+    union = sorted(system_union(rows))
+    inter = sorted(system_intersection(rows))
+    want = next(
+        (
+            p
+            for p in naive_primes(bound)
+            if all(_system_conditions(p, rows, union, inter, n))
+        ),
+        None,
+    )
+    w = find_system_witness(rows, n, search_bound=bound)
+    assert (None if w is None else w.p) == want, (rows, n, bound)
 
 
 def _brute_least_witness(targets, n, min_exclusive, bound):

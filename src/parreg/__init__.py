@@ -1,26 +1,16 @@
 """Partition-regularity toolkit for equations a*x + b*y = c*w^m*z^n: verdicts
 over N, Z\\{0} and Q\\{0} with independently re-verifiable certificates.
+
+The top level exports the verdict API only; everything else is reached
+through its module (`parreg.witness`, `parreg.coloring`, ...).
 """
 
-from .arith import (
-    BadReduction,
-    DegenerateInput,
-    FactorizationBudgetExceeded,
-    ParregError,
-    PrimeSieve,
-    factor,
-    nth_power_in_Q,
-    nth_power_in_Qp,
-    nth_power_mod_p,
-    sieve,
-    valuation,
-)
+from .arith import DegenerateInput, ParregError
 from .classify import (
     NOT_PR,
     PR,
     UNKNOWN,
     Certificate,
-    ContradictionError,
     EquationSpec,
     SystemSpec,
     Verdict,
@@ -28,75 +18,21 @@ from .classify import (
     classify_system,
     reverify,
 )
-from .coloring import (
-    MonoReport,
-    SearchBox,
-    ValuationColoring,
-    color_of,
-    verify_no_mono_solution,
-    verify_system_no_mono,
-)
-from .radolinear import (
-    ColumnsCertificate,
-    DimensionLimitExceeded,
-    QMatrix,
-    columns_condition,
-    inhomogeneous_constant_solution,
-    single_equation_pr,
-    verify_columns_certificate,
-)
-from .witness import (
-    HypothesisReport,
-    WitnessPrime,
-    check_hypotheses,
-    find_system_witness,
-    find_witness_prime,
-    verify_witness,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadReduction",
     "Certificate",
-    "ColumnsCertificate",
-    "ContradictionError",
     "DegenerateInput",
-    "DimensionLimitExceeded",
     "EquationSpec",
-    "FactorizationBudgetExceeded",
-    "HypothesisReport",
-    "MonoReport",
     "NOT_PR",
     "PR",
     "ParregError",
-    "PrimeSieve",
-    "QMatrix",
-    "SearchBox",
     "SystemSpec",
     "UNKNOWN",
-    "ValuationColoring",
     "Verdict",
-    "WitnessPrime",
-    "check_hypotheses",
+    "__version__",
     "classify_equation",
     "classify_system",
-    "color_of",
-    "columns_condition",
-    "factor",
-    "find_system_witness",
-    "find_witness_prime",
-    "inhomogeneous_constant_solution",
-    "nth_power_in_Q",
-    "nth_power_in_Qp",
-    "nth_power_mod_p",
     "reverify",
-    "sieve",
-    "single_equation_pr",
-    "valuation",
-    "verify_columns_certificate",
-    "verify_no_mono_solution",
-    "verify_system_no_mono",
-    "verify_witness",
-    "__version__",
 ]

@@ -68,12 +68,6 @@ class Factorization:
     sign: int
     exponents: dict[int, int]
 
-    def value(self) -> Fraction:
-        out = Fraction(self.sign)
-        for p, e in self.exponents.items():
-            out *= Fraction(p) ** e
-        return out
-
 
 def is_probable_prime(n: int) -> bool:
     if n < 2:
@@ -388,12 +382,6 @@ class PrimeSieve:
         if b > self.bound:
             raise DegenerateInput(f"sieve bound {self.bound} < requested {b}")
         return self.primes[: bisect_right(self.primes, b)]
-
-    def is_prime(self, k: int) -> bool:
-        if k > self.bound:
-            raise DegenerateInput(f"sieve bound {self.bound} < queried {k}")
-        i = bisect_right(self.primes, k)
-        return i > 0 and self.primes[i - 1] == k
 
 
 _sieve_cache: PrimeSieve | None = None

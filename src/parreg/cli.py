@@ -420,7 +420,7 @@ def cmd_witness(args, out) -> int:
 def cmd_verify(args, out) -> int:
     config = _config_from(args)
     eq = EquationSpec(args.a, args.b, args.c, args.m, args.n)
-    if args.mod:
+    if args.mod is not None:
         coloring = ModColoring(args.mod, tuple(range(args.mod)))
     else:
         coloring = ValuationColoring(args.p)
@@ -671,8 +671,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustive monochromatic-solution scan")
     for name in ("a", "b", "c", "m", "n"):
         p.add_argument(name, type=int)
-    p.add_argument("--p", type=int, default=None, help="valuation coloring prime")
-    p.add_argument("--mod", type=int, default=None, help="probe: residue coloring")
+    coloring = p.add_mutually_exclusive_group(required=True)
+    coloring.add_argument("--p", type=int, help="valuation coloring prime")
+    coloring.add_argument("--mod", type=int, help="probe: residue coloring")
     p.add_argument("--lo", type=int, default=None)
     p.add_argument("--hi", type=int, default=None)
     p.add_argument("--engine", choices=("bucketed", "full"), default="bucketed")
@@ -708,8 +709,6 @@ def main(argv=None, out=None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
-        if getattr(args, "command", None) == "verify" and not (args.p or args.mod):
-            raise DegenerateInput("verify needs --p or --mod")
         return args.fn(args, out)
     except (DegenerateInput, BadReduction, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

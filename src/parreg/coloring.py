@@ -1,5 +1,5 @@
-"""Obstruction colorings and exhaustive monochromatic-solution scans over
-finite boxes.
+"""Colorings (the valuation coloring of certificates and the residue probe)
+and exhaustive monochromatic-solution scans over finite boxes.
 
 The scan is evidence, not proof: absence of a monochromatic solution over a
 finite box supports a non-partition-regularity certificate but every report
@@ -49,15 +49,6 @@ class ModColoring:
             raise DegenerateInput("palette must have one entry per residue")
 
 
-@dataclass(frozen=True)
-class TableColoring:
-    """Explicit finite color table.  A probe coloring, never part of a
-    certificate.
-    """
-
-    table: dict
-
-
 def color_of(x, spec):
     num, den = (x.numerator, x.denominator) if isinstance(x, Fraction) else (int(x), 1)
     if num == 0:
@@ -82,12 +73,6 @@ def color_of(x, spec):
             except ValueError:
                 raise DegenerateInput(f"denominator not invertible mod {m}") from None
         return spec.palette[r]
-    if isinstance(spec, TableColoring):
-        key = Fraction(num, den) if den != 1 else num
-        try:
-            return spec.table[key]
-        except KeyError:
-            raise DegenerateInput(f"{key} not in color table") from None
     raise DegenerateInput(f"unknown coloring {type(spec).__name__}")
 
 

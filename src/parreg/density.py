@@ -310,20 +310,17 @@ def write_csv(
     targets,
     n: int,
     prime_bound: int,
-    residue_modulus: int = 24,
     prime_sieve: PrimeSieve | None = None,
 ) -> int:
-    """Emit one row per admissible prime: prime, prime mod residue_modulus,
-    then a hit flag per target.  Returns the number of data rows written.
+    """Emit one row per admissible prime: prime, prime mod 24, then a hit flag
+    per target.  Returns the number of data rows written.
     """
     qs = _targets(targets, n)
     primes, cols = _columns(qs, n, prime_bound, prime_sieve)
     mask = _admissible_mask(cols)
     w = csv.writer(out)
-    w.writerow(
-        ["prime", f"mod{residue_modulus}"] + [f"hit_{q}" for q in qs]
-    )
-    residues = map(mod, primes, repeat(residue_modulus))
+    w.writerow(["prime", "mod24"] + [f"hit_{q}" for q in qs])
+    residues = map(mod, primes, repeat(24))
     flags = (col.translate(_HITS) for col in cols)
     w.writerows(compress(zip(primes, residues, *flags), mask))
     return mask.count(1)

@@ -1,6 +1,5 @@
-"""Exact-rational linear machinery: the columns condition for integer matrices,
-the single-equation zero-subset test, and the constant-solution test for one
-inhomogeneous equation.
+"""Exact-rational linear machinery: Rado's columns condition for rational
+matrices, with ordered-partition certificates and their re-verification.
 """
 
 from __future__ import annotations
@@ -229,47 +228,3 @@ def verify_columns_certificate(M: QMatrix, cert: ColumnsCertificate) -> bool:
             return False
         earlier = sorted(set(earlier) | block)
     return True
-
-
-def single_equation_pr(coeffs) -> frozenset[int] | None:
-    """Lexicographically smallest nonempty index subset (1-indexed) whose
-    coefficients sum to zero, or None.  Depth-first preorder over index tuples
-    visits subsets in exactly lexicographic order.
-    """
-    cs = [Fraction(c) for c in coeffs]
-    if not cs:
-        raise DegenerateInput("need at least one coefficient")
-    if any(c == 0 for c in cs):
-        # with a zero coefficient the subset criterion and the columns
-        # condition diverge; callers must drop absent variables first
-        raise DegenerateInput("coefficients must be nonzero")
-    n = len(cs)
-
-    def dfs(prefix: tuple[int, ...], total: Fraction, start: int):
-        for i in range(start, n):
-            cur = prefix + (i + 1,)
-            t = total + cs[i]
-            if t == 0:
-                return cur
-            hit = dfs(cur, t, i + 1)
-            if hit is not None:
-                return hit
-        return None
-
-    hit = dfs((), Fraction(0), 0)
-    return frozenset(hit) if hit is not None else None
-
-
-def inhomogeneous_constant_solution(coeffs, rhs) -> int | None:
-    """Integer t with (sum of coeffs) * t == rhs, or None.  A zero coefficient
-    sum admits t exactly when rhs is zero (return 0).
-    """
-    cs = [Fraction(c) for c in coeffs]
-    if not cs:
-        raise DegenerateInput("need at least one coefficient")
-    s = sum(cs, Fraction(0))
-    r = Fraction(rhs)
-    if s == 0:
-        return 0 if r == 0 else None
-    t = r / s
-    return int(t) if t.denominator == 1 else None

@@ -2,13 +2,16 @@
 and certificate re-verification including tamper detection.
 """
 
+import re
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import parreg
 from parreg.arith import DegenerateInput
 from parreg.classify import (
     NOT_PR,
@@ -477,3 +480,18 @@ def test_every_equation_gets_a_checkable_verdict(a, b, c, m, n):
     for domain, status in zip("NZQ", statuses(v)):
         if status == UNKNOWN:
             assert any(r.startswith(domain + ":") for r in v.reasons), (domain, v.reasons)
+
+
+# ---------------------------------------------------------------------------
+# the package's top level is the documented verdict API
+
+
+def test_top_level_exports_are_the_documented_api():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme.split("## Library", 1)[1].split("\n## ", 1)[0]
+    listing = library.split("(`parreg.__all__`):", 1)[1].strip().split("\n\n", 1)[0]
+    documented = set(re.findall(r"`(\w+)`", listing))
+    assert len(parreg.__all__) == len(set(parreg.__all__))
+    assert sorted(parreg.__all__) == sorted(documented)
+    for name in parreg.__all__:
+        getattr(parreg, name)

@@ -287,6 +287,14 @@ def test_verify_needs_a_coloring():
     assert run(["verify", "1", "1", "1", "1", "1"])[0] == EXIT_USAGE
 
 
+def test_verify_takes_one_valid_coloring():
+    eq = ["verify", "1", "1", "1", "1", "1", "--lo", "1", "--hi", "12"]
+    # both flags used to scan silently with the mod coloring
+    assert run(eq + ["--p", "5", "--mod", "3"])[0] == EXIT_USAGE
+    assert run(eq + ["--p", "4"])[0] == EXIT_USAGE
+    assert run(eq + ["--mod", "0"])[0] == EXIT_USAGE
+
+
 def test_verify_valuation_coloring():
     code, text = run(
         ["verify", "1", "1", "1", "1", "1", "--p", "43", "--lo", "1", "--hi", "50"]

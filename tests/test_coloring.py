@@ -20,7 +20,6 @@ from parreg.coloring import (
     ENGINE_FULL,
     ModColoring,
     SearchBox,
-    TableColoring,
     ValuationColoring,
     color_of,
     rational_box_values,
@@ -125,7 +124,7 @@ def test_three_case_addition():
                 checked["eq"] += 1
 
 
-def test_mod_and_table_colorings():
+def test_mod_coloring():
     mod = ModColoring(5, ("a", "b", "c", "d", "e"))
     assert color_of(7, mod) == "c"
     assert color_of(Fraction(1, 2), mod) == "d"  # 2^-1 = 3 mod 5
@@ -133,10 +132,8 @@ def test_mod_and_table_colorings():
         color_of(Fraction(1, 5), mod)
     with pytest.raises(DegenerateInput):
         ModColoring(3, ("a",))
-    table = TableColoring({Fraction(1): 0, Fraction(2): 1})
-    assert color_of(1, table) == 0
     with pytest.raises(DegenerateInput):
-        color_of(3, table)
+        color_of(1, {1: 0})
 
 
 # ---------------------------------------------------------------------------

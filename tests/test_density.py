@@ -199,12 +199,12 @@ def test_csv_flags_match_brute_force_rational_targets():
     targets = [Fraction(-3, 5), 12, Fraction(7, 4)]
     for n in (3, 4, 6):
         out = io.StringIO()
-        rows = write_csv(out, targets, n, 400, residue_modulus=12)
+        rows = write_csv(out, targets, n, 400)
         parsed = list(csv.reader(io.StringIO(out.getvalue())))[1:]
         admissible = [p for p in sieve(400).primes if p not in (2, 3, 5, 7)]
         assert rows == len(parsed) == len(admissible)
         for (prime, cls, *flags), p in zip(parsed, admissible):
-            assert (int(prime), int(cls)) == (p, p % 12)
+            assert (int(prime), int(cls)) == (p, p % 24)
             assert [int(f) for f in flags] == [int(brute_hit(q, p, n)) for q in targets]
 
 

@@ -1,4 +1,4 @@
-"""Columns condition, single-equation subset test, constant solutions.
+"""Columns condition and its certificates.
 
 The brute-force oracle enumerates every ordered partition of the column set
 and tests span membership by rank comparison, independently of the search
@@ -22,8 +22,6 @@ from parreg.radolinear import (
     DimensionLimitExceeded,
     QMatrix,
     columns_condition,
-    inhomogeneous_constant_solution,
-    single_equation_pr,
     verify_columns_certificate,
 )
 
@@ -396,94 +394,52 @@ def test_one_elimination_per_witness(monkeypatch):
     assert verify_columns_certificate(M, cert)
 
 
+# ---------------------------------------------------------------------------
+# one row: Rado's single-equation criterion
+
+
+def zero_sum_subsets(coeffs):
+    """Nonempty index subsets (1-indexed) whose coefficients sum to zero, by
+    size then lexicographically."""
+    idx = range(1, len(coeffs) + 1)
+    return [
+        frozenset(combo)
+        for size in idx
+        for combo in itertools.combinations(idx, size)
+        if sum(coeffs[i - 1] for i in combo) == 0
+    ]
+
+
 def test_single_row_consistency():
+    # a row of nonzero coefficients meets the columns condition exactly when
+    # some nonempty subset of them sums to zero, and the certificate opens
+    # with the first such subset
     rng = random.Random(7)
     nonzero = [k for k in range(-5, 6) if k]
     for _ in range(300):
         width = rng.randint(1, 6)
         coeffs = [rng.choice(nonzero) for _ in range(width)]
-        M = QMatrix.from_rows([coeffs])
-        assert (columns_condition(M) is not None) == (
-            single_equation_pr(coeffs) is not None
-        ), coeffs
-
-
-# ---------------------------------------------------------------------------
-# single equation subset scan
+        cert = columns_condition(QMatrix.from_rows([coeffs]))
+        subsets = zero_sum_subsets(coeffs)
+        assert (cert is not None) == bool(subsets), coeffs
+        if cert is not None:
+            assert cert.ordered_partition[0] == subsets[0], coeffs
 
 
 def test_single_equation_pinned():
-    assert single_equation_pr([1, 1, -1]) == frozenset({1, 3})
-    assert single_equation_pr([2, 3, -5]) == frozenset({1, 2, 3})
-    assert single_equation_pr([2, 3, -1]) is None
+    def first_block(coeffs):
+        cert = columns_condition(QMatrix.from_rows([coeffs]))
+        return None if cert is None else cert.ordered_partition[0]
 
-
-def test_single_equation_lexicographic_minimum():
-    # pure tuple order: (1,2,3,4) precedes (1,4), and a prefix precedes its
-    # extensions, so {1,2} beats {1,2,3,4}
-    assert single_equation_pr([1, -2, 2, -1]) == frozenset({1, 2, 3, 4})
-    assert single_equation_pr([5, -5, 3, -3]) == frozenset({1, 2})
-    assert single_equation_pr([1, 7, -1, 2]) == frozenset({1, 3})
-
-
-def brute_min_zero_subset(coeffs):
-    best = None
-    idx = range(1, len(coeffs) + 1)
-    for size in range(1, len(coeffs) + 1):
-        for combo in itertools.combinations(idx, size):
-            if sum(coeffs[i - 1] for i in combo) == 0:
-                if best is None or sorted(combo) < sorted(best):
-                    best = combo
-    return frozenset(best) if best else None
-
-
-def test_single_equation_matches_brute_force():
-    rng = random.Random(99)
-    for _ in range(400):
-        coeffs = [rng.randint(-4, 4) or 1 for _ in range(rng.randint(1, 7))]
-        got = single_equation_pr(coeffs)
-        subsets = [
-            frozenset(c)
-            for size in range(1, len(coeffs) + 1)
-            for c in itertools.combinations(range(1, len(coeffs) + 1), size)
-            if sum(coeffs[i - 1] for i in c) == 0
-        ]
-        if not subsets:
-            assert got is None, coeffs
-        else:
-            assert got == min(subsets, key=sorted), coeffs
+    assert first_block([1, 1, -1]) == frozenset({1, 3})
+    assert first_block([2, 3, -5]) == frozenset({1, 2, 3})
+    assert first_block([2, 3, -1]) is None
 
 
 def test_single_equation_validation():
     with pytest.raises(DegenerateInput):
-        single_equation_pr([])
+        QMatrix.from_rows([[]])
     # zero coefficients break the subset-criterion/columns-condition match:
     # [5,3,1,0] has the zero-sum subset {4} yet no solution over N
-    with pytest.raises(DegenerateInput):
-        single_equation_pr([1, 0, -1])
+    assert zero_sum_subsets([5, 3, 1, 0]) == [frozenset({4})]
     assert columns_condition(QMatrix.from_rows([[5, 3, 1, 0]])) is None
-
-
-# ---------------------------------------------------------------------------
-# constant solutions of inhomogeneous equations
-
-
-def test_constant_solution_pinned():
-    assert inhomogeneous_constant_solution([1, -1], 5) is None
-    assert inhomogeneous_constant_solution([1, -1], 0) == 0
-    assert inhomogeneous_constant_solution([3, -1, 4], 12) == 2
-    assert inhomogeneous_constant_solution([3, -1, 4], 13) is None
-    assert inhomogeneous_constant_solution([2, -2], 0) == 0
-
-
-def test_constant_solution_matches_equation():
-    rng = random.Random(3)
-    for _ in range(300):
-        coeffs = [rng.randint(-6, 6) for _ in range(rng.randint(1, 5))]
-        rhs = rng.randint(-30, 30)
-        t = inhomogeneous_constant_solution(coeffs, rhs)
-        if t is not None:
-            assert sum(c * t for c in coeffs) == rhs
-        else:
-            s = sum(coeffs)
-            assert (s == 0 and rhs != 0) or (s != 0 and rhs % s != 0)

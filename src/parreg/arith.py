@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, isqrt
-from operator import floordiv, mul, sub
+from operator import floordiv, lt, mul, sub
 
 TRIAL_DIVISION_BOUND = 10**6
 DEFAULT_FACTOR_BUDGET = 2**20
@@ -47,6 +47,17 @@ def _as_rat(q) -> Fraction:
     if isinstance(q, int):
         return Fraction(q)
     raise DegenerateInput(f"expected an exact rational, got {type(q).__name__}")
+
+
+def _as_int(v) -> int:
+    if isinstance(v, int):
+        return v
+    raise DegenerateInput(f"expected an integer, got {type(v).__name__}")
+
+
+def _int_rows(rows) -> tuple[tuple[int, int, int], ...]:
+    """System rows as (a, b, c) int triples, refusing what int() would round."""
+    return tuple((_as_int(a), _as_int(b), _as_int(c)) for a, b, c in rows)
 
 
 def _check_prime_arg(p: int) -> None:
@@ -387,13 +398,6 @@ class PrimeSieve:
 _sieve_cache: PrimeSieve | None = None
 
 
-def _sieve_primes(bound: int, prime_sieve: PrimeSieve | None) -> tuple[int, ...]:
-    """Primes <= bound, from `prime_sieve` when it reaches that far."""
-    if prime_sieve is not None and prime_sieve.bound >= bound:
-        return prime_sieve.primes_upto(bound)
-    return sieve(bound).primes
-
-
 def _eratosthenes(bound: int) -> tuple[int, ...]:
     if bound < 2:
         return ()
@@ -406,18 +410,16 @@ def _eratosthenes(bound: int) -> tuple[int, ...]:
 
 
 def sieve(bound: int) -> PrimeSieve:
-    """Primes up to `bound`; the largest sieve built so far is kept in memory."""
+    """Primes up to `bound`: the one source of primes for every search and
+    survey.  The largest sieve built or loaded so far is kept in memory."""
     global _sieve_cache
     if bound < 0:
         raise DegenerateInput("bound must be >= 0")
-    cached = _sieve_cache
-    if cached is None or cached.bound < bound:
-        cached = PrimeSieve(bound=bound, primes=_eratosthenes(bound))
-        if _sieve_cache is None or _sieve_cache.bound < bound:
-            _sieve_cache = cached
-    if cached.bound == bound:
-        return cached
-    return PrimeSieve(bound=bound, primes=cached.primes_upto(bound))
+    if _sieve_cache is None or _sieve_cache.bound < bound:
+        _sieve_cache = PrimeSieve(bound=bound, primes=_eratosthenes(bound))
+    if _sieve_cache.bound == bound:
+        return _sieve_cache
+    return PrimeSieve(bound=bound, primes=_sieve_cache.primes_upto(bound))
 
 
 def save_sieve(s: PrimeSieve, path: str) -> None:
@@ -429,24 +431,43 @@ def save_sieve(s: PrimeSieve, path: str) -> None:
 
 
 def load_sieve(path: str) -> PrimeSieve:
+    """Read a `save_sieve` file.  DegenerateInput unless it is well formed:
+    the body whole 8-byte words, strictly ascending from 2 and, as Bertrand's
+    postulate demands of a complete list, ending at a prime in (bound/2, bound].
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _SIEVE_MAGIC:
-            raise DegenerateInput(f"{path}: not a sieve cache file")
-        (bound,) = struct.unpack("<Q", fh.read(8))
-        data = array("Q")
-        data.frombytes(fh.read())
-    return PrimeSieve(bound=bound, primes=tuple(data))
+        head = fh.read(16)
+        body = fh.read()
+    if len(head) < 16 or head[:8] != _SIEVE_MAGIC or len(body) % 8:
+        raise DegenerateInput(f"{path}: not a sieve cache file")
+    (bound,) = struct.unpack("<Q", head[8:])
+    data = array("Q")
+    data.frombytes(body)
+    primes = tuple(data)
+    if bound < 2:
+        whole = not primes
+    else:
+        whole = (
+            primes[:1] == (2,)
+            and bound < 2 * primes[-1] <= 2 * bound
+            and all(map(lt, primes, primes[1:]))
+        )
+    if not whole:
+        raise DegenerateInput(f"{path}: truncated or corrupt sieve cache")
+    return PrimeSieve(bound=bound, primes=primes)
 
 
 def load_or_build_sieve(path: str, bound: int) -> PrimeSieve:
-    """Load the cache when its bound suffices; otherwise rebuild and overwrite."""
+    """Primes up to `bound`, as `sieve` gives them.  A cache file whose bound
+    suffices becomes the process's sieve when it is larger than the one held;
+    a missing, short or malformed one is rebuilt and overwritten."""
+    global _sieve_cache
     try:
         s = load_sieve(path)
     except (OSError, DegenerateInput):
         s = None
-    if s is not None and s.bound >= bound:
-        return s if s.bound == bound else PrimeSieve(bound, s.primes_upto(bound))
-    s = sieve(bound)
-    save_sieve(s, path)
-    return s
+    if s is None or s.bound < bound:
+        save_sieve(sieve(bound), path)
+    elif _sieve_cache is None or _sieve_cache.bound < s.bound:
+        _sieve_cache = s
+    return sieve(bound)

@@ -13,6 +13,7 @@ from .arith import (
     DegenerateInput,
     FactorizationBudgetExceeded,
     ParregError,
+    _int_rows,
     factor,
     nth_power_in_Q,
     nth_power_in_Q_nonneg,
@@ -100,9 +101,7 @@ class SystemSpec:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "rows", tuple((int(a), int(b), int(c)) for a, b, c in self.rows)
-        )
+        object.__setattr__(self, "rows", _int_rows(self.rows))
         if not self.rows:
             raise DegenerateInput("need at least one row")
         if any(a == 0 or b == 0 or c == 0 for a, b, c in self.rows):
@@ -246,7 +245,7 @@ def _padic_case(gamma: Fraction, ratios, p: int, n: int):
     return a_holds, b_holds, v, unit, unit_residue_ok, qp
 
 
-def classify_equation(eq: EquationSpec, config=None, prime_sieve=None) -> Verdict:
+def classify_equation(eq: EquationSpec, config=None) -> Verdict:
     """Apply the positive rules (R1, R3, R4) and the negative rules (R2, R5 to
     R9) in order; the first applicable rule on each side records certificates.
     Undecided statuses stay UNKNOWN with machine-readable reasons.
@@ -330,7 +329,6 @@ def classify_equation(eq: EquationSpec, config=None, prime_sieve=None) -> Verdic
                 n,
                 min_exclusive=min_exclusive,
                 search_bound=witness_bound,
-                prime_sieve=prime_sieve,
             )
 
         def supporting():
@@ -483,7 +481,7 @@ def classify_equation(eq: EquationSpec, config=None, prime_sieve=None) -> Verdic
     return _verdict(eq, st, certs, pending)
 
 
-def classify_system(sys_spec: SystemSpec, config=None, prime_sieve=None) -> Verdict:
+def classify_system(sys_spec: SystemSpec, config=None) -> Verdict:
     """S1: the row-ratio intersection I contains an n-th power, partition
     regular over Z\\{0}.  S2/S3: no n-th (or (n/2)-th when 4 | n) power in I,
     not partition regular over Z\\{0}; applied only when |I| <= 2 and no row
@@ -497,9 +495,7 @@ def classify_system(sys_spec: SystemSpec, config=None, prime_sieve=None) -> Verd
     witness_bound = _config_get(config, "witness_bound", DEFAULT_SEARCH_BOUND)
     if len(sys_spec.rows) == 1:
         a, b, c = sys_spec.rows[0]
-        v = classify_equation(
-            EquationSpec(a, b, c, 1, n), config=config, prime_sieve=prime_sieve
-        )
+        v = classify_equation(EquationSpec(a, b, c, 1, n), config=config)
         return replace(v, subject=sys_spec)
 
     inter = system_intersection(sys_spec.rows)
@@ -534,9 +530,7 @@ def classify_system(sys_spec: SystemSpec, config=None, prime_sieve=None) -> Verd
         )
         witness = None
         if no_zero_rows:
-            witness = find_system_witness(
-                sys_spec.rows, n, search_bound=witness_bound, prime_sieve=prime_sieve
-            )
+            witness = find_system_witness(sys_spec.rows, n, search_bound=witness_bound)
         if structural_ok:
             rule = "S2" if n % 4 else "S3"
             certs.append(

@@ -369,18 +369,19 @@ def _config_from(args, bound_field: str = "witness_bound") -> RunConfig:
     )
 
 
-def _sieve_from(args, bound: int):
+def _load_sieve_cache(args, bound: int) -> None:
+    """With --sieve-cache or PARREG_SIEVE_CACHE, serve every search of the
+    process from that file (see `load_or_build_sieve`)."""
     path = args.sieve_cache or os.environ.get("PARREG_SIEVE_CACHE")
-    if not path:
-        return None
-    return load_or_build_sieve(path, bound)
+    if path:
+        load_or_build_sieve(path, bound)
 
 
 def cmd_classify(args, out) -> int:
     config = _config_from(args)
     eq = EquationSpec(args.a, args.b, args.c, args.m, args.n)
-    sieve = _sieve_from(args, config.witness_bound)
-    v = classify_equation(eq, config=config, prime_sieve=sieve)
+    _load_sieve_cache(args, config.witness_bound)
+    v = classify_equation(eq, config=config)
     emit(out, report("classify", config, v), config, verdict_lines(v))
     return EXIT_OK
 
@@ -389,8 +390,8 @@ def cmd_system(args, out) -> int:
     config = _config_from(args)
     rows = read_rows_file(args.rows_file)
     sys_spec = SystemSpec(rows, args.n)
-    sieve = _sieve_from(args, config.witness_bound)
-    v = classify_system(sys_spec, config=config, prime_sieve=sieve)
+    _load_sieve_cache(args, config.witness_bound)
+    v = classify_system(sys_spec, config=config)
     emit(out, report("system", config, v), config, verdict_lines(v))
     return EXIT_OK
 
@@ -398,13 +399,12 @@ def cmd_system(args, out) -> int:
 def cmd_witness(args, out) -> int:
     config = _config_from(args)
     targets = [parse_rational(t) for t in args.targets]
-    sieve = _sieve_from(args, config.witness_bound)
+    _load_sieve_cache(args, config.witness_bound)
     w = find_witness_prime(
         targets,
         args.n,
         min_exclusive=args.min_exclusive,
         search_bound=config.witness_bound,
-        prime_sieve=sieve,
         workers=config.threads,
     )
     if w is None:
@@ -450,7 +450,6 @@ def cmd_verify(args, out) -> int:
         "pairs_indexed": rep.pairs_indexed,
         "lookups": rep.lookups,
         "solutions_found": rep.solutions_found,
-        "elapsed": rep.elapsed,
         "caveat": rep.caveat,
     }
     emit(out, report("verify", config, result), config, lines)
@@ -491,14 +490,14 @@ def cmd_density(args, out) -> int:
     config = _config_from(args, "sieve_bound")
     targets = [parse_rational(t) for t in args.targets]
     bound = config.sieve_bound
-    sieve = _sieve_from(args, bound)
+    _load_sieve_cache(args, bound)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            rows = write_csv(fh, targets, args.n, bound, prime_sieve=sieve)
+            rows = write_csv(fh, targets, args.n, bound)
         lines = [f"wrote {rows} rows to {args.csv}"]
         result = {"csv": args.csv, "rows": rows}
     elif len(targets) == 1:
-        s = survey(targets[0], args.n, bound, prime_sieve=sieve)
+        s = survey(targets[0], args.n, bound)
         lines = [
             f"target {_frac(s.target)} n={s.n} bound={s.prime_bound}",
             f"admissible={s.admissible_count} hits={s.hit_count} "
@@ -507,7 +506,7 @@ def cmd_density(args, out) -> int:
         ]
         result = asdict(s)
     else:
-        j = joint_survey(targets, args.n, bound, prime_sieve=sieve)
+        j = joint_survey(targets, args.n, bound)
         lines = [
             f"targets {', '.join(_frac(q) for q in j.targets)} n={j.n} bound={j.prime_bound}",
             f"admissible={j.admissible_count} at_least_one={j.at_least_one} "
@@ -536,22 +535,18 @@ def _verdict_row(v: Verdict) -> dict:
     return row
 
 
-def reproduction_table(config: RunConfig, prime_sieve=None) -> dict:
+def reproduction_table(config: RunConfig) -> dict:
     """Every reproducible claim as one named row; values must match the
     committed fixture exactly.
     """
     rows = {}
 
     def eq(name, a, b, c, m, n):
-        v = classify_equation(
-            EquationSpec(a, b, c, m, n), config=config, prime_sieve=prime_sieve
-        )
+        v = classify_equation(EquationSpec(a, b, c, m, n), config=config)
         rows[name] = _verdict_row(v)
 
     def system(name, srows, n):
-        v = classify_system(
-            SystemSpec(srows, n), config=config, prime_sieve=prime_sieve
-        )
+        v = classify_system(SystemSpec(srows, n), config=config)
         rows[name] = _verdict_row(v)
 
     eq("padic-3x+13y=wz8", 3, 13, 1, 1, 8)
@@ -574,14 +569,14 @@ def reproduction_table(config: RunConfig, prime_sieve=None) -> dict:
     system("open-system-625,729--104,729", ((625, 729, 1), (-104, 729, 1)), 12)
 
     bound = config.sieve_bound
-    s16 = survey(16, 8, bound, prime_sieve=prime_sieve)
+    s16 = survey(16, 8, bound)
     rows["identity-16-eighth-powers"] = {
         "density": _frac(s16.density),
         "admissible": s16.admissible_count,
     }
     # one pass over the columns of 4, -4, 9 and 36 at n = 4 gives every row below
     qs = _targets((4, -4, 9, 36))
-    counts = _pass(qs, 4, bound, prime_sieve)
+    counts = _pass(qs, 4, bound)
     j4 = _joint_survey(qs, 4, bound, counts, (0, 1))
     rows["identity-4,-4-fourth-powers"] = {"none": j4.none, "admissible": j4.admissible_count}
     j36 = _joint_survey(qs, 4, bound, counts, (3, 2))
@@ -607,8 +602,8 @@ def _fixture() -> dict:
 
 def cmd_reproduce(args, out) -> int:
     config = _config_from(args)
-    sieve = _sieve_from(args, config.witness_bound)
-    table = reproduction_table(config, prime_sieve=sieve)
+    _load_sieve_cache(args, config.witness_bound)
+    table = reproduction_table(config)
     current = json.loads(json.dumps(table, sort_keys=True))
     if args.emit:
         out.write(canonical_json(current) + "\n")

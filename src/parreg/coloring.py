@@ -8,12 +8,10 @@ carries BOX_CAVEAT saying exactly that.
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import DegenerateInput, is_probable_prime
+from .arith import DegenerateInput, _as_int, _int_rows, is_probable_prime
 
 BOX_CAVEAT = "finite box scan: absence here is evidence, not a proof"
 
@@ -126,7 +124,6 @@ class MonoReport:
     found: tuple | None
     candidates_scanned: int
     solutions_found: int
-    elapsed: float
     caveat: str = field(default=BOX_CAVEAT)
     pairs_indexed: int = 0
     lookups: int = 0
@@ -137,7 +134,7 @@ def _eq_params(eq) -> tuple[int, int, int, int, int]:
         t = (eq.a, eq.b, eq.c, eq.m, eq.n)
     else:
         t = tuple(eq)
-    a, b, c, m, n = (int(v) for v in t)
+    a, b, c, m, n = map(_as_int, t)
     if a == 0 or b == 0 or c == 0:
         raise DegenerateInput("coefficients must be nonzero")
     if m < 1 or n < 1:
@@ -290,7 +287,6 @@ def verify_no_mono_solution(
     """
     params = _eq_params(eq)
     values = rational_box_values(box) if rational else box.values()
-    start = time.perf_counter()
     cmap = _color_map(values, spec)
     total = len(values) ** 3
     if stop_on_find and engine != ENGINE_BUCKETED:
@@ -320,6 +316,8 @@ def verify_no_mono_solution(
                 (values, cmap, params, tuple(values[i : i + step]))
                 for i in range(0, len(values), step)
             ]
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 count, best = _merge(pool.map(_scan_full_shard, shards))
         scanned = total
@@ -332,7 +330,6 @@ def verify_no_mono_solution(
         found=best,
         candidates_scanned=scanned,
         solutions_found=count,
-        elapsed=time.perf_counter() - start,
         pairs_indexed=pairs,
         lookups=lookups,
     )
@@ -343,7 +340,7 @@ def _system_params(system) -> tuple[tuple[tuple[int, int, int], ...], int]:
         rows, n = system.rows, system.n
     else:
         rows, n = system
-    rows, n = tuple((int(a), int(b), int(c)) for a, b, c in rows), int(n)
+    rows, n = _int_rows(rows), _as_int(n)
     if not rows:
         raise DegenerateInput("need at least one row")
     if any(a == 0 or b == 0 or c == 0 for a, b, c in rows):
@@ -363,7 +360,6 @@ def verify_system_no_mono(system, spec, box: SearchBox) -> MonoReport:
     |box|^3; pairs_indexed and lookups count the join's work.
     """
     rows, n = _system_params(system)
-    start = time.perf_counter()
     values = box.values()
     cmap = _color_map(values, spec)
     total = len(rows) * len(values) ** 3
@@ -393,7 +389,6 @@ def verify_system_no_mono(system, spec, box: SearchBox) -> MonoReport:
         found=best,
         candidates_scanned=total,
         solutions_found=count,
-        elapsed=time.perf_counter() - start,
         pairs_indexed=pairs,
         lookups=lookups,
     )

@@ -16,12 +16,12 @@ from operator import mod
 from .arith import (
     DegenerateInput,
     FactorizationBudgetExceeded,
-    PrimeSieve,
+    _as_rat,
     _exponents,
     _residue_column,
-    _sieve_primes,
     factor,
     legendre,
+    sieve,
 )
 
 # residue_pattern_densities enumerates subgroups of (Z/g)^k with g | n
@@ -33,7 +33,7 @@ _HITS = bytes.maketrans(b"\2", b"\0")
 
 
 def _targets(targets, n: int = 1) -> tuple[Fraction, ...]:
-    qs = tuple(Fraction(t) for t in targets)
+    qs = tuple(map(_as_rat, targets))
     if not qs or any(q == 0 for q in qs):
         raise DegenerateInput("targets must be nonzero and nonempty")
     if n < 1:
@@ -41,10 +41,10 @@ def _targets(targets, n: int = 1) -> tuple[Fraction, ...]:
     return qs
 
 
-def _columns(qs, n: int, prime_bound: int, prime_sieve: PrimeSieve | None):
+def _columns(qs, n: int, prime_bound: int):
     """The primes <= prime_bound and each target's `_residue_column` over
     them."""
-    primes = _sieve_primes(prime_bound, prime_sieve)
+    primes = sieve(prime_bound).primes
     exps = _exponents(n, primes)
     cols = [_residue_column(q.numerator, q.denominator, n, exps, primes) for q in qs]
     return primes, cols
@@ -55,11 +55,11 @@ def _admissible_mask(cols) -> bytes:
     return bytes(map(all, zip(*cols)))
 
 
-def _pass(qs, n: int, prime_bound: int, prime_sieve: PrimeSieve | None) -> Counter:
+def _pass(qs, n: int, prime_bound: int) -> Counter:
     """One counted pass over the primes <= prime_bound, as
     {(p mod 24, state of qs[0], state of qs[1], ...): count} with the states
     of `_residue_column`.  Every survey of a subset of qs projects from it."""
-    primes, cols = _columns(qs, n, prime_bound, prime_sieve)
+    primes, cols = _columns(qs, n, prime_bound)
     return Counter(zip(map(mod, primes, repeat(24)), *cols))
 
 
@@ -201,15 +201,13 @@ class JointSurvey:
     predicted_subset_hits: dict | None
 
 
-def survey(
-    target, n: int, prime_bound: int, prime_sieve: PrimeSieve | None = None
-) -> DensitySurvey:
+def survey(target, n: int, prime_bound: int) -> DensitySurvey:
     """Exact hit and admissibility counts for one target via the Euler
     criterion; primes dividing the target's numerator or denominator are
     inadmissible.  `predicted` is the exact hit density the ratio tends to.
     """
     qs = _targets((target,), n)
-    return _survey(qs, n, prime_bound, _pass(qs, n, prime_bound, prime_sieve), 0)
+    return _survey(qs, n, prime_bound, _pass(qs, n, prime_bound), 0)
 
 
 def _survey(qs, n: int, prime_bound: int, counts: Counter, i: int) -> DensitySurvey:
@@ -230,22 +228,18 @@ def _survey(qs, n: int, prime_bound: int, counts: Counter, i: int) -> DensitySur
     )
 
 
-def admissible_primes(
-    target, prime_bound: int, prime_sieve: PrimeSieve | None = None
-) -> tuple[int, ...]:
+def admissible_primes(target, prime_bound: int) -> tuple[int, ...]:
     (q,) = _targets((target,))
-    primes = _sieve_primes(prime_bound, prime_sieve)
+    primes = sieve(prime_bound).primes
     # only state 0 is read, which any exponents >= 1 give exactly; 1 is cheapest
     col = _residue_column(q.numerator, q.denominator, 1, repeat(1), primes)
     return tuple(compress(primes, col))
 
 
-def hit_primes(
-    target, n: int, prime_bound: int, prime_sieve: PrimeSieve | None = None
-) -> tuple[int, ...]:
+def hit_primes(target, n: int, prime_bound: int) -> tuple[int, ...]:
     """The admissible primes modulo which the target is an n-th power residue."""
     qs = _targets((target,), n)
-    primes, (col,) = _columns(qs, n, prime_bound, prime_sieve)
+    primes, (col,) = _columns(qs, n, prime_bound)
     return tuple(compress(primes, col.translate(_HITS)))
 
 
@@ -259,14 +253,12 @@ def _subset_totals(patterns, subsets, zero) -> dict:
     }
 
 
-def joint_survey(
-    targets, n: int, prime_bound: int, prime_sieve: PrimeSieve | None = None
-) -> JointSurvey:
+def joint_survey(targets, n: int, prime_bound: int) -> JointSurvey:
     """Per-subset all-hit counts over primes admissible for every target, with
     the inclusion-exclusion identity checked exactly (counts, not estimates).
     """
     qs = _targets(targets, n)
-    counts = _pass(qs, n, prime_bound, prime_sieve)
+    counts = _pass(qs, n, prime_bound)
     return _joint_survey(qs, n, prime_bound, counts, range(len(qs)))
 
 
@@ -305,18 +297,12 @@ def _joint_survey(qs, n: int, prime_bound: int, counts: Counter, idx) -> JointSu
     )
 
 
-def write_csv(
-    out,
-    targets,
-    n: int,
-    prime_bound: int,
-    prime_sieve: PrimeSieve | None = None,
-) -> int:
+def write_csv(out, targets, n: int, prime_bound: int) -> int:
     """Emit one row per admissible prime: prime, prime mod 24, then a hit flag
     per target.  Returns the number of data rows written.
     """
     qs = _targets(targets, n)
-    primes, cols = _columns(qs, n, prime_bound, prime_sieve)
+    primes, cols = _columns(qs, n, prime_bound)
     mask = _admissible_mask(cols)
     w = csv.writer(out)
     w.writerow(["prime", "mod24"] + [f"hit_{q}" for q in qs])

@@ -6,7 +6,6 @@ that guarantee such primes exist.
 from __future__ import annotations
 
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
@@ -14,12 +13,13 @@ from math import gcd, prod
 
 from .arith import (
     DegenerateInput,
-    PrimeSieve,
+    _as_rat,
+    _int_rows,
     _is_residue,
-    _sieve_primes,
     is_probable_prime,
     nth_power_in_Q,
     nth_power_mod_p,
+    sieve,
 )
 from .density import residue_pattern_densities
 
@@ -76,7 +76,7 @@ class WitnessPrime:
 def _normalize_targets(targets) -> tuple[Fraction, ...]:
     seen = []
     for t in targets:
-        t = Fraction(t)
+        t = _as_rat(t)
         if t not in seen:
             seen.append(t)
     if not seen:
@@ -185,7 +185,7 @@ def _no_witness_exists(targets, n: int) -> bool:
     return densities is not None and (False,) * len(targets) not in densities
 
 
-def _search(ts, bad, n, min_exclusive, search_bound, prime_sieve, workers):
+def _search(ts, bad, n, min_exclusive, search_bound, workers):
     """The smallest prime p with min_exclusive < p <= search_bound that
     `_first_witness` accepts for the targets ts, as a WitnessPrime.
 
@@ -194,7 +194,7 @@ def _search(ts, bad, n, min_exclusive, search_bound, prime_sieve, workers):
     is the same None.  Only that rest is sharded over `workers` processes,
     and sharded scans still return the global minimum.
     """
-    primes = _sieve_primes(search_bound, prime_sieve)
+    primes = sieve(search_bound).primes
     start = bisect_right(primes, min_exclusive)
     pairs = tuple((t.numerator, t.denominator) for t in ts)
     cut = start + _DECIDE_AFTER
@@ -210,6 +210,8 @@ def _search(ts, bad, n, min_exclusive, search_bound, prime_sieve, workers):
             primes[i : i + _PARALLEL_BLOCK]
             for i in range(cut, len(primes), _PARALLEL_BLOCK)
         ]
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             hits = pool.map(
                 _first_witness, blocks, repeat(pairs), repeat(n), repeat(bad)
@@ -230,7 +232,6 @@ def find_witness_prime(
     n: int,
     min_exclusive: int = 1,
     search_bound: int = DEFAULT_SEARCH_BOUND,
-    prime_sieve: PrimeSieve | None = None,
     workers: int = 1,
 ) -> WitnessPrime | None:
     """Smallest prime p with min_exclusive < p <= search_bound modulo which every
@@ -247,7 +248,7 @@ def find_witness_prime(
     if search_bound < min_exclusive:
         raise DegenerateInput("search_bound must be >= min_exclusive")
     bad = prod(t.numerator * t.denominator for t in ts)
-    return _search(ts, bad, n, min_exclusive, search_bound, prime_sieve, workers)
+    return _search(ts, bad, n, min_exclusive, search_bound, workers)
 
 
 def verify_witness(w: WitnessPrime) -> bool:
@@ -334,10 +335,7 @@ def _reduce_system(rows, union) -> int:
 
 
 def find_system_witness(
-    rows,
-    n: int,
-    search_bound: int = DEFAULT_SEARCH_BOUND,
-    prime_sieve: PrimeSieve | None = None,
+    rows, n: int, search_bound: int = DEFAULT_SEARCH_BOUND
 ) -> WitnessPrime | None:
     """Smallest prime <= search_bound meeting all three system conditions.
 
@@ -347,7 +345,7 @@ def find_system_witness(
     of `find_witness_prime` over I, with the primes dividing B (see
     `_reduce_system`) skipped and no lower threshold.
     """
-    rows = tuple((int(a), int(b), int(c)) for a, b, c in rows)
+    rows = _int_rows(rows)
     if not rows:
         raise DegenerateInput("need at least one row")
     if n < 1:
@@ -355,14 +353,14 @@ def find_system_witness(
     union = sorted(system_union(rows))
     inter = tuple(sorted(system_intersection(rows)))
     bad = _reduce_system(rows, union)
-    return _search(inter, bad, n, 0, search_bound, prime_sieve, workers=1)
+    return _search(inter, bad, n, 0, search_bound, workers=1)
 
 
 def verify_system_witness(w: WitnessPrime, rows, n: int) -> bool:
     """Recompute the three system conditions for the stored prime."""
     if not is_probable_prime(w.p) or w.n != n:
         return False
-    rows = tuple((int(a), int(b), int(c)) for a, b, c in rows)
+    rows = _int_rows(rows)
     union = sorted(system_union(rows))
     inter = sorted(system_intersection(rows))
     if tuple(v for v, _ in w.targets) != tuple(inter):

@@ -2,7 +2,10 @@
 and certificate re-verification including tamper detection.
 """
 
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -72,6 +75,13 @@ def test_system_spec_validation():
         SystemSpec(((1, 0, 1),), 2)
     with pytest.raises(DegenerateInput):
         SystemSpec(((1, 1, 1),), 0)
+
+
+def test_system_spec_refuses_inexact_coefficients():
+    # int() used to read the row (2.5, 3, 1) as (2, 3, 1)
+    for row in ((2.5, 3, 1), (Fraction(5, 2), 3, 1)):
+        with pytest.raises(DegenerateInput):
+            SystemSpec((row, (4, 1, 1)), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -495,3 +505,20 @@ def test_top_level_exports_are_the_documented_api():
     assert sorted(parreg.__all__) == sorted(documented)
     for name in parreg.__all__:
         getattr(parreg, name)
+
+
+def test_import_leaves_process_pools_unloaded():
+    # the pools are imported where a sharded scan starts one, not at import
+    probe = (
+        "import sys, parreg; "
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    src = str(Path(parreg.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ writer's bytes, input file parsing, and the reproduction diff.
 import io
 import json
 import math
+from array import array
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -12,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import parreg.arith as arith
 import parreg.cli as cli
 import parreg.density as density
+from parreg.arith import load_sieve, save_sieve
 from parreg.classify import (
     EquationSpec,
     SystemSpec,
@@ -321,6 +324,14 @@ def test_verify_json_result():
     assert result["subject"] == ("equation", 1, 1, 1, 1, 1)
 
 
+def test_verify_json_is_byte_stable():
+    argv = ["verify", "2", "3", "1", "1", "2", "--p", "5", "--lo", "1", "--hi", "30", "--json"]
+    code, text = run(argv)
+    assert code == EXIT_OK
+    assert "elapsed" not in json.loads(text)["result"]
+    assert run(argv) == (code, text)
+
+
 def test_verify_mod_probe():
     code, text = run(
         [
@@ -455,6 +466,50 @@ def test_sieve_cache_env(tmp_path, monkeypatch):
     assert cache.exists()
 
 
+def test_sieve_cache_serves_every_search(tmp_path, monkeypatch):
+    cache = str(tmp_path / "primes.bin")
+    witness = ["witness", "2", "2", "3", "5", "--bound", "5000", "--sieve-cache", cache]
+    assert run(witness)[0] == EXIT_OK
+
+    def unavailable(bound):
+        raise AssertionError("a search built primes instead of reading the cache")
+
+    # the process-wide sieve outlives tests: start each run without one
+    monkeypatch.setattr(arith, "_eratosthenes", unavailable)
+    monkeypatch.setattr(arith, "_sieve_cache", None)
+    code, text = run(witness)
+    assert code == EXIT_OK and "witness prime 43" in text
+    monkeypatch.setattr(arith, "_sieve_cache", None)
+    code, text = run(["density", "2", "2", "--bound", "4000", "--sieve-cache", cache])
+    assert code == EXIT_OK and "admissible=549" in text
+
+
+def _cut_by_3(path):
+    path.write_bytes(path.read_bytes()[:-3])
+
+
+def _header_only(path):
+    path.write_bytes(path.read_bytes()[:12])
+
+
+def _first_three_primes(path):
+    path.write_bytes(path.read_bytes()[:16] + array("Q", [2, 3, 5]).tobytes())
+
+
+@pytest.mark.parametrize("damage", [_cut_by_3, _header_only, _first_three_primes])
+def test_malformed_sieve_cache_is_rebuilt(tmp_path, monkeypatch, damage):
+    cache = tmp_path / "primes.bin"
+    save_sieve(arith.sieve(5000), str(cache))
+    damage(cache)
+    # an empty process-wide sieve, so the file's primes would be the ones used
+    monkeypatch.setattr(arith, "_sieve_cache", None)
+    code, text = run(
+        ["witness", "2", "2", "3", "5", "--bound", "5000", "--sieve-cache", str(cache)]
+    )
+    assert code == EXIT_OK and "witness prime 43" in text
+    assert load_sieve(str(cache)) == arith.sieve(5000)
+
+
 # ---------------------------------------------------------------------------
 # reproduce
 
@@ -485,9 +540,7 @@ def test_reproduction_table_builds_each_column_once(monkeypatch):
 
 
 def test_reproduce_diff_detected(monkeypatch):
-    monkeypatch.setattr(
-        cli, "reproduction_table", lambda config, prime_sieve=None: {"x": 1, "y": 2}
-    )
+    monkeypatch.setattr(cli, "reproduction_table", lambda config: {"x": 1, "y": 2})
     monkeypatch.setattr(cli, "_fixture", lambda: {"x": 1, "y": 3})
     code, text = run(["reproduce"])
     assert code == EXIT_DIFF
@@ -533,9 +586,7 @@ def test_reproduce_json_reports_drift(monkeypatch):
 
 
 def test_reproduce_emit(monkeypatch):
-    monkeypatch.setattr(
-        cli, "reproduction_table", lambda config, prime_sieve=None: {"x": 1}
-    )
+    monkeypatch.setattr(cli, "reproduction_table", lambda config: {"x": 1})
     code, text = run(["reproduce", "--emit"])
     assert code == EXIT_OK
     assert json.loads(text) == {"x": 1}
@@ -546,8 +597,8 @@ def test_reproduce_emit_bytes(monkeypatch):
     tables = []
     real = cli.reproduction_table
 
-    def recorded(config, prime_sieve=None):
-        tables.append(real(config, prime_sieve=prime_sieve))
+    def recorded(config):
+        tables.append(real(config))
         return tables[-1]
 
     monkeypatch.setattr(cli, "reproduction_table", recorded)

@@ -380,6 +380,19 @@ def test_system_scan_rejects_exponent_below_one(rows, n):
         verify_system_no_mono((rows, n), ValuationColoring(5), SearchBox(1, 6))
 
 
+def test_equation_scan_refuses_inexact_coefficients():
+    # int() used to scan 2x + 3y for a = 2.7
+    with pytest.raises(DegenerateInput):
+        verify_no_mono_solution((2.7, 3, 1, 1, 2), ValuationColoring(5), SearchBox(1, 6))
+
+
+def test_system_scan_refuses_inexact_coefficients():
+    box = SearchBox(1, 6)
+    for system in ((((2.5, 3, 1),), 2), (((2, 3, 1),), 2.0)):
+        with pytest.raises(DegenerateInput):
+            verify_system_no_mono(system, ValuationColoring(5), box)
+
+
 def test_system_scan_matches_oracle():
     rows = ((1, 1, 1), (1, 2, 1))
     box = SearchBox(1, 12)

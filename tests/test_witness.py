@@ -107,6 +107,18 @@ def test_degenerate_targets():
         check_hypotheses([1, 2, 3, 4], 2)
 
 
+def test_witness_search_refuses_float_targets():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(DegenerateInput):
+        find_witness_prime([0.1], 2)
+    assert find_witness_prime([Fraction(1, 10)], 2, search_bound=100).p == 7
+
+
+def test_system_witness_refuses_inexact_rows():
+    with pytest.raises(DegenerateInput):
+        find_system_witness(((2.5, 3, 1), (4, 1, 1)), 2)
+
+
 # ---------------------------------------------------------------------------
 # single search
 
@@ -159,12 +171,6 @@ def test_workers_agree_with_serial():
         assert (a is None) == (b is None)
         if a is not None:
             assert a == b
-
-
-def test_explicit_sieve_reuse():
-    s = sieve(10**4)
-    w = find_witness_prime([2, 3, 5], 2, search_bound=10**4, prime_sieve=s)
-    assert w is not None and w.p == 43
 
 
 def test_verify_witness_rejects_tampering():

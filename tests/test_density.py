@@ -14,7 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parreg.arith import DegenerateInput, nth_power_mod_p, sieve
+import parreg.arith as arith
+from parreg.arith import (
+    DegenerateInput,
+    load_or_build_sieve,
+    nth_power_mod_p,
+    save_sieve,
+    sieve,
+)
 from parreg.density import (
     _hits_outside,
     _joint_survey,
@@ -180,6 +187,21 @@ def test_odd_exponent_prediction():
         rest = len(admissible) - ones
         pred = (Fraction(ones, n) + rest) / len(admissible)
         assert abs(s.density - pred) <= Fraction(3, 100)
+
+
+def test_explicit_sieve_gives_same_answer(tmp_path, monkeypatch):
+    expected = survey(2, 3, 2000)
+    path = str(tmp_path / "primes.bin")
+    save_sieve(sieve(2000), path)
+
+    def unavailable(bound):
+        raise AssertionError("the survey built primes instead of reading the file")
+
+    # the process-wide sieve outlives tests: start from the file alone
+    monkeypatch.setattr(arith, "_eratosthenes", unavailable)
+    monkeypatch.setattr(arith, "_sieve_cache", None)
+    load_or_build_sieve(path, 2000)
+    assert survey(2, 3, 2000) == expected
 
 
 def test_csv_output():

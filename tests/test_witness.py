@@ -14,7 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parreg import density, witness
-from parreg.arith import DegenerateInput, FactorizationBudgetExceeded, _is_residue, sieve
+import parreg.arith as arith
+from parreg.arith import (
+    DegenerateInput,
+    FactorizationBudgetExceeded,
+    _is_residue,
+    load_or_build_sieve,
+    save_sieve,
+    sieve,
+)
 from parreg.classify import EquationSpec, SystemSpec, classify_equation, classify_system
 from parreg.density import MAX_PREDICTED_N
 from parreg.witness import (
@@ -171,6 +179,21 @@ def test_workers_agree_with_serial():
         assert (a is None) == (b is None)
         if a is not None:
             assert a == b
+
+
+def test_explicit_sieve_reuse(tmp_path, monkeypatch):
+    path = str(tmp_path / "primes.bin")
+    save_sieve(sieve(10**4), path)
+
+    def unavailable(bound):
+        raise AssertionError("the search built primes instead of reading the file")
+
+    # the process-wide sieve outlives tests: start from the file alone
+    monkeypatch.setattr(arith, "_eratosthenes", unavailable)
+    monkeypatch.setattr(arith, "_sieve_cache", None)
+    load_or_build_sieve(path, 10**4)
+    w = find_witness_prime([2, 3, 5], 2, search_bound=10**4)
+    assert w is not None and w.p == 43
 
 
 def test_verify_witness_rejects_tampering():

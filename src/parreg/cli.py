@@ -12,10 +12,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import attrgetter
 
 from .arith import (
     BadReduction,
@@ -84,175 +86,233 @@ class RunConfig:
 
 # ---------------------------------------------------------------------------
 # JSON encoding: tagged, exact, reversible
-
-
-def encode_value(v):
-    if isinstance(v, bool) or v is None or isinstance(v, (int, str, float)):
-        return v
-    if isinstance(v, Fraction):
-        return {"$rat": f"{v.numerator}/{v.denominator}"}
-    if isinstance(v, tuple):
-        return {"$tuple": [encode_value(x) for x in v]}
-    if isinstance(v, list):
-        return [encode_value(x) for x in v]
-    if isinstance(v, frozenset):
-        return {"$frozenset": sorted((encode_value(x) for x in v), key=repr)}
-    if isinstance(v, WitnessPrime):
-        return {
-            "$wp": {
-                "p": v.p,
-                "n": v.n,
-                "targets": encode_value(v.targets),
-                "lower_bound_satisfied": v.lower_bound_satisfied,
-            }
-        }
-    if isinstance(v, EquationSpec):
-        return {"$eq": [v.a, v.b, v.c, v.m, v.n]}
-    if isinstance(v, SystemSpec):
-        return {"$sys": {"rows": encode_value(v.rows), "n": v.n}}
-    if isinstance(v, Certificate):
-        return {
-            "$cert": {
-                "kind": v.kind,
-                "rule": v.rule,
-                "domain": v.domain,
-                "verdict": v.verdict,
-                "data": encode_value(v.data),
-            }
-        }
-    if isinstance(v, Verdict):
-        return {
-            "$verdict": {
-                "subject": encode_value(v.subject),
-                "status_N": v.status_N,
-                "status_Z": v.status_Z,
-                "status_Q": v.status_Q,
-                "certificates": encode_value(v.certificates),
-                "reasons": encode_value(v.reasons),
-            }
-        }
-    if isinstance(v, dict):
-        if all(isinstance(k, str) and not k.startswith("$") for k in v):
-            return {k: encode_value(x) for k, x in v.items()}
-        return {"$map": [[encode_value(k), encode_value(x)] for k, x in v.items()]}
-    raise TypeError(f"cannot encode {type(v).__name__}")
-
-
-_TAGS = {"$rat", "$tuple", "$frozenset", "$wp", "$eq", "$sys", "$cert", "$verdict", "$map"}
-
-
-def decode_value(v):
-    if isinstance(v, list):
-        return [decode_value(x) for x in v]
-    if not isinstance(v, dict):
-        return v
-    if len(v) == 1:
-        (tag, body), = v.items()
-        if tag in _TAGS:
-            if tag == "$rat":
-                return Fraction(body)
-            if tag == "$tuple":
-                return tuple(decode_value(x) for x in body)
-            if tag == "$frozenset":
-                return frozenset(decode_value(x) for x in body)
-            if tag == "$wp":
-                return WitnessPrime(
-                    p=body["p"],
-                    n=body["n"],
-                    targets=decode_value(body["targets"]),
-                    lower_bound_satisfied=body["lower_bound_satisfied"],
-                )
-            if tag == "$eq":
-                return EquationSpec(*body)
-            if tag == "$sys":
-                return SystemSpec(decode_value(body["rows"]), body["n"])
-            if tag == "$cert":
-                return Certificate(
-                    kind=body["kind"],
-                    rule=body["rule"],
-                    domain=body["domain"],
-                    verdict=body["verdict"],
-                    data=decode_value(body["data"]),
-                )
-            if tag == "$verdict":
-                return Verdict(
-                    subject=decode_value(body["subject"]),
-                    status_N=body["status_N"],
-                    status_Z=body["status_Z"],
-                    status_Q=body["status_Q"],
-                    certificates=decode_value(body["certificates"]),
-                    reasons=decode_value(body["reasons"]),
-                )
-            if tag == "$map":
-                return {decode_value(k): decode_value(x) for k, x in body}
-    return {k: decode_value(x) for k, x in v.items()}
-
-
-def report(command: str, config: RunConfig, result) -> dict:
-    return {
-        "schema": SCHEMA,
-        "command": command,
-        "config": asdict(config),
-        "result": encode_value(result),
-    }
+#
+# A report's JSON is the tagged form of a program value.  A Fraction is
+# {"$rat": "n/d"}, a tuple {"$tuple": [...]}, a frozenset {"$frozenset":
+# [...]}, a WitnessPrime, EquationSpec, SystemSpec, Certificate or Verdict
+# {"$wp" | "$eq" | "$sys" | "$cert" | "$verdict": body}, and a dict with a key
+# that is not a string or that starts with "$" is {"$map": [[key, value],
+# ...]}.  Lists, other dicts and JSON leaves stand for themselves.
 
 
 def canonical_json(v) -> str:
-    """The bytes of ``json.dumps(v, indent=2, sort_keys=True)``, written in
-    one walk.  CPython's C encoder ignores ``indent``, so ``json`` would run
-    its pure-Python generator chain instead, at about three times the cost.
+    """The canonical text of v's tagged form T: the bytes of
+    ``json.dumps(T, indent=2, sort_keys=True)``, written in one walk from v.
+    CPython's C encoder ignores ``indent``, so ``json`` would run its
+    pure-Python generator chain instead, at about three times the cost.
 
-    Exact ``str`` and ``int`` values, dicts, lists and tuples are written
-    here; every other value goes to ``json.dumps``, so floats (``NaN``,
-    ``Infinity``), ``int``/``str`` subclasses and unencodable objects come
-    out, or fail, exactly as ``json`` has them.  Dict keys must be strings
-    (``encode_value`` makes no other kind); any other key raises
-    ``TypeError``.
+    Floats and ``int``/``str`` subclasses go to ``json.dumps``, so they come
+    out exactly as ``json`` has them (``NaN``, ``Infinity``).  A value of any
+    other type raises ``TypeError``.
     """
     parts = []
     _write(v, "\n", parts.append)
     return "".join(parts)
 
 
+def encode_value(v):
+    """v's tagged form as a tree of JSON values."""
+    return json.loads(canonical_json(v))
+
+
 def _write(v, nl, put) -> None:
     # module-level rather than a closure in canonical_json: a recursive
     # closure is a reference cycle per report, which only the cyclic
     # collector frees
-    t = type(v)
-    if t is str:
-        put(_json_str(v))
-    elif t is int:
-        put(int.__repr__(v))
-    elif isinstance(v, dict):
-        if not v:
-            put("{}")
-            return
-        inner = nl + "  "
-        sep = "{" + inner
-        for k in sorted(v):
-            put(sep + _json_str(k) + ": ")
-            _write(v[k], inner, put)
-            sep = "," + inner
-        put(nl + "}")
-    elif isinstance(v, (list, tuple)):
-        if not v:
-            put("[]")
-            return
-        inner = nl + "  "
-        sep = "[" + inner
-        for x in v:
-            put(sep)
-            _write(x, inner, put)
-            sep = "," + inner
-        put(nl + "]")
-    elif v is None:
-        put("null")
-    elif v is True:
-        put("true")
-    elif v is False:
-        put("false")
+    leaf = _LEAF_TEXT.get(type(v))
+    if leaf is not None:
+        put(leaf(v))
     else:
-        put(json.dumps(v))
+        (_WRITERS.get(type(v)) or _subclass_writer(v))(v, nl, put)
+
+
+def _subclass_writer(v):
+    """The writer of the first base of type(v) in `_WRITERS`."""
+    for base, write in _WRITERS.items():
+        if isinstance(v, base):
+            return write
+    raise TypeError(f"cannot encode {type(v).__name__}")
+
+
+# the text of the leaves met most often, inlined by the container writers
+_LEAF_TEXT = {
+    str: _json_str,
+    int: int.__repr__,
+    bool: ("false", "true").__getitem__,
+    type(None): lambda v: "null",
+}
+
+
+def _write_json(v, nl, put) -> None:
+    put(json.dumps(v))
+
+
+def _write_rat(v, nl, put) -> None:
+    put(f'{{{nl}  "$rat": "{v.numerator}/{v.denominator}"{nl}}}')
+
+
+def _write_items(items, nl, put) -> None:
+    if not items:
+        put("[]")
+        return
+    inner = nl + "  "
+    sep = "[" + inner
+    for x in items:
+        leaf = _LEAF_TEXT.get(type(x))
+        if leaf is not None:
+            put(sep + leaf(x))
+        else:
+            put(sep)
+            (_WRITERS.get(type(x)) or _subclass_writer(x))(x, inner, put)
+        sep = "," + inner
+    put(nl + "]")
+
+
+def _write_object(keys, values, nl, put) -> None:
+    """A JSON object of the written `keys` and their values, in that order."""
+    if not keys:
+        put("{}")
+        return
+    inner = nl + "  "
+    sep = "{" + inner
+    for k, x in zip(keys, values):
+        leaf = _LEAF_TEXT.get(type(x))
+        if leaf is not None:
+            put(sep + k + ": " + leaf(x))
+        else:
+            put(sep + k + ": ")
+            (_WRITERS.get(type(x)) or _subclass_writer(x))(x, inner, put)
+        sep = "," + inner
+    put(nl + "}")
+
+
+def _write_dict(v, nl, put) -> None:
+    for k in v:
+        if not isinstance(k, str) or k.startswith("$"):
+            _write_map(v, nl, put)
+            return
+    keys = sorted(v)
+    _write_object([_json_str(k) for k in keys], [v[k] for k in keys], nl, put)
+
+
+def _tagged(tag: str, write_body, body=None):
+    """The writer of {tag: body(v)}; `body` defaults to v itself."""
+    head = f'"{tag}": '
+
+    def write(v, nl, put):
+        inner = nl + "  "
+        put("{" + inner + head)
+        write_body(v if body is None else body(v), inner, put)
+        put(nl + "}")
+
+    return write
+
+
+def _record(tag: str, cls):
+    """The writer of a dataclass as {tag: {field: value, ...}}."""
+    names = sorted(f.name for f in fields(cls))
+    return _tagged(tag, partial(_write_object, [_json_str(n) for n in names]), attrgetter(*names))
+
+
+def _member_key(x) -> str:
+    """The order of frozenset members: the repr of each member's tagged form
+    as a Python tree, whose record bodies hold their fields in declaration
+    order.  Only hashable values are members."""
+    if isinstance(x, Fraction):
+        return repr({"$rat": f"{x.numerator}/{x.denominator}"})
+    if isinstance(x, tuple):
+        return "{'$tuple': [" + ", ".join(map(_member_key, x)) + "]}"
+    if isinstance(x, frozenset):
+        return "{'$frozenset': [" + ", ".join(sorted(map(_member_key, x))) + "]}"
+    if isinstance(x, EquationSpec):
+        return repr({"$eq": [x.a, x.b, x.c, x.m, x.n]})
+    tag = next((tag for cls, tag in _RECORDS.items() if isinstance(x, cls)), None)
+    if tag is None:
+        return repr(x)
+    body = ", ".join(f"'{f.name}': {_member_key(getattr(x, f.name))}" for f in fields(x))
+    return f"{{'{tag}': {{{body}}}}}"
+
+
+# the dataclasses written as {tag: {field: value, ...}}
+_RECORDS = {WitnessPrime: "$wp", SystemSpec: "$sys", Certificate: "$cert", Verdict: "$verdict"}
+
+_write_map = _tagged("$map", _write_items, lambda v: [[k, x] for k, x in v.items()])
+
+# in the order a subclass is matched
+_WRITERS = {
+    float: _write_json,
+    int: _write_json,
+    str: _write_json,
+    Fraction: _write_rat,
+    tuple: _tagged("$tuple", _write_items),
+    list: _write_items,
+    frozenset: _tagged("$frozenset", _write_items, lambda v: sorted(v, key=_member_key)),
+    EquationSpec: _tagged("$eq", _write_items, attrgetter("a", "b", "c", "m", "n")),
+    **{cls: _record(tag, cls) for cls, tag in _RECORDS.items()},
+    dict: _write_dict,
+}
+
+
+# ---------------------------------------------------------------------------
+# JSON decoding
+
+_LEAVES = frozenset({str, int, bool, float, type(None)})
+
+
+def decode_value(v):
+    """The program value of a tagged form, as ``json.loads`` returns it."""
+    if isinstance(v, dict):
+        if len(v) == 1:
+            for tag, body in v.items():
+                decode = _DECODERS.get(tag)
+                if decode is not None:
+                    return decode(body)
+        return {k: x if type(x) in _LEAVES else decode_value(x) for k, x in v.items()}
+    if isinstance(v, list):
+        return _decode_items(v)
+    return v
+
+
+def _decode_items(body) -> list:
+    return [x if type(x) in _LEAVES else decode_value(x) for x in body]
+
+
+def _decode_rat(body) -> Fraction:
+    """Fraction(body), with the writer's own "n/d" parsed from its two
+    integer halves; anything else goes to Fraction(body), so the bodies
+    accepted and refused are exactly those of Fraction(str)."""
+    if type(body) is str:
+        num, slash, den = body.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if slash and digits.isascii() and digits.isdigit() and den.isascii() and den.isdigit():
+            return Fraction(int(num), int(den))
+    return Fraction(body)
+
+
+def _record_decoder(cls):
+    return lambda body: cls(
+        **{k: x if type(x) in _LEAVES else decode_value(x) for k, x in body.items()}
+    )
+
+
+_DECODERS = {
+    "$rat": _decode_rat,
+    "$tuple": lambda body: tuple(_decode_items(body)),
+    "$frozenset": lambda body: frozenset(_decode_items(body)),
+    "$eq": lambda body: EquationSpec(*body),
+    "$map": lambda body: {decode_value(k): decode_value(x) for k, x in body},
+    **{tag: _record_decoder(cls) for cls, tag in _RECORDS.items()},
+}
+
+
+def report(command: str, config: RunConfig, result) -> dict:
+    """The report document; `canonical_json` writes `result` in tagged form."""
+    return {
+        "schema": SCHEMA,
+        "command": command,
+        "config": dict(vars(config)),
+        "result": result,
+    }
 
 
 def emit(out, rep: dict, config: RunConfig, text_lines) -> None:
@@ -426,6 +486,9 @@ def cmd_verify(args, out) -> int:
         coloring = ValuationColoring(args.p)
     lo = args.lo if args.lo is not None else -config.box_half_width
     hi = args.hi if args.hi is not None else config.box_half_width
+    if lo > hi or lo == hi == 0:
+        # an empty scan would print "0 solutions" as if it were evidence
+        raise DegenerateInput(f"box [{lo},{hi}] holds no nonzero integer")
     box = SearchBox(lo, hi)
     rep = verify_no_mono_solution(
         eq,

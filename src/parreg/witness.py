@@ -18,7 +18,6 @@ from .arith import (
     _is_residue,
     is_probable_prime,
     nth_power_in_Q,
-    nth_power_mod_p,
     sieve,
 )
 from .density import residue_pattern_densities
@@ -251,14 +250,25 @@ def find_witness_prime(
     return _search(ts, bad, n, min_exclusive, search_bound, workers)
 
 
+def _euler_exponent(n: int, p: int) -> int:
+    """The exponent e = (p-1) // gcd(n, p-1) that `_is_residue` takes."""
+    if n < 1:
+        raise DegenerateInput("n must be >= 1")
+    return (p - 1) // gcd(n, p - 1)
+
+
 def verify_witness(w: WitnessPrime) -> bool:
-    """Recompute every stored Euler-criterion boolean from scratch."""
-    if not is_probable_prime(w.p):
+    """Recompute every stored Euler-criterion boolean from scratch; the prime
+    is tested once for the whole certificate."""
+    p = w.p
+    if not is_probable_prime(p):
         return False
+    e = _euler_exponent(w.n, p)
     for t, flag in w.targets:
-        if t.numerator % w.p == 0 or t.denominator % w.p == 0:
+        num, den = t.numerator, t.denominator
+        if num % p == 0 or den % p == 0:
             return False
-        if nth_power_mod_p(t, w.n, w.p) != flag:
+        if _is_residue(num, den, e, p) != flag:
             return False
     return True
 
@@ -269,10 +279,9 @@ def verify_witness(w: WitnessPrime) -> bool:
 
 def ratio_set(a, b, c) -> frozenset[Fraction]:
     """The value set {a/c, b/c, (a+b)/c} of one row (duplicates collapse)."""
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
     if a == 0 or b == 0 or c == 0:
         raise DegenerateInput("row coefficients must be nonzero")
-    return frozenset({a / c, b / c, (a + b) / c})
+    return frozenset({Fraction(a, c), Fraction(b, c), Fraction(a + b, c)})
 
 
 def system_union(rows) -> frozenset[Fraction]:
@@ -299,8 +308,7 @@ def _system_conditions(p: int, rows, union, inter, n: int) -> tuple[bool, bool, 
     """
     for a, b, c in rows:
         for v in (a, b, c, a + b):
-            v = Fraction(v)
-            if v.numerator % p == 0 or v.denominator % p == 0:
+            if v % p == 0:
                 return (False, True, True)
     residues = set()
     for v in union:
@@ -308,8 +316,9 @@ def _system_conditions(p: int, rows, union, inter, n: int) -> tuple[bool, bool, 
         residues.add(r)
     if len(residues) != len(union):
         return (True, False, True)
+    e = _euler_exponent(n, p)
     for v in inter:
-        if nth_power_mod_p(v, n, p):
+        if _is_residue(v.numerator, v.denominator, e, p):
             return (True, True, False)
     return (True, True, True)
 

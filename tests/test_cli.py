@@ -5,8 +5,14 @@ writer's bytes, input file parsing, and the reproduction diff.
 import io
 import json
 import math
+import os
+import random
+import subprocess
+import sys
 from array import array
+from dataclasses import asdict
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -18,8 +24,10 @@ import parreg.cli as cli
 import parreg.density as density
 from parreg.arith import load_sieve, save_sieve
 from parreg.classify import (
+    Certificate,
     EquationSpec,
     SystemSpec,
+    Verdict,
     classify_equation,
     classify_system,
 )
@@ -37,6 +45,7 @@ from parreg.cli import (
     read_matrix_file,
     read_rows_file,
 )
+from parreg.radolinear import QMatrix, columns_condition
 from parreg.witness import WitnessPrime
 
 
@@ -98,11 +107,78 @@ def test_codec_rejects_unknown_type():
 
 
 # ---------------------------------------------------------------------------
-# report writer: the bytes of json.dumps(v, indent=2, sort_keys=True)
+# report writer: canonical_json(v) is the bytes of
+# json.dumps(T, indent=2, sort_keys=True) for v's tagged form T
+
+
+def reference_encode(v):
+    """The tagged form, built as a tree one value at a time: the oracle the
+    one-walk writer is pinned against."""
+    if isinstance(v, bool) or v is None or isinstance(v, (int, str, float)):
+        return v
+    if isinstance(v, Fraction):
+        return {"$rat": f"{v.numerator}/{v.denominator}"}
+    if isinstance(v, tuple):
+        return {"$tuple": [reference_encode(x) for x in v]}
+    if isinstance(v, list):
+        return [reference_encode(x) for x in v]
+    if isinstance(v, frozenset):
+        return {"$frozenset": sorted((reference_encode(x) for x in v), key=repr)}
+    if isinstance(v, WitnessPrime):
+        return {
+            "$wp": {
+                "p": v.p,
+                "n": v.n,
+                "targets": reference_encode(v.targets),
+                "lower_bound_satisfied": v.lower_bound_satisfied,
+            }
+        }
+    if isinstance(v, EquationSpec):
+        return {"$eq": [v.a, v.b, v.c, v.m, v.n]}
+    if isinstance(v, SystemSpec):
+        return {"$sys": {"rows": reference_encode(v.rows), "n": v.n}}
+    if isinstance(v, Certificate):
+        return {
+            "$cert": {
+                "kind": v.kind,
+                "rule": v.rule,
+                "domain": v.domain,
+                "verdict": v.verdict,
+                "data": reference_encode(v.data),
+            }
+        }
+    if isinstance(v, Verdict):
+        return {
+            "$verdict": {
+                "subject": reference_encode(v.subject),
+                "status_N": v.status_N,
+                "status_Z": v.status_Z,
+                "status_Q": v.status_Q,
+                "certificates": reference_encode(v.certificates),
+                "reasons": reference_encode(v.reasons),
+            }
+        }
+    if isinstance(v, dict):
+        if all(isinstance(k, str) and not k.startswith("$") for k in v):
+            return {k: reference_encode(x) for k, x in v.items()}
+        return {"$map": [[reference_encode(k), reference_encode(x)] for k, x in v.items()]}
+    raise TypeError(f"cannot encode {type(v).__name__}")
 
 
 def stdlib_bytes(v) -> str:
     return json.dumps(v, indent=2, sort_keys=True)
+
+
+def reference_bytes(v) -> str:
+    return stdlib_bytes(reference_encode(v))
+
+
+def has_dollar_key(v) -> bool:
+    if isinstance(v, list):
+        return any(map(has_dollar_key, v))
+    if isinstance(v, dict):
+        return any(k.startswith("$") or has_dollar_key(x) for k, x in v.items())
+    return False
 
 
 # every character, lone surrogates and control characters included
@@ -120,9 +196,13 @@ json_values = st.recursive(
 )
 
 nonzero = st.integers(-(10**6), 10**6).filter(bool)
-hashable_leaves = st.one_of(st.integers(-(2**70), 2**70), any_text, st.fractions())
 equation_specs = st.builds(
     EquationSpec, nonzero, nonzero, nonzero, st.integers(1, 12), st.integers(1, 12)
+)
+system_specs = st.builds(
+    SystemSpec,
+    st.lists(st.tuples(nonzero, nonzero, nonzero), min_size=1, max_size=3).map(tuple),
+    st.integers(1, 12),
 )
 witness_primes = st.builds(
     WitnessPrime,
@@ -131,16 +211,32 @@ witness_primes = st.builds(
     st.lists(st.tuples(st.fractions(), st.booleans()), max_size=3).map(tuple),
     st.booleans(),
 )
+# frozenset members of every hashable tagged type: their order is the repr
+# of their tagged form
+hashable_leaves = st.one_of(
+    st.integers(-(2**70), 2**70), any_text, st.fractions(), st.booleans(), st.none(),
+)
+hashable_values = st.recursive(
+    st.one_of(hashable_leaves, equation_specs, system_specs, witness_primes),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3).map(tuple), st.frozensets(inner, max_size=3)
+    ),
+    max_leaves=8,
+)
 program_values = st.recursive(
     st.one_of(
-        json_leaves, st.fractions(), equation_specs, witness_primes,
-        st.frozensets(hashable_leaves, max_size=4),
+        json_leaves, st.fractions(), equation_specs, system_specs, witness_primes,
+        st.frozensets(hashable_values, max_size=4),
     ),
     lambda inner: st.one_of(
         st.lists(inner, max_size=3),
         st.lists(inner, max_size=3).map(tuple),
         st.dictionaries(any_text, inner, max_size=3),
-        st.dictionaries(hashable_leaves, inner, max_size=3),
+        st.dictionaries(hashable_values, inner, max_size=3),
+        st.builds(
+            Certificate, any_text, any_text, any_text, any_text,
+            st.dictionaries(any_text, inner, max_size=3),
+        ),
     ),
     max_leaves=12,
 )
@@ -149,14 +245,21 @@ program_values = st.recursive(
 @given(json_values)
 @settings(max_examples=400, deadline=None)
 def test_writer_matches_stdlib_on_json_values(v):
-    assert canonical_json(v) == stdlib_bytes(v)
+    text = canonical_json(v)
+    assert text == reference_bytes(v)
+    # a "$" key makes a dict a $map; every other JSON value is its own form
+    if not has_dollar_key(v):
+        assert text == stdlib_bytes(v)
 
 
 @given(program_values)
 @settings(max_examples=300, deadline=None)
 def test_writer_matches_stdlib_on_encoded_values(v):
-    encoded = encode_value(v)
-    assert canonical_json(encoded) == stdlib_bytes(encoded)
+    text = canonical_json(v)
+    assert text == reference_bytes(v)
+    # compared as text, where NaN equals itself
+    assert stdlib_bytes(encode_value(v)) == text
+    assert canonical_json(decode_value(json.loads(text))) == text
 
 
 def test_writer_fixed_cases():
@@ -164,17 +267,101 @@ def test_writer_fixed_cases():
         [], {}, [[]], {"a": {}}, [{}, []], "", "\ud800x\udfff", "\x00\x1f\x7f\u2028",
         2**200, -(2**200), -0.0, math.nan, [math.inf, -math.inf, 1e300, 5e-324],
         {"b": [1, True, None], "a": (False, 2.5), "é": "ü😀"},
+        (), frozenset(), frozenset({10, 2, -1}), {"$x": 1},
+        # field order and sorted key order sort these members differently
+        frozenset({WitnessPrime(5, 1, (), False), WitnessPrime(43, 1, (), True)}),
+        frozenset({SystemSpec(((1, 1, 1),), 9), SystemSpec(((2, 1, 1),), 1)}),
     ]
     for v in cases:
-        assert canonical_json(v) == stdlib_bytes(v), v
+        assert canonical_json(v) == reference_bytes(v), v
+    assert '"$tuple": [' in canonical_json({"a": (False, 2.5)})
+    # members sort by the repr of their form: "10" before "2"
+    assert json.loads(canonical_json(frozenset({10, 2, -1}))) == {"$frozenset": [-1, 10, 2]}
 
 
 def test_writer_rejects_non_str_keys():
-    for key in (1, None, True, 1.5, (1, 2)):
+    # a dict with a key that is not a string, or that starts with "$", is
+    # written as a $map; only values with no tagged form are refused
+    for key in (1, None, True, 1.5, (1, 2), "$rat"):
+        text = canonical_json({key: 1})
+        assert text == reference_bytes({key: 1})
+        assert json.loads(text) == {"$map": [[reference_encode(key), 1]]}
+        assert decode_value(json.loads(text)) == {key: 1}
+    for bad in ([object()], {"k": {1, 2}}, {object(): 1}):
         with pytest.raises(TypeError):
-            canonical_json({key: 1})
-    with pytest.raises(TypeError):
-        canonical_json([object()])
+            canonical_json(bad)
+
+
+def _draw_equation(rng):
+    def signed(hi):
+        v = max(1, round(hi ** rng.random()))
+        return v if rng.random() < 0.5 else -v
+
+    a, b, c = signed(10**6), signed(10**6), signed(100)
+    return EquationSpec(a, b, c, rng.randint(1, 4), rng.randint(1, 12))
+
+
+def _draw_system(rng):
+    def signed(hi):
+        v = rng.randint(1, hi)
+        return v if rng.random() < 0.5 else -v
+
+    rows = tuple((signed(10**4), signed(10**4), signed(10)) for _ in range(rng.randint(2, 3)))
+    return SystemSpec(rows, rng.randint(2, 12))
+
+
+def _draw_matrix(rng):
+    rows, cols = rng.randint(1, 3), rng.randint(4, 8)
+    return QMatrix.from_rows([[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)])
+
+
+def _columns_value(M):
+    cert = columns_condition(M)
+    if cert is None:
+        return None
+    return {"ordered_partition": cert.ordered_partition, "span_witnesses": cert.span_witnesses}
+
+
+def test_report_bytes_match_reference_on_traffic():
+    rng = random.Random(20211)
+    config = RunConfig(output="json")
+    requests = [("classify", classify_equation, _draw_equation(rng)) for _ in range(200)]
+    requests += [("system", classify_system, _draw_system(rng)) for _ in range(40)]
+    requests += [("columns", None, _draw_matrix(rng)) for _ in range(20)]
+    kinds = set()
+    for command, fn, subject in requests:
+        value = _columns_value(subject) if fn is None else fn(subject, config=config)
+        text = canonical_json(cli.report(command, config, value))
+        want = {
+            "schema": "parreg-report/1",
+            "command": command,
+            "config": asdict(config),
+            "result": reference_encode(value),
+        }
+        assert text == stdlib_bytes(want), subject
+        assert decode_value(json.loads(text)["result"]) == value, subject
+        kinds.add(type(value).__name__)
+        if fn is not None:
+            kinds.update(c.kind for c in value.certificates)
+    # the sample reaches every tagged form a report holds
+    assert {"Verdict", "dict", "NoneType", "witness", "rule", "system_intersection"} <= kinds
+
+
+RAT_BODIES = [
+    "3/7", "-3/7", "6/14", "3/-7", " 3/7", "3 /7", "+3/7", "1_0/3", "3/0", "1.5", "3/7/1", "",
+]
+
+
+@pytest.mark.parametrize("body", RAT_BODIES)
+def test_rat_decoding_matches_fraction_str(body):
+    try:
+        want = Fraction(body)
+    except Exception as e:  # the exception type is what must agree
+        with pytest.raises(type(e)):
+            decode_value({"$rat": body})
+    else:
+        got = decode_value({"$rat": body})
+        assert type(got) is Fraction and got == want
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +509,18 @@ def test_verify_json_result():
     # values of [1, 50] are alone in their class: 9 + 6 * 4 + 35
     assert result["pairs_indexed"] == result["lookups"] == 68
     assert result["subject"] == ("equation", 1, 1, 1, 1, 1)
+
+
+def test_verify_refuses_a_box_without_nonzero_integers(capsys):
+    eq = ["verify", "2", "3", "1", "1", "2", "--p", "43"]
+    # --hi -301 is below the default --lo -300
+    for box in (["--lo", "5", "--hi", "-5"], ["--lo", "0", "--hi", "0"], ["--hi", "-301"]):
+        assert run(eq + box) == (EXIT_USAGE, ""), box
+        assert run(eq + box + ["--json"]) == (EXIT_USAGE, ""), box
+        assert "holds no nonzero integer" in capsys.readouterr().err
+    for box in (["--lo", "1", "--hi", "1"], ["--lo", "-1", "--hi", "0"]):
+        code, text = run(eq + box)
+        assert code == EXIT_OK and "scanned=1 " in text, box
 
 
 def test_verify_json_is_byte_stable():
@@ -666,3 +865,17 @@ def test_error_messages_go_to_stderr(capsys):
     assert code == EXIT_USAGE
     captured = capsys.readouterr()
     assert "error:" in captured.err
+
+
+def test_python_m_parreg_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    argv = ["classify", "2", "3", "1", "1", "2"]
+    out = subprocess.run(
+        [sys.executable, "-m", "parreg", *argv], env=env, capture_output=True, text=True
+    )
+    assert (out.returncode, out.stdout) == run(argv)
+    probe = "import sys, parreg; print('parreg.__main__' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -12,7 +12,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
 from math import gcd, isqrt
 from operator import floordiv, lt, mul, sub
 
@@ -21,8 +21,27 @@ DEFAULT_FACTOR_BUDGET = 2**20
 
 _SIEVE_MAGIC = b"PRSIEVE1"
 
-# Deterministic Miller-Rabin witness set, valid for n < 3.3e24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the first k prime bases is exact for n < _MR_LIMITS[k-1],
+# the least strong pseudoprime to all of them (OEIS A014233, psi_1..psi_13),
+# so each n runs the fewest bases that decide it.  At or above the last
+# limit, 3.3e24, no such bound is known: all 14 bases run (43 rejects psi_13
+# itself) and the answer is only probable.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+_MR_LIMITS = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
 
 
 class ParregError(Exception):
@@ -91,7 +110,7 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[: bisect_right(_MR_LIMITS, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -399,14 +418,19 @@ _sieve_cache: PrimeSieve | None = None
 
 
 def _eratosthenes(bound: int) -> tuple[int, ...]:
+    """Primes <= bound from a sieve of the odd numbers: flags[k] stands for
+    2k+1.  An odd prime i clears its odd multiples from i*i on, which sit
+    i flags apart from i*i >> 1.  `compress` picks the survivors in C, so no
+    bytecode runs per candidate."""
     if bound < 2:
         return ()
-    flags = bytearray([1]) * (bound + 1)
-    flags[0] = flags[1] = 0
-    for i in range(2, isqrt(bound) + 1):
-        if flags[i]:
-            flags[i * i :: i] = bytearray(len(range(i * i, bound + 1, i)))
-    return tuple(i for i in range(bound + 1) if flags[i])
+    flags = bytearray([1]) * ((bound + 1) // 2)
+    flags[0] = 0
+    for i in range(3, isqrt(bound) + 1, 2):
+        if flags[i >> 1]:
+            start = i * i >> 1
+            flags[start::i] = bytes(len(range(start, len(flags), i)))
+    return (2, *compress(range(1, bound + 1, 2), flags))
 
 
 def sieve(bound: int) -> PrimeSieve:

@@ -197,7 +197,7 @@ def _search(ts, bad, n, min_exclusive, search_bound, workers):
     start = bisect_right(primes, min_exclusive)
     pairs = tuple((t.numerator, t.denominator) for t in ts)
     cut = start + _DECIDE_AFTER
-    found = _first_witness(islice(primes, start, cut), pairs, n, bad)
+    found = _first_witness(primes[start:cut], pairs, n, bad)
     # bad == 0 (a system row with a + b = 0) leaves no prime to qualify
     more = found is None and cut < len(primes) and bad != 0
     if more and ts:  # with no targets every prime not dividing bad qualifies
@@ -284,19 +284,19 @@ def ratio_set(a, b, c) -> frozenset[Fraction]:
     return frozenset({Fraction(a, c), Fraction(b, c), Fraction(a + b, c)})
 
 
+def _union_intersection(rows) -> tuple[frozenset[Fraction], frozenset[Fraction]]:
+    """The union and the intersection of the rows' ratio sets, each row's set
+    built once."""
+    sets = [ratio_set(a, b, c) for a, b, c in rows]
+    return frozenset().union(*sets), sets[0].intersection(*sets[1:])
+
+
 def system_union(rows) -> frozenset[Fraction]:
-    out: frozenset[Fraction] = frozenset()
-    for a, b, c in rows:
-        out |= ratio_set(a, b, c)
-    return out
+    return _union_intersection(rows)[0]
 
 
 def system_intersection(rows) -> frozenset[Fraction]:
-    sets = [ratio_set(a, b, c) for a, b, c in rows]
-    out = sets[0]
-    for s in sets[1:]:
-        out &= s
-    return out
+    return _union_intersection(rows)[1]
 
 
 def _system_conditions(p: int, rows, union, inter, n: int) -> tuple[bool, bool, bool]:
@@ -359,8 +359,8 @@ def find_system_witness(
         raise DegenerateInput("need at least one row")
     if n < 1:
         raise DegenerateInput("n must be >= 1")
-    union = sorted(system_union(rows))
-    inter = tuple(sorted(system_intersection(rows)))
+    union, inter = _union_intersection(rows)
+    union, inter = sorted(union), tuple(sorted(inter))
     bad = _reduce_system(rows, union)
     return _search(inter, bad, n, 0, search_bound, workers=1)
 
@@ -370,8 +370,8 @@ def verify_system_witness(w: WitnessPrime, rows, n: int) -> bool:
     if not is_probable_prime(w.p) or w.n != n:
         return False
     rows = _int_rows(rows)
-    union = sorted(system_union(rows))
-    inter = sorted(system_intersection(rows))
+    union, inter = _union_intersection(rows)
+    union, inter = sorted(union), sorted(inter)
     if tuple(v for v, _ in w.targets) != tuple(inter):
         return False
     if any(flag for _, flag in w.targets):

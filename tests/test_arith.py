@@ -5,8 +5,11 @@ file (naive primality, residue-set enumeration, Hensel-precision power sets),
 never from the functions under test.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, prod
+from operator import lt, mod
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from parreg.arith import (
     DegenerateInput,
     FactorizationBudgetExceeded,
     PrimeSieve,
+    _eratosthenes,
     _exponents,
     _is_residue,
     _residue_column,
@@ -95,9 +99,36 @@ def qp_power_oracle(q: Fraction, p: int, n: int) -> bool:
 # primality and factorization
 
 
-def test_probable_prime_matches_naive_to_20000():
-    for k in range(20000):
+def test_probable_prime_matches_naive_to_200000():
+    for k in range(200000):
         assert is_probable_prime(k) == naive_is_prime(k), k
+
+
+# OEIS A014233 (distinct terms): the least odd composite that is a strong
+# pseudoprime to every one of the first k prime bases, k = 1..13
+A014233 = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+
+
+def test_probable_prime_rejects_strong_pseudoprimes():
+    for m in A014233:
+        assert not is_probable_prime(m), m
+
+
+def test_factor_splits_a_strong_pseudoprime_to_twelve_bases():
+    p, q = 399165290221, 798330580441
+    assert naive_is_prime(p) and p * q == A014233[8]
+    assert factor(p * q).exponents == {p: 1, q: 1}
 
 
 def test_probable_prime_known_large():
@@ -269,6 +300,26 @@ def test_sieve_matches_naive():
     for k in (997, 1000):
         assert (k in s.primes) == naive_is_prime(k)
     assert s.primes_upto(100) == tuple(naive_primes(100))
+
+
+def test_eratosthenes_matches_trial_division():
+    # `sieve` slices the largest sieve the process holds, so it may never run
+    # the builder on a small bound: call the builder directly
+    want = naive_primes(101**2 + 1)
+    bounds = [*range(3001)]
+    bounds += [p * p + d for p in naive_primes(101) for d in (-1, 0, 1)]
+    for b in bounds:
+        assert _eratosthenes(b) == tuple(want[: bisect_right(want, b)]), b
+
+
+def test_eratosthenes_to_a_million():
+    primes = _eratosthenes(10**6)
+    assert len(primes) == 78498 and primes[0] == 2 and primes[-1] == 999983
+    assert all(map(lt, primes, primes[1:]))
+    # trial division: a composite <= 10^6 has a prime factor <= 1000, so every
+    # member is prime, and pi(10^6) = 78498 of them are all the primes
+    for d in naive_primes(1000):
+        assert 0 not in map(mod, primes[bisect_right(primes, d) :], repeat(d)), d
 
 
 def test_sieve_roundtrip(tmp_path):

@@ -407,6 +407,30 @@ def test_search_start_at_and_around_a_prime():
                 assert (None if w is None else w.p) == want, (targets, n, lo)
 
 
+def _euler_scan(targets, n, min_exclusive):
+    """First sieve prime above min_exclusive modulo which no target is an
+    n-th power residue, by the Euler criterion on each target in turn."""
+    for p in sieve(10**6).primes:
+        if p <= min_exclusive:
+            continue
+        e = (p - 1) // gcd(n, p - 1)
+        if all(t % p and pow(t, e, p) != 1 for t in targets):
+            return p
+    return None
+
+
+@given(
+    st.lists(st.sampled_from((2, 3, 5, 6, 7, 10, 11, 13)), min_size=1, max_size=3),
+    st.integers(min_value=2, max_value=8),
+    # the second range holds the last 64 primes, where the prefix is short
+    st.one_of(st.integers(0, 10**6), st.integers(998_500, 10**6)),
+)
+@settings(max_examples=60, deadline=None)
+def test_witness_search_from_any_start_matches_euler_scan(targets, n, min_exclusive):
+    w = find_witness_prime(targets, n, min_exclusive=min_exclusive)
+    assert (None if w is None else w.p) == _euler_scan(targets, n, min_exclusive)
+
+
 def test_odd_n_skips_primes_where_every_unit_is_a_power():
     # n = 3: at p = 2 mod 3 every unit is a cube, so no such prime is a witness
     w = find_witness_prime([2, 3, 5], 3, search_bound=10**4)

@@ -1,11 +1,13 @@
 """n-th-power-residue densities over primes: exact counts with
 inclusion-exclusion bookkeeping for joint surveys, and the exact Chebotarev
 densities those counts tend to.
+
+Every count reads the state columns that one `arith._residue_columns` call
+gives for all of a survey's targets at once.
 """
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,9 +18,10 @@ from operator import mod
 from .arith import (
     DegenerateInput,
     FactorizationBudgetExceeded,
+    _as_int,
     _as_rat,
     _exponents,
-    _residue_column,
+    _residue_columns,
     factor,
     legendre,
     sieve,
@@ -36,18 +39,15 @@ def _targets(targets, n: int = 1) -> tuple[Fraction, ...]:
     qs = tuple(map(_as_rat, targets))
     if not qs or any(q == 0 for q in qs):
         raise DegenerateInput("targets must be nonzero and nonempty")
-    if n < 1:
+    if _as_int(n) < 1:
         raise DegenerateInput("n must be >= 1")
     return qs
 
 
 def _columns(qs, n: int, prime_bound: int):
-    """The primes <= prime_bound and each target's `_residue_column` over
-    them."""
+    """The primes <= prime_bound and the `_residue_columns` of qs over them."""
     primes = sieve(prime_bound).primes
-    exps = _exponents(n, primes)
-    cols = [_residue_column(q.numerator, q.denominator, n, exps, primes) for q in qs]
-    return primes, cols
+    return primes, _residue_columns(qs, n, _exponents(n, primes), primes)
 
 
 def _admissible_mask(cols) -> bytes:
@@ -58,7 +58,7 @@ def _admissible_mask(cols) -> bytes:
 def _pass(qs, n: int, prime_bound: int) -> Counter:
     """One counted pass over the primes <= prime_bound, as
     {(p mod 24, state of qs[0], state of qs[1], ...): count} with the states
-    of `_residue_column`.  Every survey of a subset of qs projects from it."""
+    of `_residue_columns`.  Every survey of a subset of qs projects from it."""
     primes, cols = _columns(qs, n, prime_bound)
     return Counter(zip(map(mod, primes, repeat(24)), *cols))
 
@@ -230,9 +230,8 @@ def _survey(qs, n: int, prime_bound: int, counts: Counter, i: int) -> DensitySur
 
 def admissible_primes(target, prime_bound: int) -> tuple[int, ...]:
     (q,) = _targets((target,))
-    primes = sieve(prime_bound).primes
-    # only state 0 is read, which any exponents >= 1 give exactly; 1 is cheapest
-    col = _residue_column(q.numerator, q.denominator, 1, repeat(1), primes)
+    # at n = 1 every exponent reduces to 0 mod p-1, so no column costs a power
+    primes, (col,) = _columns((q,), 1, prime_bound)
     return tuple(compress(primes, col))
 
 
@@ -301,6 +300,8 @@ def write_csv(out, targets, n: int, prime_bound: int) -> int:
     """Emit one row per admissible prime: prime, prime mod 24, then a hit flag
     per target.  Returns the number of data rows written.
     """
+    import csv
+
     qs = _targets(targets, n)
     primes, cols = _columns(qs, n, prime_bound)
     mask = _admissible_mask(cols)

@@ -13,6 +13,7 @@ from math import gcd, prod
 
 from .arith import (
     DegenerateInput,
+    _as_int,
     _as_rat,
     _int_rows,
     _is_residue,
@@ -128,7 +129,7 @@ def check_hypotheses(targets, n: int) -> HypothesisReport:
     falling back to SQUARES when EVEN_N fails but the square checks pass.
     """
     ts = _normalize_targets(targets)
-    if n < 1:
+    if _as_int(n) < 1:
         raise DegenerateInput("n must be >= 1")
     if len(ts) > 3:
         raise DegenerateInput("at most three targets")
@@ -242,7 +243,7 @@ def find_witness_prime(
     shards are those of `_search`.
     """
     ts = _normalize_targets(targets)
-    if n < 1:
+    if _as_int(n) < 1:
         raise DegenerateInput("n must be >= 1")
     if search_bound < min_exclusive:
         raise DegenerateInput("search_bound must be >= min_exclusive")
@@ -252,7 +253,7 @@ def find_witness_prime(
 
 def _euler_exponent(n: int, p: int) -> int:
     """The exponent e = (p-1) // gcd(n, p-1) that `_is_residue` takes."""
-    if n < 1:
+    if _as_int(n) < 1:
         raise DegenerateInput("n must be >= 1")
     return (p - 1) // gcd(n, p - 1)
 
@@ -357,7 +358,7 @@ def find_system_witness(
     rows = _int_rows(rows)
     if not rows:
         raise DegenerateInput("need at least one row")
-    if n < 1:
+    if _as_int(n) < 1:
         raise DegenerateInput("n must be >= 1")
     union, inter = _union_intersection(rows)
     union, inter = sorted(union), tuple(sorted(inter))

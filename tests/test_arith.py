@@ -24,7 +24,9 @@ from parreg.arith import (
     _eratosthenes,
     _exponents,
     _is_residue,
-    _residue_column,
+    _perfect_power,
+    _residue_base,
+    _residue_columns,
     factor,
     integer_nth_root,
     is_probable_prime,
@@ -169,6 +171,17 @@ def test_factor_budget_exceeded():
 def test_factor_zero_rejected():
     with pytest.raises(DegenerateInput):
         factor(0)
+
+
+def test_power_tests_refuse_a_float_exponent():
+    with pytest.raises(DegenerateInput):
+        nth_power_mod_p(2, 2.0, 7)
+    with pytest.raises(DegenerateInput):
+        nth_power_in_Q(4, 2.0)
+    with pytest.raises(DegenerateInput):
+        nth_power_in_Qp(4, 7, 2.0)
+    with pytest.raises(DegenerateInput):
+        integer_nth_root(4, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -355,45 +368,110 @@ def test_sieve_bound_errors():
 
 
 # ---------------------------------------------------------------------------
-# the residue column against the scalar Euler-criterion kernel
+# the residue columns against the scalar Euler-criterion kernel
 
 # products of small primes, so that primes divide numerators and denominators
+# across targets; perfect powers, so that elements s**j with j > 1 occur
 _smooth = st.lists(st.sampled_from((2, 3, 5, 7, 11, 13, 97, 997)), max_size=6).map(prod)
+_perfect = st.builds(pow, st.integers(2, 12), st.integers(2, 6))
+_part = st.one_of(_smooth, _perfect, st.integers(1, 10**9), st.just(1))
 signed_rationals = st.builds(
-    lambda sign, a, x, b, y: Fraction(sign * a * x, b * y),
-    st.sampled_from((1, -1)),
-    _smooth,
-    st.integers(1, 10**9),
-    _smooth,
-    st.integers(1, 10**3),
+    lambda sign, a, b: Fraction(sign * a, b), st.sampled_from((1, -1)), _part, _part
 )
+target_lists = st.lists(signed_rationals, min_size=1, max_size=4)
 
 
-@given(signed_rationals, st.integers(1, 24), st.one_of(st.integers(2, 12), st.integers(2, 5000)))
-@settings(max_examples=150, deadline=None)
-def test_residue_column_matches_scalar_kernel(q, n, bound):
-    primes = sieve(bound).primes
+def _scalar_states(q, n, primes):
     num, den = q.numerator, q.denominator
-    col = _residue_column(num, den, n, _exponents(n, primes), primes)
-    assert len(col) == len(primes)
-    for p, state in zip(primes, col):
-        e = (p - 1) // gcd(n, p - 1)
-        want = 0 if num * den % p == 0 else (1 if _is_residue(num, den, e, p) else 2)
-        assert state == want, (p, num, den, n)
+    for p in primes:
+        if num * den % p == 0:
+            yield 0
+        else:
+            yield 1 if _is_residue(num, den, (p - 1) // gcd(n, p - 1), p) else 2
+
+
+def _columns(qs, n, primes):
+    return _residue_columns(qs, n, _exponents(n, primes), primes)
+
+
+@given(target_lists, st.integers(1, 24), st.one_of(st.integers(2, 12), st.integers(2, 5000)))
+@settings(max_examples=200, deadline=None)
+def test_residue_column_matches_scalar_kernel(qs, n, bound):
+    primes = sieve(bound).primes
+    cols = _columns(qs, n, primes)
+    assert len(cols) == len(qs)
+    for q, col in zip(qs, cols):
+        assert col == bytes(_scalar_states(q, n, primes)), (q, qs, n)
 
 
 def test_residue_column_fixed_cases():
     primes = sieve(30).primes  # 2 3 5 7 11 13 17 19 23 29
     # 2 is a square mod 7, 17, 23; p = 2 divides it
-    assert _residue_column(2, 1, 2, _exponents(2, primes), primes) == bytes(
-        (0, 2, 2, 1, 2, 2, 1, 2, 1, 2)
-    )
+    assert _columns([2], 2, primes) == [bytes((0, 2, 2, 1, 2, 2, 1, 2, 1, 2))]
     # -3/4 at n = 2: p = 2 divides the denominator, p = 3 the numerator
-    assert _residue_column(-3, 4, 2, _exponents(2, primes), primes) == bytes(
-        (0, 0, 2, 1, 2, 1, 2, 1, 2, 2)
-    )
+    assert _columns([Fraction(-3, 4)], 2, primes) == [bytes((0, 0, 2, 1, 2, 1, 2, 1, 2, 2))]
     # every unit is a first power, and at p = 2 every unit is an n-th power
-    assert _residue_column(35, 6, 1, _exponents(1, primes), primes) == bytes(
-        (0, 0, 0, 0, 1, 1, 1, 1, 1, 1)
+    assert _columns([Fraction(35, 6)], 1, primes) == [bytes((0, 0, 0, 0, 1, 1, 1, 1, 1, 1))]
+    assert _columns([3], 24, primes)[0][:1] == b"\1"
+    # j*e = 0 mod p-1 at a prime dividing s, where pow(s, 0, p) is 1:
+    # 9 = 3^2 at n = 4 and p = 3; 16 = 2^4 at n = 8 and p = 2;
+    # 1/9 at n = 3, whose T = 1 * 9^2 = 3^4, at p = 3
+    for q, n, p in ((9, 4, 3), (16, 8, 2), (Fraction(1, 9), 3, 3)):
+        (col,) = _columns([q], n, primes)
+        assert col[primes.index(p)] == 0
+        assert col == bytes(_scalar_states(Fraction(q), n, primes))
+    # one coprime base {4 = 2^2, 9 = 3^2} for the four targets, with a sign column
+    qs = [Fraction(v) for v in (4, -4, 9, 36)]
+    assert _columns(qs, 4, primes) == [bytes(_scalar_states(q, 4, primes)) for q in qs]
+    # +-1 need no element: 1 is a residue everywhere, -1 by the parity of e
+    assert _columns([1, -1], 2, primes) == [
+        b"\1" * 10,
+        bytes((1, 2, 1, 2, 2, 1, 1, 2, 2, 1)),
+    ]
+
+
+def test_perfect_power_matches_every_root():
+    def brute(b):
+        best = (b, 1)
+        for j in range(2, b.bit_length() + 1):
+            r = integer_nth_root(b, j)
+            if r**j == b:
+                best = (r, j)
+        return best
+
+    for b in range(2, 5000):
+        assert _perfect_power(b) == brute(b), b
+    for r in range(2, 40):
+        for j in range(1, 60):
+            assert _perfect_power(r**j) == brute(r**j), (r, j)
+    # roots past 2^32, and negatives take the largest odd exponent
+    assert _perfect_power((2**61 - 1) ** 7) == (2**61 - 1, 7)
+    assert _perfect_power(-(2**12)) == (-16, 3)
+    assert _perfect_power(-7) == (-7, 1)
+    assert _perfect_power(2**1000 + 1) == (2**1000 + 1, 1)
+
+
+def test_residue_base_shares_perfect_powers():
+    # the coprime base {4, 9} beats the three distinct |T|; 16 = 2^4
+    assert _residue_base([4, -4, 9, 36]) == (
+        [(2, 2), (3, 2)],
+        [(((0, 1),), False), (((0, 1),), True), (((1, 1),), False), (((0, 1), (1, 1)), False)],
     )
-    assert _residue_column(3, 1, 24, _exponents(24, primes), primes)[:1] == b"\1"
+    assert _residue_base([16]) == ([(2, 4)], [(((0, 1),), False)])
+    # {2, 3, 5} saves no column over 6, 10 and 15 themselves
+    assert _residue_base([6, 10, 15]) == (
+        [(6, 1), (10, 1), (15, 1)],
+        [(((0, 1),), False), (((1, 1),), False), (((2, 1),), False)],
+    )
+    # {2, 3} saves a column over 6, 12 and 18 for 5 combining maps, but not
+    # over 2^5*3^3, 2^3*3^5 and 2^7*3^2, which take 9
+    assert _residue_base([6, 12, 18])[0] == [(2, 1), (3, 1)]
+    assert _residue_base([2**5 * 3**3, 2**3 * 3**5, 2**7 * 3**2])[0] == [
+        (864, 1),
+        (1152, 1),
+        (1944, 1),
+    ]
+    # a negative value of its own keeps its sign in an odd power
+    assert _residue_base([-64, 3]) == ([(-4, 3), (3, 1)], [(((0, 1),), False), (((1, 1),), False)])
+    # with no element at all, -1 is the sign column alone
+    assert _residue_base([1, -1]) == ([], [((), False), ((), True)])

@@ -508,10 +508,11 @@ def test_top_level_exports_are_the_documented_api():
 
 
 def test_import_leaves_process_pools_unloaded():
-    # the pools are imported where a sharded scan starts one, not at import
+    # the pools are imported where a sharded scan starts one, and csv where
+    # density.write_csv writes, not at import
     probe = (
         "import sys, parreg; "
-        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+        "print(sorted({'concurrent.futures', 'multiprocessing', 'csv'} & set(sys.modules)))"
     )
     src = str(Path(parreg.__file__).resolve().parents[1])
     out = subprocess.run(

@@ -722,8 +722,10 @@ def test_reproduce_matches_fixture():
 
 
 def test_reproduction_table_builds_each_column_once(monkeypatch):
-    # 16 at n = 8, then one pass over 4, -4, 9 and 36 at n = 4
-    built = {"columns": 0, "exponents": 0}
+    # one kernel call for 16 at n = 8, one for 4, -4, 9 and 36 at n = 4; their
+    # power columns are 2^4, then the coprime base {2^2, 3^2}
+    built = {"kernel": 0, "exponents": 0}
+    elements = []
 
     def counted(name, fn):
         def wrapper(*args):
@@ -732,10 +734,18 @@ def test_reproduction_table_builds_each_column_once(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(density, "_residue_column", counted("columns", density._residue_column))
+    def based(values):
+        base = residue_base(values)
+        elements.append(base[0])
+        return base
+
+    residue_base = arith._residue_base
+    monkeypatch.setattr(arith, "_residue_base", based)
+    monkeypatch.setattr(density, "_residue_columns", counted("kernel", density._residue_columns))
     monkeypatch.setattr(density, "_exponents", counted("exponents", density._exponents))
     cli.reproduction_table(RunConfig())
-    assert built == {"columns": 5, "exponents": 2}
+    assert built == {"kernel": 2, "exponents": 2}
+    assert elements == [[(2, 4)], [(2, 2), (3, 2)]]
 
 
 def test_reproduce_diff_detected(monkeypatch):

@@ -269,6 +269,22 @@ def test_every_entry_point_validates():
         write_csv(io.StringIO(), [2], 0, 100)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: survey(2, 2.0, 50),
+        lambda: joint_survey([2, 3], 2.5, 50),
+        lambda: hit_primes(2, 2.0, 50),
+        lambda: write_csv(io.StringIO(), [2, 3], 2.0, 50),
+        lambda: residue_pattern_densities([2], 2.0),
+    ],
+    ids=["survey", "joint_survey", "hit_primes", "write_csv", "residue_pattern_densities"],
+)
+def test_every_entry_point_refuses_a_float_exponent(call):
+    with pytest.raises(DegenerateInput):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # predicted densities
 

@@ -344,16 +344,20 @@ def _perfect_power(b: int) -> tuple[int, int]:
     """(s, j) with s**j == b and j maximal, for b other than 0 and 1; a
     negative b takes the largest odd j.  Only prime roots are tried: a
     composite root would have been taken as roots of its prime factors.
-    A root below 2^32 is the rounded float estimate, whose error is far
-    below 1/2 there; `integer_nth_root` would start Newton a factor of up to
-    2 high, which for a large ell closes only by about 1/ell a step."""
+    A root below 2^32, which is where s has at most 32*ell bits, is the
+    rounded float estimate, whose error is far below 1/2 there;
+    `integer_nth_root` would start Newton a factor of up to 2 high, which for
+    a large ell closes only by about 1/ell a step.  Larger roots take Newton,
+    as their float estimate could overflow."""
     s, j = abs(b), 1
     for ell in sieve(s.bit_length()).primes:
         if ell > s.bit_length():
             break
         while True:
-            est = 2 ** (log2(s) / ell)
-            r = round(est) if est < 2**32 else integer_nth_root(s, ell)
+            if s.bit_length() <= 32 * ell:
+                r = round(2 ** (log2(s) / ell))
+            else:
+                r = integer_nth_root(s, ell)
             if r**ell != s:
                 break
             s, j = r, j * ell
@@ -366,7 +370,9 @@ def _perfect_power(b: int) -> tuple[int, int]:
 
 # A full power column costs about as much as 8 of the maps that combine
 # columns, a small pow or a mul with its mod (930 against 100 ns per prime
-# at 10^5; 7x at 10^4, 10x at 10^6).
+# at 10^5; 7x at 10^4, 10x at 10^6).  Counting columns alone would take the
+# base {2, 23} for -2^9*23^6, 2^10 and -2^31*23 at n = 4, whose 8 maps
+# save one column and made that survey 8-20% slower than a column per target.
 _MAPS_PER_COLUMN = 8
 
 
@@ -426,7 +432,10 @@ def _residue_columns(qs, n: int, exps, primes) -> list[bytes]:
     for i, (s, j) in enumerate(elements):
         if n % 2 == 0 and j % 2:
             # gcd(n, p-1) is even at every odd p, so j*e is never a multiple
-            # of p-1 there; as every e >= 1, pow is 0 at the primes dividing s
+            # of p-1 there; as every e >= 1, pow is 0 at the primes dividing s.
+            # Reducing the exponents and zeroing would make such a survey
+            # about a fifth slower, and an array read once about 4% slower
+            # than a map.
             col = map(pow, repeat(s**j), exps, primes)
             cols.append(col if uses[i] == 1 else array("q", col))
             continue

@@ -423,6 +423,11 @@ def test_residue_column_fixed_cases():
     # one coprime base {4 = 2^2, 9 = 3^2} for the four targets, with a sign column
     qs = [Fraction(v) for v in (4, -4, 9, 36)]
     assert _columns(qs, 4, primes) == [bytes(_scalar_states(q, 4, primes)) for q in qs]
+    # targets past 2048 bits: 10^700 at n = 2, and 1/10^30 at n = 24, whose
+    # T = 10^690 shares no element with 12
+    for qs, n in (([10**700], 2), ([Fraction(1, 10**30), 12], 24), ([-(2**2049 + 1)], 6)):
+        qs = [Fraction(q) for q in qs]
+        assert _columns(qs, n, primes) == [bytes(_scalar_states(q, n, primes)) for q in qs]
     # +-1 need no element: 1 is a residue everywhere, -1 by the parity of e
     assert _columns([1, -1], 2, primes) == [
         b"\1" * 10,
@@ -449,6 +454,12 @@ def test_perfect_power_matches_every_root():
     assert _perfect_power(-(2**12)) == (-16, 3)
     assert _perfect_power(-7) == (-7, 1)
     assert _perfect_power(2**1000 + 1) == (2**1000 + 1, 1)
+    # past 2048 bits a float estimate of the square root would overflow
+    assert _perfect_power(3**1500) == (3, 1500)
+    assert _perfect_power((2**61 - 1) ** 40) == (2**61 - 1, 40)
+    assert _perfect_power(2**2049 + 1) == (2**2049 + 1, 1)
+    assert _perfect_power(-(10**701)) == (-10, 701)
+    assert _perfect_power(7**400 * 11**600) == (7**2 * 11**3, 200)
 
 
 def test_residue_base_shares_perfect_powers():

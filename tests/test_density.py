@@ -68,6 +68,17 @@ def test_survey_matches_brute_force_small():
         assert s.density == Fraction(hits, len(admissible))
 
 
+def test_survey_of_a_target_past_2048_bits():
+    # 10^700 and the T = 10^690 of 1/10^30 at n = 24 have more bits than a
+    # float exponent can hold
+    for target, n in [(10**700, 2), (Fraction(1, 10**30), 24), (3**1500 + 2, 6)]:
+        s = survey(target, n, 300)
+        q = Fraction(target)
+        admissible = [p for p in sieve(300).primes if q.numerator % p and q.denominator % p]
+        assert s.admissible_count == len(admissible)
+        assert s.hit_count == sum(1 for p in admissible if brute_hit(q, p, n))
+
+
 def test_survey_validation():
     with pytest.raises(DegenerateInput):
         survey(0, 2, 100)

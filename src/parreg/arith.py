@@ -4,7 +4,10 @@ p-adic power tests, and a prime sieve with a binary disk cache.
 Power residues have one scalar kernel, `_is_residue`, for early-exit scans,
 and one column kernel, `_residue_columns`, for every survey of a whole range:
 it shares a power column per element of a coprime base of the targets and
-reduces the exponents of perfect powers mod p-1.
+reduces the exponents of perfect powers mod p-1.  When every element s**j
+has n | 2j, each column is 1 or a Legendre symbol (s|p), which quadratic
+reciprocity makes a function of p mod 4|s|, so the states are read from a
+table over p mod L and no power is taken per prime.
 
 All rational values are `fractions.Fraction`; nothing in this module falls
 back to floating point (a float only proposes a root that is checked exactly).
@@ -19,8 +22,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
-from math import gcd, isqrt, log2
-from operator import and_, floordiv, lt, mod, mul, not_, sub
+from math import gcd, isqrt, lcm, log2
+from operator import and_, floordiv, itemgetter, lt, mod, mul, not_, sub
 
 TRIAL_DIVISION_BOUND = 10**6
 DEFAULT_FACTOR_BUDGET = 2**20
@@ -106,7 +109,7 @@ class Factorization:
 
 
 def is_probable_prime(n: int) -> bool:
-    if n < 2:
+    if _as_int(n) < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
@@ -303,9 +306,10 @@ def _is_residue(num: int, den: int, e: int, p: int) -> bool:
 
 
 def _exponents(n: int, primes) -> array:
-    """e = (p-1) // gcd(n, p-1) at every prime, as `_residue_columns` takes
-    them.  Unboxed in an array: a list would hold one int object per prime
-    for the whole survey, which raises peak RSS by about 0.5 MB at 10^5."""
+    """e = (p-1) // gcd(n, p-1) at every prime, for the power columns of
+    `_residue_columns`.  Unboxed in an array: a list would hold one int
+    object per prime for the whole survey, which raises peak RSS by about
+    0.5 MB at 10^5."""
     return array(
         "q",
         map(
@@ -408,24 +412,100 @@ def _residue_base(values) -> tuple[list[tuple[int, int]], list[tuple[tuple, bool
     return [_perfect_power(b) for b in base], terms
 
 
-def _residue_columns(qs, n: int, exps, primes) -> list[bytes]:
+def _jacobi(a: int, m: int) -> int:
+    """The Jacobi symbol (a|m) for odd m > 0: the Legendre symbol when m is
+    prime, 0 when a and m share a factor (Cohen, GTM 138, Alg. 1.4.10)."""
+    a %= m
+    t = 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if m & 7 in (3, 5):
+                t = -t
+        a, m = m, a
+        if a & m & 3 == 3:
+            t = -t
+        a %= m
+    return t if m == 1 else 0
+
+
+# A class of the quadratic table costs about 4 us (two gcds, a Jacobi symbol
+# per element, a state per target), a prime of a power column about 1.6 us
+# with its share of `_exponents` (2-vCPU host, Python 3.11).  For one element
+# at n = 2 the table path took 0.77, 0.61 and 0.48 of the power path's time
+# with 2 primes per class mod L (bounds 10^4, 10^5, 10^6), and 1.45, 1.29
+# and 1.15 with 1.
+_PRIMES_PER_CLASS = 2
+
+
+def _quadratic_columns(signed, elements, terms, n: int, modulus: int, primes) -> list[bytes]:
+    """`_residue_columns` when n | 2j for every element s**j, from one table
+    per target over the classes mod `modulus`, a multiple of 2n and of every
+    4|s|.
+
+    With g = gcd(n, p-1) and e = (p-1)/g, g divides 2j, so the exponent
+    j*e is 0 mod p-1 when g | j and (p-1)/2 otherwise: the column is 1 or
+    the Legendre symbol (s|p).  For odd m the Jacobi symbol (s|m) depends
+    only on m mod 4|s| (quadratic reciprocity), so (s|p) is (s|c) at
+    c = p mod `modulus`.  g depends only on p mod n, and the parity of e,
+    which gives the sign column (-1)^e, only on p mod 2n.  So every state
+    at a prime not dividing `modulus` is a function of its class c.  The few
+    primes that divide `modulus`, all of them <= it and among them every
+    prime dividing a target, take the scalar Euler criterion.
+    """
+    odd = [[i for i, k in row if k & 1] for row, _ in terms]
+    tables = [bytearray(modulus) for _ in terms]
+    for c in range(1, modulus, 2):
+        if gcd(c, modulus) != 1:
+            continue
+        g = gcd(n, c - 1)
+        minus = [j % g and _jacobi(s, c) < 0 for s, j in elements]
+        sign = (c - 1) // g & 1
+        for table, (_, flip), idx in zip(tables, terms, odd):
+            table[c] = 1 + ((flip and sign) + sum(minus[i] for i in idx)) % 2
+    # the cutoff leaves at least 4 primes, so `pick` gives a tuple
+    pick = itemgetter(*map(mod, primes, repeat(modulus)))
+    few = primes[: bisect_right(primes, modulus)]
+    bad = list(compress(range(len(few)), map(not_, map(mod, repeat(modulus), few))))
+    out = []
+    for table, t in zip(tables, signed):
+        col = bytearray(pick(table))
+        for k in bad:
+            p = few[k]
+            if t % p == 0:
+                col[k] = 0
+            else:
+                col[k] = 1 if _is_residue(t, 1, (p - 1) // gcd(n, p - 1), p) else 2
+        out.append(bytes(col))
+    return out
+
+
+def _residue_columns(qs, n: int, primes) -> list[bytes]:
     """The Euler criterion of `_is_residue` for every rational in qs at every
     prime at once: per target one byte per prime, 0 when p divides its
     numerator or denominator, 1 when it is an n-th power residue mod p, 2
-    when it is not.  `exps` are the e of `_exponents(n, primes)`.
+    when it is not.
 
     With m = max(n-1, 1), q = num/den has the character and the bad primes
     of T = num*den^m: n divides m+1, so T = q*den^(m+1) is a residue exactly
-    when q is.  T^e is a product of small powers of the columns
-    pow(s, j*e mod (p-1), p), one per element s**j of `_residue_base`,
-    shared by every target, times (-1)^e (read from the parity of e) when
-    the elements are a base of |T|.  Where j*e is a multiple of p-1 that
-    exponent is 0 and costs no power; there pow gives 1, so the primes
-    dividing s are set to 0 afterwards.  Every step maps a C function over
-    the primes, so no bytecode runs per prime.
+    when q is.  T^e, with e = (p-1) // gcd(n, p-1), is a product of small
+    powers of the columns pow(s, j*e mod (p-1), p), one per element s**j of
+    `_residue_base`, shared by every target, times (-1)^e (read from the
+    parity of e) when the elements are a base of |T|.  When n | 2j for every
+    element and the modulus of `_quadratic_columns` is small against the
+    number of primes, every column is 1 or a Legendre symbol, and the states
+    are read from a table over p mod that modulus instead.  Otherwise, where
+    j*e is a multiple of p-1 that exponent is 0 and costs no power; there
+    pow gives 1, so the primes dividing s are set to 0 afterwards.  Every
+    step maps a C function over the primes, so no bytecode runs per prime.
     """
     signed = [q.numerator * q.denominator ** max(n - 1, 1) for q in qs]
     elements, terms = _residue_base(signed)
+    if all(2 * j % n == 0 for _, j in elements):
+        modulus = lcm(2 * n, *(4 * abs(s) for s, _ in elements))
+        if modulus * _PRIMES_PER_CLASS <= len(primes):
+            return _quadratic_columns(signed, elements, terms, n, modulus, primes)
+    exps = _exponents(n, primes)
     uses = Counter(i for row, _ in terms for i, _ in row)
     reduced = {}
     cols = []
@@ -481,16 +561,6 @@ def nth_power_mod_p(q, n: int, p: int) -> bool:
     if q.numerator % p == 0 or q.denominator % p == 0:
         raise BadReduction(f"{q} does not reduce to a unit mod {p}")
     return _is_residue(q.numerator, q.denominator, (p - 1) // gcd(n, p - 1), p)
-
-
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a|p) for an odd prime p: 0, +1, or -1."""
-    _check_prime_arg(p)
-    if p == 2:
-        raise DegenerateInput("legendre symbol needs an odd prime")
-    if a % p == 0:
-        return 0
-    return 1 if pow(a % p, (p - 1) // 2, p) == 1 else -1
 
 
 def p_unit_residue(q, p: int, modulus: int) -> int:
@@ -575,7 +645,7 @@ def sieve(bound: int) -> PrimeSieve:
     """Primes up to `bound`: the one source of primes for every search and
     survey.  The largest sieve built or loaded so far is kept in memory."""
     global _sieve_cache
-    if bound < 0:
+    if _as_int(bound) < 0:
         raise DegenerateInput("bound must be >= 0")
     if _sieve_cache is None or _sieve_cache.bound < bound:
         _sieve_cache = PrimeSieve(bound=bound, primes=_eratosthenes(bound))

@@ -3,7 +3,10 @@ inclusion-exclusion bookkeeping for joint surveys, and the exact Chebotarev
 densities those counts tend to.
 
 Every count reads the state columns that one `arith._residue_columns` call
-gives for all of a survey's targets at once.
+gives for all of a survey's targets at once; at n | 2j for every element
+s**j of its base, that kernel reads them from a table over p mod L.  The
+predicted densities take the quadratic characters of 2 and of the primes
+dividing n from the same Jacobi symbol, `arith._jacobi`.
 """
 
 from __future__ import annotations
@@ -20,10 +23,9 @@ from .arith import (
     FactorizationBudgetExceeded,
     _as_int,
     _as_rat,
-    _exponents,
+    _jacobi,
     _residue_columns,
     factor,
-    legendre,
     sieve,
 )
 
@@ -47,7 +49,7 @@ def _targets(targets, n: int = 1) -> tuple[Fraction, ...]:
 def _columns(qs, n: int, prime_bound: int):
     """The primes <= prime_bound and the `_residue_columns` of qs over them."""
     primes = sieve(prime_bound).primes
-    return primes, _residue_columns(qs, n, _exponents(n, primes), primes)
+    return primes, _residue_columns(qs, n, primes)
 
 
 def _admissible_mask(cols) -> bytes:
@@ -80,17 +82,6 @@ def _hits_outside(counts: Counter, i: int, classes) -> bool:
     whose class mod 24 is not in `classes`: no such class holds a
     non-residue, and no class in `classes` holds a residue."""
     return not any(key[1 + i] == (1 if key[0] in classes else 2) for key in counts)
-
-
-def _nonresidue_bit(ell: int, a: int) -> int:
-    """1 when the prime ell is a quadratic non-residue modulo every prime
-    p = a (mod 8*ell): (2|p) by p mod 8, an odd ell by reciprocity."""
-    if ell == 2:
-        return int(a % 8 in (3, 5))
-    sign = legendre(a, ell)
-    if a % 4 == 3 and ell % 4 == 3:
-        sign = -sign
-    return int(sign == -1)
 
 
 def _span(gens, g: int, k: int) -> set:
@@ -145,7 +136,9 @@ def residue_pattern_densities(targets, n: int) -> dict | None:
         shift = [(a - 1) // 2 if q < 0 else 0 for q in qs]
         if g % 2 == 0:
             for ell in fixed:
-                if _nonresidue_bit(ell, a):
+                # (ell|p) is the Jacobi symbol (ell|a) at every prime
+                # p = a (mod M), as 4*ell divides M (quadratic reciprocity)
+                if _jacobi(ell, a) == -1:
                     shift = [s + e.get(ell, 0) for s, e in zip(shift, exps)]
         cosets[g, tuple(s % g for s in shift)] += 1
     spans = {}

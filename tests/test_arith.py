@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import parreg.arith as arith
 from parreg.arith import (
     DEFAULT_FACTOR_BUDGET,
     BadReduction,
@@ -22,15 +23,14 @@ from parreg.arith import (
     FactorizationBudgetExceeded,
     PrimeSieve,
     _eratosthenes,
-    _exponents,
     _is_residue,
+    _jacobi,
     _perfect_power,
     _residue_base,
     _residue_columns,
     factor,
     integer_nth_root,
     is_probable_prime,
-    legendre,
     load_or_build_sieve,
     load_sieve,
     nth_power_in_Q,
@@ -137,6 +137,13 @@ def test_probable_prime_known_large():
     m61 = 2**61 - 1
     assert is_probable_prime(m61)
     assert not is_probable_prime(m61 * (2**31 - 1))
+
+
+def test_probable_prime_refuses_a_float():
+    # 7.0 % 7 == 0 and 7.0 == 7 would pass it as the base 7
+    for p in (7.0, 2.0, 1e9 + 7):
+        with pytest.raises(DegenerateInput):
+            is_probable_prime(p)
 
 
 @given(st.integers(min_value=2, max_value=10**6))
@@ -261,14 +268,28 @@ def test_everything_is_power_mod_2():
         assert nth_power_mod_p(-5, n, 2) is True
 
 
-def test_legendre_matches_square_sets():
-    for p in naive_primes(60):
-        if p == 2:
-            continue
+def test_jacobi_matches_square_sets():
+    # at an odd prime the Jacobi symbol is the Legendre symbol: 0 on the
+    # multiples of p, else +1 exactly on the squares, which Euler's
+    # criterion also tells apart
+    for p in naive_primes(2000)[1:]:
         squares = residue_power_set(p, 2)
-        for a in range(1, p):
-            want = 1 if a in squares else -1
-            assert legendre(a, p) == want
+        for a in range(-300, 301):
+            want = 0 if a % p == 0 else 1 if a % p in squares else -1
+            assert _jacobi(a, p) == want, (a, p)
+            if want:
+                assert pow(a, (p - 1) // 2, p) == want % p
+
+
+def test_jacobi_is_multiplicative_in_m():
+    # (a|m*k) = (a|m)(a|k) for odd m and k, composite products included, and
+    # (a|1) = 1
+    odd = range(1, 80, 2)
+    for a in range(-40, 41):
+        assert _jacobi(a, 1) == 1
+        for m in odd:
+            for k in odd:
+                assert _jacobi(a, m * k) == _jacobi(a, m) * _jacobi(a, k), (a, m, k)
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +386,8 @@ def test_sieve_bound_errors():
     s = PrimeSieve(bound=10, primes=(2, 3, 5, 7))
     with pytest.raises(DegenerateInput):
         s.primes_upto(100)
+    with pytest.raises(DegenerateInput):
+        sieve(50.0)
 
 
 # ---------------------------------------------------------------------------
@@ -390,15 +413,40 @@ def _scalar_states(q, n, primes):
             yield 1 if _is_residue(num, den, (p - 1) // gcd(n, p - 1), p) else 2
 
 
-def _columns(qs, n, primes):
-    return _residue_columns(qs, n, _exponents(n, primes), primes)
+@st.composite
+def quadratic_cases(draw):
+    """Targets, n and a bound, where every element s**j of `_residue_base`
+    has n | 2j, the case of the quadratic table: anything at n <= 2, and
+    +-(a/b)**(n/2) at even n, whose base elements are all (n/2)-th powers.
+    The table path needs 2 primes per class mod L, so at these bounds it
+    takes L up to 2, 12, 84, 334 and 1131, and the draws fall on both sides
+    of that cutoff."""
+    n = draw(st.sampled_from((1, 2, 4, 6, 8, 12, 24)))
+    target = st.builds(
+        lambda sign, a, b: sign * Fraction(a, b) ** max(n // 2, 1),
+        st.sampled_from((1, -1)),
+        st.sampled_from((1, 2, 3, 4, 5, 6, 7, 9, 12, 49)),
+        st.sampled_from((1, 2, 3)),
+    )
+    bound = draw(st.sampled_from((12, 100, 1000, 5000, 20000)))
+    return draw(st.lists(target, min_size=1, max_size=3)), n, bound
 
 
-@given(target_lists, st.integers(1, 24), st.one_of(st.integers(2, 12), st.integers(2, 5000)))
-@settings(max_examples=200, deadline=None)
-def test_residue_column_matches_scalar_kernel(qs, n, bound):
+@given(
+    st.one_of(
+        st.tuples(
+            target_lists,
+            st.integers(1, 24),
+            st.one_of(st.integers(2, 12), st.integers(2, 5000)),
+        ),
+        quadratic_cases(),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_residue_column_matches_scalar_kernel(case):
+    qs, n, bound = case
     primes = sieve(bound).primes
-    cols = _columns(qs, n, primes)
+    cols = _residue_columns(qs, n, primes)
     assert len(cols) == len(qs)
     for q, col in zip(qs, cols):
         assert col == bytes(_scalar_states(q, n, primes)), (q, qs, n)
@@ -407,32 +455,65 @@ def test_residue_column_matches_scalar_kernel(qs, n, bound):
 def test_residue_column_fixed_cases():
     primes = sieve(30).primes  # 2 3 5 7 11 13 17 19 23 29
     # 2 is a square mod 7, 17, 23; p = 2 divides it
-    assert _columns([2], 2, primes) == [bytes((0, 2, 2, 1, 2, 2, 1, 2, 1, 2))]
+    assert _residue_columns([2], 2, primes) == [bytes((0, 2, 2, 1, 2, 2, 1, 2, 1, 2))]
     # -3/4 at n = 2: p = 2 divides the denominator, p = 3 the numerator
-    assert _columns([Fraction(-3, 4)], 2, primes) == [bytes((0, 0, 2, 1, 2, 1, 2, 1, 2, 2))]
+    assert _residue_columns([Fraction(-3, 4)], 2, primes) == [bytes((0, 0, 2, 1, 2, 1, 2, 1, 2, 2))]
     # every unit is a first power, and at p = 2 every unit is an n-th power
-    assert _columns([Fraction(35, 6)], 1, primes) == [bytes((0, 0, 0, 0, 1, 1, 1, 1, 1, 1))]
-    assert _columns([3], 24, primes)[0][:1] == b"\1"
+    assert _residue_columns([Fraction(35, 6)], 1, primes) == [bytes((0, 0, 0, 0, 1, 1, 1, 1, 1, 1))]
+    assert _residue_columns([3], 24, primes)[0][:1] == b"\1"
     # j*e = 0 mod p-1 at a prime dividing s, where pow(s, 0, p) is 1:
     # 9 = 3^2 at n = 4 and p = 3; 16 = 2^4 at n = 8 and p = 2;
     # 1/9 at n = 3, whose T = 1 * 9^2 = 3^4, at p = 3
     for q, n, p in ((9, 4, 3), (16, 8, 2), (Fraction(1, 9), 3, 3)):
-        (col,) = _columns([q], n, primes)
+        (col,) = _residue_columns([q], n, primes)
         assert col[primes.index(p)] == 0
         assert col == bytes(_scalar_states(Fraction(q), n, primes))
     # one coprime base {4 = 2^2, 9 = 3^2} for the four targets, with a sign column
     qs = [Fraction(v) for v in (4, -4, 9, 36)]
-    assert _columns(qs, 4, primes) == [bytes(_scalar_states(q, 4, primes)) for q in qs]
+    assert _residue_columns(qs, 4, primes) == [bytes(_scalar_states(q, 4, primes)) for q in qs]
     # targets past 2048 bits: 10^700 at n = 2, and 1/10^30 at n = 24, whose
     # T = 10^690 shares no element with 12
     for qs, n in (([10**700], 2), ([Fraction(1, 10**30), 12], 24), ([-(2**2049 + 1)], 6)):
         qs = [Fraction(q) for q in qs]
-        assert _columns(qs, n, primes) == [bytes(_scalar_states(q, n, primes)) for q in qs]
+        assert _residue_columns(qs, n, primes) == [bytes(_scalar_states(q, n, primes)) for q in qs]
     # +-1 need no element: 1 is a residue everywhere, -1 by the parity of e
-    assert _columns([1, -1], 2, primes) == [
+    assert _residue_columns([1, -1], 2, primes) == [
         b"\1" * 10,
         bytes((1, 2, 1, 2, 2, 1, 1, 2, 2, 1)),
     ]
+
+
+def test_quadratic_table_fixed_cases(monkeypatch):
+    # 168 primes, so the table path takes a modulus L up to 84
+    primes = sieve(1000).primes
+    moduli = []
+    table = arith._quadratic_columns
+
+    def counted(signed, elements, terms, n, modulus, primes):
+        moduli.append(modulus)
+        return table(signed, elements, terms, n, modulus, primes)
+
+    monkeypatch.setattr(arith, "_quadratic_columns", counted)
+    cases = [
+        ([3], 2),  # p = 2 divides L = 12 but not the odd T
+        ([8], 6),  # p = 3 divides L = 24 but not T = 8 = 2^3
+        ([64], 12),  # p = 3 divides L = 24 but not T = 2^6
+        ([9], 4),  # p = 3 divides s = 3
+        ([16], 8),  # p = 2 divides s = 2
+        ([4096], 24),
+        ([4, -4, 9, 36], 4),
+        ([Fraction(-5, 3)], 2),  # T = -15, its own element
+        ([1, -1], 2),  # no element: -1 is the sign column alone
+        ([19], 2),  # L = 76, just under the cutoff
+        ([23], 2),  # L = 92, past it: the power columns
+    ]
+    for qs, n in cases:
+        qs = [Fraction(q) for q in qs]
+        assert _residue_columns(qs, n, primes) == [bytes(_scalar_states(q, n, primes)) for q in qs]
+    assert moduli == [12, 24, 24, 24, 16, 48, 24, 60, 4, 76]
+    assert _residue_columns([Fraction(3)], 2, primes)[0][:2] == b"\1\0"
+    assert _residue_columns([Fraction(8)], 6, primes)[0][:2] == b"\0\2"
+    assert _residue_columns([Fraction(64)], 12, primes)[0][:2] == b"\0\1"
 
 
 def test_perfect_power_matches_every_root():

@@ -723,8 +723,10 @@ def test_reproduce_matches_fixture():
 
 def test_reproduction_table_builds_each_column_once(monkeypatch):
     # one kernel call for 16 at n = 8, one for 4, -4, 9 and 36 at n = 4; their
-    # power columns are 2^4, then the coprime base {2^2, 3^2}
-    built = {"kernel": 0, "exponents": 0}
+    # elements are 2^4, then the coprime base {2^2, 3^2}, each with n | 2j, so
+    # both read their states from a table, with no exponent column and no
+    # power column
+    built = {"kernel": 0, "exponents": 0, "table": 0}
     elements = []
 
     def counted(name, fn):
@@ -742,9 +744,10 @@ def test_reproduction_table_builds_each_column_once(monkeypatch):
     residue_base = arith._residue_base
     monkeypatch.setattr(arith, "_residue_base", based)
     monkeypatch.setattr(density, "_residue_columns", counted("kernel", density._residue_columns))
-    monkeypatch.setattr(density, "_exponents", counted("exponents", density._exponents))
+    monkeypatch.setattr(arith, "_exponents", counted("exponents", arith._exponents))
+    monkeypatch.setattr(arith, "_quadratic_columns", counted("table", arith._quadratic_columns))
     cli.reproduction_table(RunConfig())
-    assert built == {"kernel": 2, "exponents": 2}
+    assert built == {"kernel": 2, "exponents": 0, "table": 2}
     assert elements == [[(2, 4)], [(2, 2), (3, 2)]]
 
 

@@ -91,6 +91,8 @@ def test_color_rejects_zero_and_nonprime():
         color_of(0, ValuationColoring(7))
     with pytest.raises(DegenerateInput):
         ValuationColoring(10)
+    with pytest.raises(DegenerateInput):
+        ValuationColoring(7.0)
 
 
 def test_multiplicativity_random_pairs():

@@ -296,6 +296,22 @@ def test_every_entry_point_refuses_a_float_exponent(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: survey(2, 2, 50.0),
+        lambda: joint_survey([2, 3], 2, 50.0),
+        lambda: admissible_primes(2, 50.0),
+        lambda: hit_primes(2, 2, 50.0),
+        lambda: write_csv(io.StringIO(), [2, 3], 2, 50.0),
+    ],
+    ids=["survey", "joint_survey", "admissible_primes", "hit_primes", "write_csv"],
+)
+def test_every_entry_point_refuses_a_float_bound(call):
+    with pytest.raises(DegenerateInput):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # predicted densities
 

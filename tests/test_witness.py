@@ -127,6 +127,13 @@ def test_system_witness_refuses_inexact_rows():
         find_system_witness(((2.5, 3, 1), (4, 1, 1)), 2)
 
 
+def test_witness_searches_refuse_a_float_bound():
+    with pytest.raises(DegenerateInput):
+        find_witness_prime([2, 3], 2, search_bound=100.0)
+    with pytest.raises(DegenerateInput):
+        find_system_witness(((2, 3, 1), (4, 1, 1)), 2, search_bound=100.0)
+
+
 def test_witness_searches_refuse_a_float_exponent():
     with pytest.raises(DegenerateInput):
         find_witness_prime([2, 3], 2.0, search_bound=100)

@@ -2,12 +2,14 @@
 p-adic power tests, and a prime sieve with a binary disk cache.
 
 Power residues have one scalar kernel, `_is_residue`, for early-exit scans,
-and one column kernel, `_residue_columns`, for every survey of a whole range:
-it shares a power column per element of a coprime base of the targets and
-reduces the exponents of perfect powers mod p-1.  When every element s**j
-has n | 2j, each column is 1 or a Legendre symbol (s|p), which quadratic
-reciprocity makes a function of p mod 4|s|, so the states are read from a
-table over p mod L and no power is taken per prime.
+and one kernel for every survey of a whole range, read out as per-prime
+columns (`_residue_columns`) or as counts (`_residue_counts`): it shares a
+power column per element of a coprime base of the targets and reduces the
+exponents of perfect powers mod p-1.  When every element s**j has n | 2j,
+each column is 1 or a Legendre symbol (s|p), which quadratic reciprocity
+makes a function of p mod 4|s|, so the states are read from a table over
+p mod L and no power is taken per prime; the counts then need only the
+number of primes in each class mod lcm(L, 24).
 
 All rational values are `fractions.Fraction`; nothing in this module falls
 back to floating point (a float only proposes a root that is checked exactly).
@@ -380,7 +382,9 @@ def _perfect_power(b: int) -> tuple[int, int]:
 _MAPS_PER_COLUMN = 8
 
 
-def _residue_base(values) -> tuple[list[tuple[int, int]], list[tuple[tuple, bool]]]:
+def _residue_base(
+    values, n: int, count: int
+) -> tuple[list[tuple[int, int]], list[tuple[tuple, bool]]]:
     """The power columns `_residue_columns` builds for nonzero integers:
     elements (s, j), and per value its terms ((element index, k), ...) and
     whether it is minus their product, value = +-prod((s**j)**k).
@@ -388,7 +392,10 @@ def _residue_base(values) -> tuple[list[tuple[int, int]], list[tuple[tuple, bool
     The elements are a coprime base of the |values| when its columns and
     the maps that combine them cost less than columns of the distinct values
     other than 1 themselves, and those signed values otherwise; each is
-    written s**j with j maximal."""
+    written s**j with j maximal.  The base, with a sign column, is also
+    taken when the signed values miss the quadratic table at n over `count`
+    primes and the base meets it (`_table_modulus`): -4 at n = 4 is (-4)**1
+    as its own element, which fails n | 2j, but -(2**2) over the base."""
     own = sorted({v for v in values if v != 1})
     base = _coprime_base([abs(v) for v in own])
     terms = []
@@ -406,10 +413,14 @@ def _residue_base(values) -> tuple[list[tuple[int, int]], list[tuple[tuple, bool
     maps = sum(
         sum(k > 1 for _, k in row) + max(len(row) + flip - 1, 0) for row, flip in terms
     )
-    if _MAPS_PER_COLUMN * len(base) + maps >= _MAPS_PER_COLUMN * len(own):
-        base = own
-        terms = [(((own.index(v), 1),) if v != 1 else (), False) for v in values]
-    return [_perfect_power(b) for b in base], terms
+    if _MAPS_PER_COLUMN * len(base) + maps < _MAPS_PER_COLUMN * len(own):
+        return [_perfect_power(b) for b in base], terms
+    elements = [_perfect_power(v) for v in own]
+    if base != own and not _table_modulus(elements, n, count):
+        shared = [_perfect_power(b) for b in base]
+        if _table_modulus(shared, n, count):
+            return shared, terms
+    return elements, [(((own.index(v), 1),) if v != 1 else (), False) for v in values]
 
 
 def _jacobi(a: int, m: int) -> int:
@@ -438,10 +449,21 @@ def _jacobi(a: int, m: int) -> int:
 _PRIMES_PER_CLASS = 2
 
 
-def _quadratic_columns(signed, elements, terms, n: int, modulus: int, primes) -> list[bytes]:
-    """`_residue_columns` when n | 2j for every element s**j, from one table
-    per target over the classes mod `modulus`, a multiple of 2n and of every
-    4|s|.
+def _table_modulus(elements, n: int, count: int) -> int:
+    """The modulus L = lcm(2n, 4|s| over the elements) of the quadratic
+    table, when n | 2j for every element s**j and `count` primes give at
+    least `_PRIMES_PER_CLASS` per class mod L; 0 when the power columns run."""
+    if all(2 * j % n == 0 for _, j in elements):
+        modulus = lcm(2 * n, *(4 * abs(s) for s, _ in elements))
+        if modulus * _PRIMES_PER_CLASS <= count:
+            return modulus
+    return 0
+
+
+def _quadratic_tables(elements, terms, n: int, modulus: int) -> list[bytearray]:
+    """Per target its state at every class c mod `modulus` coprime to it (0
+    at the other classes), when n | 2j for every element s**j and
+    `modulus` is a multiple of 2n and of every 4|s|.
 
     With g = gcd(n, p-1) and e = (p-1)/g, g divides 2j, so the exponent
     j*e is 0 mod p-1 when g | j and (p-1)/2 otherwise: the column is 1 or
@@ -449,9 +471,7 @@ def _quadratic_columns(signed, elements, terms, n: int, modulus: int, primes) ->
     only on m mod 4|s| (quadratic reciprocity), so (s|p) is (s|c) at
     c = p mod `modulus`.  g depends only on p mod n, and the parity of e,
     which gives the sign column (-1)^e, only on p mod 2n.  So every state
-    at a prime not dividing `modulus` is a function of its class c.  The few
-    primes that divide `modulus`, all of them <= it and among them every
-    prime dividing a target, take the scalar Euler criterion.
+    at a prime not dividing `modulus` is the table's at its class c.
     """
     odd = [[i for i, k in row if k & 1] for row, _ in terms]
     tables = [bytearray(modulus) for _ in terms]
@@ -463,48 +483,54 @@ def _quadratic_columns(signed, elements, terms, n: int, modulus: int, primes) ->
         sign = (c - 1) // g & 1
         for table, (_, flip), idx in zip(tables, terms, odd):
             table[c] = 1 + ((flip and sign) + sum(minus[i] for i in idx)) % 2
+    return tables
+
+
+def _dividing_states(signed, n: int, modulus: int, primes):
+    """(k, states of the targets) at each primes[k] dividing `modulus`, which
+    the tables leave out: all of them <= `modulus`, and among them every
+    prime dividing a target, which takes state 0.  The others take the
+    scalar Euler criterion."""
+    few = primes[: bisect_right(primes, modulus)]
+    for k in compress(range(len(few)), map(not_, map(mod, repeat(modulus), few))):
+        p = few[k]
+        e = (p - 1) // gcd(n, p - 1)
+        yield k, [0 if t % p == 0 else 1 if _is_residue(t, 1, e, p) else 2 for t in signed]
+
+
+def _table_columns(tables, signed, n: int, modulus: int, primes) -> list[bytes]:
+    """The columns of `_residue_columns` read from `_quadratic_tables` at
+    p mod `modulus`."""
     # the cutoff leaves at least 4 primes, so `pick` gives a tuple
     pick = itemgetter(*map(mod, primes, repeat(modulus)))
-    few = primes[: bisect_right(primes, modulus)]
-    bad = list(compress(range(len(few)), map(not_, map(mod, repeat(modulus), few))))
-    out = []
-    for table, t in zip(tables, signed):
-        col = bytearray(pick(table))
-        for k in bad:
-            p = few[k]
-            if t % p == 0:
-                col[k] = 0
-            else:
-                col[k] = 1 if _is_residue(t, 1, (p - 1) // gcd(n, p - 1), p) else 2
-        out.append(bytes(col))
-    return out
+    cols = [bytearray(pick(table)) for table in tables]
+    for k, states in _dividing_states(signed, n, modulus, primes):
+        for col, state in zip(cols, states):
+            col[k] = state
+    return list(map(bytes, cols))
 
 
-def _residue_columns(qs, n: int, primes) -> list[bytes]:
-    """The Euler criterion of `_is_residue` for every rational in qs at every
-    prime at once: per target one byte per prime, 0 when p divides its
-    numerator or denominator, 1 when it is an n-th power residue mod p, 2
-    when it is not.
+def _table_counts(tables, signed, n: int, modulus: int, primes) -> Counter:
+    """The counts of `_residue_counts` from `_quadratic_tables`: one count of
+    the primes per class c mod lcm(modulus, 24), each folded through the
+    tables at c mod `modulus` under the key (c mod 24, states...), and the
+    primes dividing `modulus` one by one."""
+    classes = Counter(map(mod, primes, repeat(lcm(modulus, 24))))
+    at = list(map(mod, classes, repeat(modulus)))
+    keys = zip(map(mod, classes, repeat(24)), *(map(t.__getitem__, at) for t in tables))
+    counts = Counter()
+    for key, count in zip(keys, classes.values()):
+        # a class that is no unit mod `modulus` holds one prime dividing it
+        if key[1]:
+            counts[key] += count
+    for k, states in _dividing_states(signed, n, modulus, primes):
+        counts[(primes[k] % 24, *states)] += 1
+    return counts
 
-    With m = max(n-1, 1), q = num/den has the character and the bad primes
-    of T = num*den^m: n divides m+1, so T = q*den^(m+1) is a residue exactly
-    when q is.  T^e, with e = (p-1) // gcd(n, p-1), is a product of small
-    powers of the columns pow(s, j*e mod (p-1), p), one per element s**j of
-    `_residue_base`, shared by every target, times (-1)^e (read from the
-    parity of e) when the elements are a base of |T|.  When n | 2j for every
-    element and the modulus of `_quadratic_columns` is small against the
-    number of primes, every column is 1 or a Legendre symbol, and the states
-    are read from a table over p mod that modulus instead.  Otherwise, where
-    j*e is a multiple of p-1 that exponent is 0 and costs no power; there
-    pow gives 1, so the primes dividing s are set to 0 afterwards.  Every
-    step maps a C function over the primes, so no bytecode runs per prime.
-    """
-    signed = [q.numerator * q.denominator ** max(n - 1, 1) for q in qs]
-    elements, terms = _residue_base(signed)
-    if all(2 * j % n == 0 for _, j in elements):
-        modulus = lcm(2 * n, *(4 * abs(s) for s, _ in elements))
-        if modulus * _PRIMES_PER_CLASS <= len(primes):
-            return _quadratic_columns(signed, elements, terms, n, modulus, primes)
+
+def _power_columns(elements, terms, n: int, primes) -> list[bytes]:
+    """`_residue_columns` off the quadratic table, from a power column
+    pow(s, j*e mod (p-1), p) per element s**j."""
     exps = _exponents(n, primes)
     uses = Counter(i for row, _ in terms for i, _ in row)
     reduced = {}
@@ -547,6 +573,66 @@ def _residue_columns(qs, n: int, primes) -> list[bytes]:
                 values = map(mod, values, primes)
         out.append(bytes(map(int.bit_length, values)).translate(_STATES))
     return out
+
+
+def _residue_plan(qs, n: int, primes):
+    """The T values of qs, the elements and terms of `_residue_base`, and
+    the `_table_modulus`, which is 0 off the quadratic table."""
+    signed = [q.numerator * q.denominator ** max(n - 1, 1) for q in qs]
+    elements, terms = _residue_base(signed, n, len(primes))
+    return signed, elements, terms, _table_modulus(elements, n, len(primes))
+
+
+def _residue_columns(qs, n: int, primes) -> list[bytes]:
+    """The Euler criterion of `_is_residue` for every rational in qs at every
+    prime at once: per target one byte per prime, 0 when p divides its
+    numerator or denominator, 1 when it is an n-th power residue mod p, 2
+    when it is not.
+
+    With m = max(n-1, 1), q = num/den has the character and the bad primes
+    of T = num*den^m: n divides m+1, so T = q*den^(m+1) is a residue exactly
+    when q is.  T^e, with e = (p-1) // gcd(n, p-1), is a product of small
+    powers of the columns pow(s, j*e mod (p-1), p), one per element s**j of
+    `_residue_base`, shared by every target, times (-1)^e (read from the
+    parity of e) when the elements are a base of |T|.  When n | 2j for every
+    element and the `_table_modulus` L is small against the number of
+    primes, every column is 1 or a Legendre symbol, and the states are read
+    from `_quadratic_tables` at p mod L instead.  Otherwise, where j*e is a
+    multiple of p-1 that exponent is 0 and costs no power; there pow gives
+    1, so the primes dividing s are set to 0 afterwards.  Every step maps a
+    C function over the primes, so no bytecode runs per prime.
+    """
+    signed, elements, terms, modulus = _residue_plan(qs, n, primes)
+    if not modulus:
+        return _power_columns(elements, terms, n, primes)
+    tables = _quadratic_tables(elements, terms, n, modulus)
+    return _table_columns(tables, signed, n, modulus, primes)
+
+
+def _residue_counts(qs, n: int, primes) -> Counter:
+    """How many primes show each key (p mod 24, state of qs[0], state of
+    qs[1], ...), with the states of `_residue_columns`.
+
+    On the quadratic table the state at a prime not dividing L is a
+    function of p mod L, so the primes are counted per class mod
+    lcm(L, 24) and each class is looked up once (`_table_counts`), with
+    no column per prime.  Off the table the columns are zipped and counted.
+    """
+    signed, elements, terms, modulus = _residue_plan(qs, n, primes)
+    if not modulus:
+        cols = _power_columns(elements, terms, n, primes)
+    else:
+        tables = _quadratic_tables(elements, terms, n, modulus)
+        # Counting the classes costs about 0.12 us a prime and folding them
+        # about 0.5 us a class that occurs; zipping the columns about 0.25 us
+        # a prime (2-vCPU host, Python 3.11).  For one target at 10^5 the
+        # fold took 0.48 of the zip's time at lcm(L, 24)/N = 0.09, 0.87 at
+        # 0.37, 1.0 at 0.6 and 1.3-2.0 from 0.77 to 2, so it takes the
+        # table's own cutoff, on lcm(L, 24).
+        if lcm(modulus, 24) * _PRIMES_PER_CLASS <= len(primes):
+            return _table_counts(tables, signed, n, modulus, primes)
+        cols = _table_columns(tables, signed, n, modulus, primes)
+    return Counter(zip(map(mod, primes, repeat(24)), *cols))
 
 
 def nth_power_mod_p(q, n: int, p: int) -> bool:

@@ -14,7 +14,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
@@ -759,9 +759,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Building the parser costs 1.5-2 ms (2-vCPU host), about a fifth of an
+# in-process `reproduce`, so `main` builds it once per process.  `set_defaults` binds
+# each cmd_* function when the parser is built: patch what a command reads
+# when it runs (`reproduction_table`, `_fixture`), not cli.cmd_* itself.
+_parser = cache(build_parser)
+
+
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

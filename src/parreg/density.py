@@ -2,11 +2,14 @@
 inclusion-exclusion bookkeeping for joint surveys, and the exact Chebotarev
 densities those counts tend to.
 
-Every count reads the state columns that one `arith._residue_columns` call
-gives for all of a survey's targets at once; at n | 2j for every element
-s**j of its base, that kernel reads them from a table over p mod L.  The
-predicted densities take the quadratic characters of 2 and of the primes
-dividing n from the same Jacobi symbol, `arith._jacobi`.
+Every survey reads the states that one residue kernel call gives for all of
+its targets at once: per-prime columns (`arith._residue_columns`) for the
+prime lists and the CSV, counts per (p mod 24, states) (`arith._residue_counts`)
+for the surveys.  At n | 2j for every element s**j of the targets' base the
+states are a table over p mod L, and the counts come from the number of
+primes in each class mod lcm(L, 24).  The predicted densities take the
+quadratic characters of 2 and of the primes dividing n from the same Jacobi
+symbol, `arith._jacobi`, and factor no target.
 """
 
 from __future__ import annotations
@@ -20,13 +23,15 @@ from operator import mod
 
 from .arith import (
     DegenerateInput,
-    FactorizationBudgetExceeded,
     _as_int,
     _as_rat,
+    _coprime_base,
     _jacobi,
     _residue_columns,
-    factor,
+    _residue_counts,
+    integer_nth_root,
     sieve,
+    valuation,
 )
 
 # residue_pattern_densities enumerates subgroups of (Z/g)^k with g | n
@@ -60,9 +65,10 @@ def _admissible_mask(cols) -> bytes:
 def _pass(qs, n: int, prime_bound: int) -> Counter:
     """One counted pass over the primes <= prime_bound, as
     {(p mod 24, state of qs[0], state of qs[1], ...): count} with the states
-    of `_residue_columns`.  Every survey of a subset of qs projects from it."""
-    primes, cols = _columns(qs, n, prime_bound)
-    return Counter(zip(map(mod, primes, repeat(24)), *cols))
+    of `_residue_columns`, from `_residue_counts`: on the quadratic table it
+    counts classes of p, not a column per prime.  Every survey of a subset
+    of qs projects from it."""
+    return _residue_counts(qs, n, sieve(prime_bound).primes)
 
 
 def _patterns(counts: Counter, idx) -> Counter:
@@ -114,20 +120,40 @@ def residue_pattern_densities(targets, n: int) -> dict | None:
     prime's class is uniform and independent, so the target classes are
     uniform on a coset of (Z/g)^k, averaged over the phi(M) classes a.
 
-    None when n > MAX_PREDICTED_N, with more than MAX_PREDICTED_TARGETS
-    targets, or when factoring a target exceeds the default budget.
+    Only the primes dividing 2n are found, by trial division.  The rest of
+    the targets is split over a coprime base without factoring: the primes
+    of one element b = s**j, with j maximal, have exponents whose gcd is j,
+    so together they generate the multiples of j times the exponents of b
+    in the targets, and mod g the multiples of gcd(j, n) times them.
+
+    None when n > MAX_PREDICTED_N or with more than MAX_PREDICTED_TARGETS
+    targets.
     """
     qs = _targets(targets, n)
     if n > MAX_PREDICTED_N or len(qs) > MAX_PREDICTED_TARGETS:
         return None
-    try:
-        exps = [factor(q).exponents for q in qs]
-    except FactorizationBudgetExceeded:
-        return None
     k = len(qs)
-    primes = sorted(set().union(*exps))
     # the primes whose quadratic character p mod M decides: 2 and those dividing n
-    fixed = [ell for ell in primes if 2 * n % ell == 0]
+    fixed = [ell for ell in sieve(2 * n).primes if 2 * n % ell == 0]
+    exps, rests = [], []
+    for q in qs:
+        e, rest = {}, []
+        for part, sign in ((abs(q.numerator), 1), (q.denominator, -1)):
+            for ell in fixed:
+                while part % ell == 0:
+                    part //= ell
+                    e[ell] = e.get(ell, 0) + sign
+            rest.append(part)
+        exps.append(e)
+        rests.append(Fraction(*rest))
+    free = []
+    for b in _coprime_base([part for r in rests for part in (r.numerator, r.denominator)]):
+        # b = s**j with j maximal; as g | n, only gcd(j, n) counts
+        s, j = b, 1
+        for ell in fixed:
+            while n % (j * ell) == 0 and (root := integer_nth_root(s, ell)) ** ell == s:
+                s, j = root, j * ell
+        free.append([j * valuation(r, b) for r in rests])
     modulus = lcm(8, 2 * n)
     units = [a for a in range(1, modulus) if gcd(a, modulus) == 1]
     cosets = Counter()
@@ -145,12 +171,9 @@ def residue_pattern_densities(targets, n: int) -> dict | None:
     densities = Counter()
     for (g, shift), weight in cosets.items():
         if g not in spans:
-            double = g % 2 == 0
-            gens = (
-                [e.get(ell, 0) * (2 if double and ell in fixed else 1) for e in exps]
-                for ell in primes
-            )
-            spans[g] = _span(gens, g, k)
+            double = 2 if g % 2 == 0 else 1
+            gens = [[e.get(ell, 0) * double for e in exps] for ell in fixed]
+            spans[g] = _span(gens + free, g, k)
         span = spans[g]
         tally = Counter(
             tuple((s + h) % g == 0 for s, h in zip(shift, x)) for x in span

@@ -6,6 +6,7 @@ never from the functions under test.
 """
 
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, prod
@@ -42,6 +43,7 @@ from parreg.arith import (
     sieve,
     valuation,
 )
+from parreg.density import _pass
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -487,13 +489,13 @@ def test_quadratic_table_fixed_cases(monkeypatch):
     # 168 primes, so the table path takes a modulus L up to 84
     primes = sieve(1000).primes
     moduli = []
-    table = arith._quadratic_columns
+    table = arith._quadratic_tables
 
-    def counted(signed, elements, terms, n, modulus, primes):
+    def counted(elements, terms, n, modulus):
         moduli.append(modulus)
-        return table(signed, elements, terms, n, modulus, primes)
+        return table(elements, terms, n, modulus)
 
-    monkeypatch.setattr(arith, "_quadratic_columns", counted)
+    monkeypatch.setattr(arith, "_quadratic_tables", counted)
     cases = [
         ([3], 2),  # p = 2 divides L = 12 but not the odd T
         ([8], 6),  # p = 3 divides L = 24 but not T = 8 = 2^3
@@ -514,6 +516,87 @@ def test_quadratic_table_fixed_cases(monkeypatch):
     assert _residue_columns([Fraction(3)], 2, primes)[0][:2] == b"\1\0"
     assert _residue_columns([Fraction(8)], 6, primes)[0][:2] == b"\0\2"
     assert _residue_columns([Fraction(64)], 12, primes)[0][:2] == b"\0\1"
+
+
+def _scalar_counts(qs, n, bound):
+    """{(p mod 24, states...): count} from the scalar Euler criterion."""
+    primes = sieve(bound).primes
+    states = [_scalar_states(Fraction(q), n, primes) for q in qs]
+    return Counter(zip(map(mod, primes, repeat(24)), *states))
+
+
+@given(quadratic_cases())
+@settings(max_examples=200, deadline=None)
+def test_pass_counts_match_zipped_columns(case):
+    # the class counts of the table path, the zip of its columns past the
+    # fold's cutoff, and the power path all equal the zipped columns, which
+    # match the scalar kernel
+    qs, n, bound = case
+    primes = sieve(bound).primes
+    cols = _residue_columns(qs, n, primes)
+    assert _pass(tuple(qs), n, bound) == Counter(zip(map(mod, primes, repeat(24)), *cols))
+
+
+@pytest.fixture
+def folds(monkeypatch):
+    """The moduli L of the passes that count classes mod lcm(L, 24)."""
+    seen = []
+    fold = arith._table_counts
+
+    def counted(tables, signed, n, modulus, primes):
+        seen.append(modulus)
+        return fold(tables, signed, n, modulus, primes)
+
+    monkeypatch.setattr(arith, "_table_counts", counted)
+    return seen
+
+
+def test_pass_counts_fixed_cases(folds):
+    # 16 at n = 8: L = 16 and lcm(L, 24) = 48, where p = 3 is alone in its
+    # class but a unit mod L, so it is read from the table like any other
+    counts = _pass((Fraction(16),), 8, 10**5)
+    assert counts == _scalar_counts([16], 8, 10**5)
+    assert counts[(3, 1)] == 1
+    # primes dividing L but not T: p = 2 for 3 at n = 2 (L = 12), p = 3 for
+    # 8 at n = 6 (L = 24)
+    counts = _pass((Fraction(3),), 2, 1000)
+    assert counts == _scalar_counts([3], 2, 1000) and counts[(2, 1)] == 1
+    counts = _pass((Fraction(8),), 6, 1000)
+    assert counts == _scalar_counts([8], 6, 1000) and counts[(3, 2)] == 1
+    assert folds == [16, 12, 24]
+    # a few primes per class: 16 at n = 8 counts 48 classes from 96 primes
+    # (bound 503), and zips its columns from 95 (bound 502)
+    folds.clear()
+    for bound in (503, 502):
+        assert _pass((Fraction(16),), 8, bound) == _scalar_counts([16], 8, bound)
+    assert folds == [16]
+    qs = (Fraction(4), Fraction(-4), Fraction(9), Fraction(36))
+    assert _pass(qs, 4, 227) == _scalar_counts(qs, 4, 227)
+
+
+def test_lone_negative_target_takes_the_quadratic_table(monkeypatch, folds):
+    # -4 alone is (-4)**1 as its own element, which fails n | 2j at n = 4;
+    # the base {2**2} with a sign column meets it
+    moduli = []
+    table = arith._quadratic_tables
+
+    def counted(elements, terms, n, modulus):
+        moduli.append(modulus)
+        return table(elements, terms, n, modulus)
+
+    monkeypatch.setattr(arith, "_quadratic_tables", counted)
+    primes = sieve(10**4).primes
+    cases = [(-4, 4), (-9, 4), (-(2**6), 12), (-16, 8)]
+    for q, n in cases:
+        q = Fraction(q)
+        assert _residue_columns([q], n, primes) == [bytes(_scalar_states(q, n, primes))]
+        assert _pass((q,), n, 10**4) == _scalar_counts([q], n, 10**4)
+    assert moduli == [8, 8, 24, 24, 24, 24, 16, 16]
+    assert folds == [8, 24, 24, 16]
+    assert _residue_base([-4], 4, len(primes)) == ([(2, 2)], [(((0, 1),), True)])
+    # off the table either way, the signed value stays its own element
+    assert _residue_base([-4], 3, len(primes)) == ([(-4, 1)], [(((0, 1),), False)])
+    assert _residue_base([-7], 4, len(primes)) == ([(-7, 1)], [(((0, 1),), False)])
 
 
 def test_perfect_power_matches_every_root():
@@ -544,26 +627,28 @@ def test_perfect_power_matches_every_root():
 
 
 def test_residue_base_shares_perfect_powers():
+    # with no primes to count no set meets the quadratic table, so the cost
+    # of the columns alone picks the elements
     # the coprime base {4, 9} beats the three distinct |T|; 16 = 2^4
-    assert _residue_base([4, -4, 9, 36]) == (
+    assert _residue_base([4, -4, 9, 36], 1, 0) == (
         [(2, 2), (3, 2)],
         [(((0, 1),), False), (((0, 1),), True), (((1, 1),), False), (((0, 1), (1, 1)), False)],
     )
-    assert _residue_base([16]) == ([(2, 4)], [(((0, 1),), False)])
+    assert _residue_base([16], 1, 0) == ([(2, 4)], [(((0, 1),), False)])
     # {2, 3, 5} saves no column over 6, 10 and 15 themselves
-    assert _residue_base([6, 10, 15]) == (
+    assert _residue_base([6, 10, 15], 1, 0) == (
         [(6, 1), (10, 1), (15, 1)],
         [(((0, 1),), False), (((1, 1),), False), (((2, 1),), False)],
     )
     # {2, 3} saves a column over 6, 12 and 18 for 5 combining maps, but not
     # over 2^5*3^3, 2^3*3^5 and 2^7*3^2, which take 9
-    assert _residue_base([6, 12, 18])[0] == [(2, 1), (3, 1)]
-    assert _residue_base([2**5 * 3**3, 2**3 * 3**5, 2**7 * 3**2])[0] == [
+    assert _residue_base([6, 12, 18], 1, 0)[0] == [(2, 1), (3, 1)]
+    assert _residue_base([2**5 * 3**3, 2**3 * 3**5, 2**7 * 3**2], 1, 0)[0] == [
         (864, 1),
         (1152, 1),
         (1944, 1),
     ]
     # a negative value of its own keeps its sign in an odd power
-    assert _residue_base([-64, 3]) == ([(-4, 3), (3, 1)], [(((0, 1),), False), (((1, 1),), False)])
+    assert _residue_base([-64, 3], 1, 0) == ([(-4, 3), (3, 1)], [(((0, 1),), False), (((1, 1),), False)])
     # with no element at all, -1 is the sign column alone
-    assert _residue_base([1, -1]) == ([], [((), False), ((), True)])
+    assert _residue_base([1, -1], 1, 0) == ([], [((), False), ((), True)])

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 import parreg.arith as arith
 import parreg.cli as cli
-import parreg.density as density
 from parreg.arith import load_sieve, save_sieve
 from parreg.classify import (
     Certificate,
@@ -722,11 +721,11 @@ def test_reproduce_matches_fixture():
 
 
 def test_reproduction_table_builds_each_column_once(monkeypatch):
-    # one kernel call for 16 at n = 8, one for 4, -4, 9 and 36 at n = 4; their
-    # elements are 2^4, then the coprime base {2^2, 3^2}, each with n | 2j, so
-    # both read their states from a table, with no exponent column and no
-    # power column
-    built = {"kernel": 0, "exponents": 0, "table": 0}
+    # one pass for 16 at n = 8, one for 4, -4, 9 and 36 at n = 4; their
+    # elements are 2^4, then the coprime base {2^2, 3^2}, each with n | 2j,
+    # so both build one table and count classes of p, with no column per
+    # prime
+    built = {"table": 0, "fold": 0, "table columns": 0, "power columns": 0}
     elements = []
 
     def counted(name, fn):
@@ -736,19 +735,43 @@ def test_reproduction_table_builds_each_column_once(monkeypatch):
 
         return wrapper
 
-    def based(values):
-        base = residue_base(values)
+    def based(*args):
+        base = residue_base(*args)
         elements.append(base[0])
         return base
 
     residue_base = arith._residue_base
     monkeypatch.setattr(arith, "_residue_base", based)
-    monkeypatch.setattr(density, "_residue_columns", counted("kernel", density._residue_columns))
-    monkeypatch.setattr(arith, "_exponents", counted("exponents", arith._exponents))
-    monkeypatch.setattr(arith, "_quadratic_columns", counted("table", arith._quadratic_columns))
+    for name, fn in (
+        ("table", "_quadratic_tables"),
+        ("fold", "_table_counts"),
+        ("table columns", "_table_columns"),
+        ("power columns", "_power_columns"),
+    ):
+        monkeypatch.setattr(arith, fn, counted(name, getattr(arith, fn)))
     cli.reproduction_table(RunConfig())
-    assert built == {"kernel": 2, "exponents": 0, "table": 2}
+    assert built == {"table": 2, "fold": 2, "table columns": 0, "power columns": 0}
     assert elements == [[(2, 4)], [(2, 2), (3, 2)]]
+
+
+def test_main_builds_one_parser(monkeypatch, capsys):
+    # a run of commands through the one parser gives the bytes and exit
+    # codes of a fresh parser per call
+    argvs = [["reproduce"], ["classify", "2", "3", "1", "1", "2"], ["classify", "x"], ["reproduce"]]
+
+    def through():
+        got = []
+        for argv in argvs:
+            code, text = run(argv)
+            got.append((code, text, capsys.readouterr().err))
+        return got
+
+    assert cli._parser() is cli._parser()
+    once = through()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert through() == once
+    assert [code for code, _, _ in once] == [EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK]
+    assert "invalid int value" in once[2][2]
 
 
 def test_reproduce_diff_detected(monkeypatch):

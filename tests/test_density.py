@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 import parreg.arith as arith
 from parreg.arith import (
     DegenerateInput,
+    factor,
+    is_probable_prime,
     load_or_build_sieve,
     nth_power_mod_p,
     save_sieve,
@@ -450,6 +452,78 @@ def test_densities_match_explicit_enumeration_grid():
         for qs in ([36, 9], [4, -4], [-3, 12], [2, 3, 6], [Fraction(-1, 2), 10, 15]):
             qs = [Fraction(q) for q in qs]
             assert residue_pattern_densities(qs, n) == _oracle_densities(qs, n), (qs, n)
+
+
+def _factored_densities(qs, n, exps=None):
+    """`residue_pattern_densities` from a factorization of every target, one
+    generator per prime: `exps` gives the exponents, or `factor` finds them."""
+    qs = [Fraction(q) for q in qs]
+    if exps is None:
+        exps = [factor(q).exponents for q in qs]
+    primes = sorted(set().union(*exps))
+    fixed = [ell for ell in primes if 2 * n % ell == 0]
+    modulus = lcm(8, 2 * n)
+    units = [a for a in range(1, modulus) if gcd(a, modulus) == 1]
+    out = Counter()
+    for a in units:
+        g = gcd(n, a - 1)
+        shift = [(a - 1) // 2 if q < 0 else 0 for q in qs]
+        gens = [[e.get(ell, 0) for e in exps] for ell in primes]
+        if g % 2 == 0:
+            for i, ell in enumerate(primes):
+                if ell in fixed:
+                    gens[i] = [2 * x for x in gens[i]]
+                    # (ell|p) by Euler's criterion at an actual p = a (mod M)
+                    p = next(p for p in sieve(10**4).primes if p % modulus == a and p > 2 * n)
+                    if pow(ell, (p - 1) // 2, p) != 1:
+                        shift = [s + e.get(ell, 0) for s, e in zip(shift, exps)]
+        span = {(0,) * len(qs)}
+        for v in gens:
+            span = {tuple((x + t * y) % g for x, y in zip(h, v)) for h in span for t in range(g)}
+        for x in span:
+            flags = tuple((s + h) % g == 0 for s, h in zip(shift, x))
+            out[flags] += Fraction(1, len(units) * len(span))
+    return dict(out)
+
+
+@given(targets_st, st.integers(1, 24))
+@settings(max_examples=60, deadline=None)
+def test_densities_match_the_factored_oracle(qs, n):
+    assert residue_pattern_densities(qs, n) == _factored_densities(qs, n)
+
+
+def _prime_after(x):
+    while not is_probable_prime(x):
+        x += 1
+    return x
+
+
+def test_densities_of_unfactored_targets():
+    # products of 40-bit primes, which no trial division reaches; `factor`
+    # splits a semiprime of them in under a second but their powers in
+    # seconds, so the oracle is given their exponents but at n = 8
+    p1 = _prime_after(2**39 + 11)
+    p2 = _prime_after(p1 + 2)
+    p3 = _prime_after(p2 + 2)
+    cases = [
+        ([p1 * p2], {p1: 1, p2: 1}),
+        ([-(p1**2) * p2**4], {p1: 2, p2: 4}),
+        ([(p1 * p2) ** 4 * 3], {p1: 4, p2: 4, 3: 1}),
+        ([Fraction(p1 * p2, 9)], {p1: 1, p2: 1, 3: -2}),
+    ]
+    for n in (2, 3, 4, 6, 8, 12, 24):
+        for qs, e in cases:
+            assert residue_pattern_densities(qs, n) == _factored_densities(qs, n, [e]), (qs, n)
+        qs = [p1 * p2 * 16, -p1 * p3, Fraction(p2**2, p3**2)]
+        exps = [{p1: 1, p2: 1, 2: 4}, {p1: 1, p3: 1}, {p2: 2, p3: -2}]
+        assert residue_pattern_densities(qs, n) == _factored_densities(qs, n, exps), n
+    qs = [p1 * p2 * 16, -p1 * p3]
+    assert residue_pattern_densities(qs, 8) == _factored_densities(qs, 8)
+    # a target past 2048 bits needs no factoring either: it is no perfect
+    # power and prime to 6, so it hits with the mean of 1/gcd(6, p-1)
+    assert residue_pattern_densities([3**1500 + 2], 6) == {
+        (True,): Fraction(1, 3), (False,): Fraction(2, 3)
+    }
 
 
 def test_decision_is_fast():

@@ -17,7 +17,6 @@ from parreg import density, witness
 import parreg.arith as arith
 from parreg.arith import (
     DegenerateInput,
-    FactorizationBudgetExceeded,
     _is_residue,
     load_or_build_sieve,
     save_sieve,
@@ -546,12 +545,12 @@ def test_possible_witness_keeps_scanning_past_the_prefix(residue_tests):
     assert w is not None and w.p > prefix[-1]
 
 
-def test_budget_spent_falls_back_to_the_full_scan(residue_tests, monkeypatch):
-    def spent(q, budget=None):
-        raise FactorizationBudgetExceeded("budget spent")
-
-    monkeypatch.setattr(density, "factor", spent)
-    assert density.residue_pattern_densities([16, 17, 33], 8) is None
+def test_no_prediction_falls_back_to_the_full_scan(residue_tests, monkeypatch):
+    # the model predicts no witness for 16, 17, 33 at n = 8; without a
+    # prediction (n > MAX_PREDICTED_N, or too many targets) the searches
+    # scan to the bound
+    assert (False,) * 3 not in density.residue_pattern_densities([16, 17, 33], 8)
+    monkeypatch.setattr(witness, "residue_pattern_densities", lambda targets, n: None)
     assert find_witness_prime([16, 17, 33], 8, min_exclusive=33, search_bound=20000) is None
     assert max(residue_tests) > 19000
     residue_tests.clear()

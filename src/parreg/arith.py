@@ -9,7 +9,8 @@ exponents of perfect powers mod p-1.  When every element s**j has n | 2j,
 each column is 1 or a Legendre symbol (s|p), which quadratic reciprocity
 makes a function of p mod 4|s|, so the states are read from a table over
 p mod L and no power is taken per prime; the counts then need only the
-number of primes in each class mod lcm(L, 24).
+number of primes in each class mod lcm(L, 24), which the sieve's odd-only
+flags give as one strided slice per class (`PrimeSieve.class_counts`).
 
 All rational values are `fractions.Fraction`; nothing in this module falls
 back to floating point (a float only proposes a root that is checked exactly).
@@ -21,11 +22,11 @@ import struct
 from array import array
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import compress, cycle, islice, repeat
 from math import gcd, isqrt, lcm, log2
-from operator import and_, floordiv, itemgetter, lt, mod, mul, not_, sub
+from operator import and_, floordiv, itemgetter, lt, mod, mul, not_, rshift, sub
 
 TRIAL_DIVISION_BOUND = 10**6
 DEFAULT_FACTOR_BUDGET = 2**20
@@ -85,9 +86,18 @@ def _as_int(v) -> int:
     raise DegenerateInput(f"expected an integer, got {type(v).__name__}")
 
 
+def _int_row(row) -> tuple[int, int, int]:
+    try:
+        a, b, c = row
+    except (TypeError, ValueError):
+        raise DegenerateInput(f"a system row is 3 coefficients (a, b, c), got {row!r}") from None
+    return _as_int(a), _as_int(b), _as_int(c)
+
+
 def _int_rows(rows) -> tuple[tuple[int, int, int], ...]:
-    """System rows as (a, b, c) int triples, refusing what int() would round."""
-    return tuple((_as_int(a), _as_int(b), _as_int(c)) for a, b, c in rows)
+    """System rows as (a, b, c) int triples, refusing a row that is not 3
+    items and what int() would round."""
+    return tuple(map(_int_row, rows))
 
 
 def _check_prime_arg(p: int) -> None:
@@ -510,21 +520,26 @@ def _table_columns(tables, signed, n: int, modulus: int, primes) -> list[bytes]:
     return list(map(bytes, cols))
 
 
-def _table_counts(tables, signed, n: int, modulus: int, primes) -> Counter:
-    """The counts of `_residue_counts` from `_quadratic_tables`: one count of
-    the primes per class c mod lcm(modulus, 24), each folded through the
-    tables at c mod `modulus` under the key (c mod 24, states...), and the
-    primes dividing `modulus` one by one."""
-    classes = Counter(map(mod, primes, repeat(lcm(modulus, 24))))
-    at = list(map(mod, classes, repeat(modulus)))
-    keys = zip(map(mod, classes, repeat(24)), *(map(t.__getitem__, at) for t in tables))
+def _table_counts(tables, signed, n: int, modulus: int, s: PrimeSieve) -> Counter:
+    """The counts of `_residue_counts` from `_quadratic_tables`: the primes
+    of the sieve s in each class c mod lcm(modulus, 24) that is a unit mod
+    `modulus` and prime to 6, or holds the prime 3 (`PrimeSieve.class_counts`),
+    folded through the tables at c mod `modulus` under the key
+    (c mod 24, states...); and the primes dividing `modulus`, 2 among them,
+    one by one."""
+    classes = lcm(modulus, 24)
+    # the odd classes but the multiples of 3 other than 3 hold no prime
+    odd = [3, *compress(range(1, classes, 2), cycle((1, 0, 1)))]
+    # the tables are 0 at the classes that are no unit mod `modulus`
+    units = list(compress(odd, map(tables[0].__getitem__, map(mod, odd, repeat(modulus)))))
+    at = list(map(mod, units, repeat(modulus)))
+    keys = zip(map(mod, units, repeat(24)), *(map(t.__getitem__, at) for t in tables))
     counts = Counter()
-    for key, count in zip(keys, classes.values()):
-        # a class that is no unit mod `modulus` holds one prime dividing it
-        if key[1]:
+    for key, count in zip(keys, s.class_counts(units, classes)):
+        if count:
             counts[key] += count
-    for k, states in _dividing_states(signed, n, modulus, primes):
-        counts[(primes[k] % 24, *states)] += 1
+    for k, states in _dividing_states(signed, n, modulus, s.primes):
+        counts[(s.primes[k] % 24, *states)] += 1
     return counts
 
 
@@ -609,30 +624,32 @@ def _residue_columns(qs, n: int, primes) -> list[bytes]:
     return _table_columns(tables, signed, n, modulus, primes)
 
 
-def _residue_counts(qs, n: int, primes) -> Counter:
-    """How many primes show each key (p mod 24, state of qs[0], state of
-    qs[1], ...), with the states of `_residue_columns`.
+def _residue_counts(qs, n: int, s: PrimeSieve) -> Counter:
+    """How many primes of the sieve s show each key (p mod 24, state of
+    qs[0], state of qs[1], ...), with the states of `_residue_columns`.
 
     On the quadratic table the state at a prime not dividing L is a
     function of p mod L, so the primes are counted per class mod
-    lcm(L, 24) and each class is looked up once (`_table_counts`), with
-    no column per prime.  Off the table the columns are zipped and counted.
+    lcm(L, 24) from the sieve's flags and each class is looked up once
+    (`_table_counts`), with no column and no bytecode per prime.  Off the
+    table the columns are zipped and counted.
     """
-    signed, elements, terms, modulus = _residue_plan(qs, n, primes)
+    signed, elements, terms, modulus = _residue_plan(qs, n, s.primes)
     if not modulus:
-        cols = _power_columns(elements, terms, n, primes)
+        cols = _power_columns(elements, terms, n, s.primes)
     else:
         tables = _quadratic_tables(elements, terms, n, modulus)
-        # Counting the classes costs about 0.12 us a prime and folding them
-        # about 0.5 us a class that occurs; zipping the columns about 0.25 us
-        # a prime (2-vCPU host, Python 3.11).  For one target at 10^5 the
-        # fold took 0.48 of the zip's time at lcm(L, 24)/N = 0.09, 0.87 at
-        # 0.37, 1.0 at 0.6 and 1.3-2.0 from 0.77 to 2, so it takes the
-        # table's own cutoff, on lcm(L, 24).
-        if lcm(modulus, 24) * _PRIMES_PER_CLASS <= len(primes):
-            return _table_counts(tables, signed, n, modulus, primes)
-        cols = _table_columns(tables, signed, n, modulus, primes)
-    return Counter(zip(map(mod, primes, repeat(24)), *cols))
+        # Counting and folding a class that can hold a prime costs about
+        # 1 us, zipping a prime about 0.2 us (2-vCPU host, Python 3.11).  For
+        # one target the fold took 0.19-0.22 of the zip's time at
+        # lcm(L, 24)/N = 0.1, 0.54-0.66 at 0.37, 1.1-1.3 at 0.77 and 1.9-2.4
+        # at 1.5 (bounds 10^4 to 10^6; three targets 0.05-0.2 less), so it
+        # takes the table's own cutoff, on lcm(L, 24), and past it the
+        # columns are zipped.
+        if lcm(modulus, 24) * _PRIMES_PER_CLASS <= len(s.primes):
+            return _table_counts(tables, signed, n, modulus, s)
+        cols = _table_columns(tables, signed, n, modulus, s.primes)
+    return Counter(zip(map(mod, s.primes, repeat(24)), *cols))
 
 
 def nth_power_mod_p(q, n: int, p: int) -> bool:
@@ -697,10 +714,36 @@ def nth_power_in_Qp(q, p: int, n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeSieve:
-    """All primes <= bound, ascending."""
+    """All primes <= bound, ascending, and the odd-only flags of the sieve
+    that found them: flags[k] is 1 when 2k+1 is a prime, for 2k+1 <= bound.
+    A sieve cut from a larger one shares its flags, which then run past
+    bound.  The flags let `_table_counts` count the primes in a residue
+    class with one C-level slice; a sieve made without them (a loaded
+    file) rebuilds them from its primes, so every sieve carries them.
+    They stay out of equality and repr."""
 
     bound: int
     primes: tuple[int, ...]
+    flags: bytearray = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.flags is None:
+            # a plain loop: mapping flags.__setitem__ over the primes in C
+            # took 11.6 ms at 10^6, this loop 3.3 ms
+            flags = bytearray((self.bound + 1) // 2)
+            for p in islice(self.primes, 1, None):
+                flags[p >> 1] = 1
+            object.__setattr__(self, "flags", flags)
+
+    def class_counts(self, classes, modulus: int):
+        """The number of primes <= bound in each odd class c of `classes`
+        mod the even `modulus`: class c starts at flag c >> 1 and recurs
+        every modulus / 2 flags, so each count is one strided slice of the
+        flags, counted in C."""
+        stop, step = (self.bound + 1) // 2, modulus // 2
+        starts = map(rshift, classes, repeat(1))
+        runs = map(self.flags.__getitem__, map(slice, starts, repeat(stop), repeat(step)))
+        return map(bytearray.count, runs, repeat(1))
 
     def primes_upto(self, b: int) -> tuple[int, ...]:
         if b > self.bound:
@@ -711,33 +754,45 @@ class PrimeSieve:
 _sieve_cache: PrimeSieve | None = None
 
 
-def _eratosthenes(bound: int) -> tuple[int, ...]:
-    """Primes <= bound from a sieve of the odd numbers: flags[k] stands for
-    2k+1.  An odd prime i clears its odd multiples from i*i on, which sit
-    i flags apart from i*i >> 1.  `compress` picks the survivors in C, so no
-    bytecode runs per candidate."""
-    if bound < 2:
-        return ()
+def _odd_flags(bound: int) -> bytearray:
+    """A sieve of the odd numbers <= bound: flags[k] stands for 2k+1, and is
+    1 when 2k+1 is prime.  An odd prime i clears its odd multiples from i*i
+    on, which sit i flags apart from i*i >> 1."""
     flags = bytearray([1]) * ((bound + 1) // 2)
-    flags[0] = 0
+    if flags:
+        flags[0] = 0
     for i in range(3, isqrt(bound) + 1, 2):
         if flags[i >> 1]:
             start = i * i >> 1
             flags[start::i] = bytes(len(range(start, len(flags), i)))
+    return flags
+
+
+def _eratosthenes(bound: int, flags: bytearray | None = None) -> tuple[int, ...]:
+    """Primes <= bound: 2 and the odd numbers that `_odd_flags(bound)` keeps,
+    which `compress` picks in C, so no bytecode runs per candidate.  `sieve`
+    passes the flags it keeps on the PrimeSieve; without them they are
+    built here."""
+    if bound < 2:
+        return ()
+    if flags is None:
+        flags = _odd_flags(bound)
     return (2, *compress(range(1, bound + 1, 2), flags))
 
 
 def sieve(bound: int) -> PrimeSieve:
     """Primes up to `bound`: the one source of primes for every search and
-    survey.  The largest sieve built or loaded so far is kept in memory."""
+    survey.  The largest sieve built or loaded so far is kept in memory, and
+    a smaller one shares its primes and flags."""
     global _sieve_cache
     if _as_int(bound) < 0:
         raise DegenerateInput("bound must be >= 0")
     if _sieve_cache is None or _sieve_cache.bound < bound:
-        _sieve_cache = PrimeSieve(bound=bound, primes=_eratosthenes(bound))
+        flags = _odd_flags(bound)
+        _sieve_cache = PrimeSieve(bound, _eratosthenes(bound, flags), flags)
     if _sieve_cache.bound == bound:
         return _sieve_cache
-    return PrimeSieve(bound=bound, primes=_sieve_cache.primes_upto(bound))
+    return PrimeSieve(bound, _sieve_cache.primes_upto(bound), _sieve_cache.flags)
 
 
 def save_sieve(s: PrimeSieve, path: str) -> None:

@@ -84,6 +84,10 @@ class SearchBox:
     hi: int
     exclude_zero: bool = True
 
+    def __post_init__(self):
+        _as_int(self.lo)
+        _as_int(self.hi)
+
     def values(self) -> list[int]:
         if self.lo > self.hi:
             return []

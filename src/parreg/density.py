@@ -7,9 +7,14 @@ its targets at once: per-prime columns (`arith._residue_columns`) for the
 prime lists and the CSV, counts per (p mod 24, states) (`arith._residue_counts`)
 for the surveys.  At n | 2j for every element s**j of the targets' base the
 states are a table over p mod L, and the counts come from the number of
-primes in each class mod lcm(L, 24).  The predicted densities take the
-quadratic characters of 2 and of the primes dividing n from the same Jacobi
-symbol, `arith._jacobi`, and factor no target.
+primes in each class mod lcm(L, 24), read from the sieve's flags.
+
+The predicted densities take the quadratic characters of 2 and of the
+primes dividing n from the same Jacobi symbol, `arith._jacobi`, and factor
+no target.  One model (`_residue_model`) gives a call's cosets and spans;
+`residue_pattern_densities` tallies every pattern from it, and the witness
+decision (`nonresidue_pattern_occurs`) asks only whether the pattern with no
+residue occurs, stopping at the first coset that holds it.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress, repeat
 from math import gcd, lcm
-from operator import mod
+from operator import add, eq, mod, ne
 
 from .arith import (
     DegenerateInput,
@@ -68,7 +73,7 @@ def _pass(qs, n: int, prime_bound: int) -> Counter:
     of `_residue_columns`, from `_residue_counts`: on the quadratic table it
     counts classes of p, not a column per prime.  Every survey of a subset
     of qs projects from it."""
-    return _residue_counts(qs, n, sieve(prime_bound).primes)
+    return _residue_counts(qs, n, sieve(prime_bound))
 
 
 def _patterns(counts: Counter, idx) -> Counter:
@@ -95,19 +100,25 @@ def _span(gens, g: int, k: int) -> set:
     span = {(0,) * k}
     for v in gens:
         v = tuple(x % g for x in v)
+        if v in span:
+            continue
         # H + <v> is the union of H + j*v up to the first j*v already in H
         steps, m = [(0,) * k], v
         while m not in span:
             steps.append(m)
             m = tuple((x + y) % g for x, y in zip(m, v))
-        span = {tuple((x + y) % g for x, y in zip(h, s)) for h in span for s in steps}
+        span = {tuple(map(mod, map(add, h, s), repeat(g))) for h in span for s in steps}
     return span
 
 
-def residue_pattern_densities(targets, n: int) -> dict | None:
-    """Exact density among all primes of each residue pattern of the targets,
-    as {flags: Fraction} over the patterns that occur; flags[i] says whether
-    targets[i] is an n-th power residue, as in the surveys.
+def _residue_model(targets, n: int):
+    """The targets' classes in F_p^* / F_p^*g = Z/g as cosets of subgroups
+    of (Z/g)^k, for `residue_pattern_densities` and
+    `nonresidue_pattern_occurs`: ({(g, target): weight}, span, units) with
+    `span(g)` the subgroup, built once per g, and `units` the number of
+    classes a mod M, of which `weight` give that g and that coset.  A
+    target is a residue where its coordinate equals its entry of `target`,
+    which is minus the coset's shift mod g.  None outside the caps.
 
     By Chebotarev a pattern of density 0 occurs at no prime dividing neither
     2n nor a target.  Fix p = a (mod M), M = lcm(8, 2n), and g = gcd(n, a-1).
@@ -125,9 +136,6 @@ def residue_pattern_densities(targets, n: int) -> dict | None:
     of one element b = s**j, with j maximal, have exponents whose gcd is j,
     so together they generate the multiples of j times the exponents of b
     in the targets, and mod g the multiples of gcd(j, n) times them.
-
-    None when n > MAX_PREDICTED_N or with more than MAX_PREDICTED_TARGETS
-    targets.
     """
     qs = _targets(targets, n)
     if n > MAX_PREDICTED_N or len(qs) > MAX_PREDICTED_TARGETS:
@@ -166,21 +174,57 @@ def residue_pattern_densities(targets, n: int) -> dict | None:
                 # p = a (mod M), as 4*ell divides M (quadratic reciprocity)
                 if _jacobi(ell, a) == -1:
                     shift = [s + e.get(ell, 0) for s, e in zip(shift, exps)]
-        cosets[g, tuple(s % g for s in shift)] += 1
+        cosets[g, tuple(-s % g for s in shift)] += 1
     spans = {}
-    densities = Counter()
-    for (g, shift), weight in cosets.items():
+
+    def span(g: int) -> set:
         if g not in spans:
             double = 2 if g % 2 == 0 else 1
             gens = [[e.get(ell, 0) * double for e in exps] for ell in fixed]
             spans[g] = _span(gens + free, g, k)
-        span = spans[g]
-        tally = Counter(
-            tuple((s + h) % g == 0 for s, h in zip(shift, x)) for x in span
-        )
+        return spans[g]
+
+    return cosets, span, len(units)
+
+
+def residue_pattern_densities(targets, n: int) -> dict | None:
+    """Exact density among all primes of each residue pattern of the targets,
+    as {flags: Fraction} over the patterns that occur; flags[i] says whether
+    targets[i] is an n-th power residue, as in the surveys.  The model is
+    that of `_residue_model`; the counts stay integers over one common
+    denominator until each pattern's density is taken.
+
+    None when n > MAX_PREDICTED_N or with more than MAX_PREDICTED_TARGETS
+    targets.
+    """
+    model = _residue_model(targets, n)
+    if model is None:
+        return None
+    cosets, span, units = model
+    sizes = {g: len(span(g)) for g, _ in cosets}
+    whole = lcm(*sizes.values())
+    tallies = Counter()
+    for (g, target), weight in cosets.items():
+        scale = weight * (whole // sizes[g])
+        tally = Counter(map(tuple, map(map, repeat(eq), span(g), repeat(target))))
         for flags, count in tally.items():
-            densities[flags] += Fraction(weight * count, len(units) * len(span))
-    return dict(densities)
+            tallies[flags] += scale * count
+    return {flags: Fraction(count, units * whole) for flags, count in tallies.items()}
+
+
+def nonresidue_pattern_occurs(targets, n: int) -> bool | None:
+    """Whether the pattern in which no target is an n-th power residue has
+    positive density, which is `(False,) * k in residue_pattern_densities`:
+    whether some coset of `_residue_model` holds an element with no
+    coordinate equal to its target.  It stops at the first such coset.
+    None outside the caps."""
+    model = _residue_model(targets, n)
+    if model is None:
+        return None
+    cosets, span, _ = model
+    return any(
+        any(map(all, map(map, repeat(ne), span(g), repeat(target)))) for g, target in cosets
+    )
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .arith import (
     nth_power_in_Q,
     sieve,
 )
-from .density import residue_pattern_densities
+from .density import nonresidue_pattern_occurs
 
 DEFAULT_SEARCH_BOUND = 10**6
 
@@ -181,8 +181,7 @@ def _first_witness(primes, pairs, n: int, bad: int) -> int | None:
 def _no_witness_exists(targets, n: int) -> bool:
     """True when no prime dividing neither 2n nor a target makes every target a
     non-n-th-power residue: that pattern has Chebotarev density 0."""
-    densities = residue_pattern_densities(targets, n)
-    return densities is not None and (False,) * len(targets) not in densities
+    return nonresidue_pattern_occurs(targets, n) is False
 
 
 def _search(ts, bad, n, min_exclusive, search_bound, workers):
@@ -245,6 +244,7 @@ def find_witness_prime(
     ts = _normalize_targets(targets)
     if _as_int(n) < 1:
         raise DegenerateInput("n must be >= 1")
+    min_exclusive, search_bound = _as_int(min_exclusive), _as_int(search_bound)
     if search_bound < min_exclusive:
         raise DegenerateInput("search_bound must be >= min_exclusive")
     bad = prod(t.numerator * t.denominator for t in ts)

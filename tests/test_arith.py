@@ -9,7 +9,7 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import repeat
-from math import gcd, prod
+from math import gcd, lcm, prod
 from operator import lt, mod
 
 import pytest
@@ -572,6 +572,74 @@ def test_pass_counts_fixed_cases(folds):
     assert folds == [16]
     qs = (Fraction(4), Fraction(-4), Fraction(9), Fraction(36))
     assert _pass(qs, 4, 227) == _scalar_counts(qs, 4, 227)
+
+
+_FLAG_BOUNDS = (0, 1, 2, 3, 502, 503, 7919)
+
+
+@pytest.fixture(scope="module")
+def flag_sieves(tmp_path_factory):
+    """Per bound in _FLAG_BOUNDS: the sieve built at that bound, the same
+    sieve loaded from a cache file, and the sieve cut from a larger cached
+    one, which shares its flags."""
+    saved = arith._sieve_cache
+    try:
+        out = {}
+        for b in _FLAG_BOUNDS:
+            arith._sieve_cache = None
+            built = sieve(b)
+            path = str(tmp_path_factory.mktemp("flags") / "primes.sieve")
+            save_sieve(built, path)
+            out[b] = (built, load_sieve(path))
+        arith._sieve_cache = None
+        big = sieve(10**4)
+        for b in _FLAG_BOUNDS:
+            cut = sieve(b)
+            assert cut.flags is big.flags
+            out[b] += (cut,)
+        return out
+    finally:
+        arith._sieve_cache = saved
+
+
+def _flag_class_counts(s, modulus):
+    """{c: primes of s that are c mod the even modulus} from the flags, as
+    `_table_counts` reads them: the odd classes, and the prime 2."""
+    odd = range(1, modulus, 2)
+    counts = Counter(dict(zip(odd, s.class_counts(odd, modulus))))
+    counts[2] += s.bound >= 2
+    return +counts
+
+
+@given(quadratic_cases())
+@settings(max_examples=60, deadline=None)
+def test_class_counts_from_flags_match_the_primes(flag_sieves, case):
+    # the modulus lcm(L, 24) of the case's quadratic table, when it takes
+    # one, and 24 and 48, on sieves built, loaded and cut from a larger one,
+    # against the primes themselves
+    qs, n, bound = case
+    table = arith._residue_plan(qs, n, sieve(bound).primes)[3]
+    moduli = {lcm(table or 1, 24), 24, 48}
+    for b, (built, loaded, cut) in flag_sieves.items():
+        assert built.primes == tuple(naive_primes(b))
+        assert loaded == built == cut
+        half = (b + 1) // 2
+        assert loaded.flags[:half] == built.flags == cut.flags[:half]
+        for s in (built, loaded, cut):
+            for modulus in moduli:
+                want = Counter(map(mod, s.primes, repeat(modulus)))
+                assert _flag_class_counts(s, modulus) == want, (b, modulus)
+
+
+def test_every_sieve_carries_its_flags():
+    # a sieve made from its primes alone scatters them into flags, which
+    # stay out of equality and repr
+    s = PrimeSieve(bound=10, primes=(2, 3, 5, 7))
+    assert s.flags == bytearray((0, 1, 1, 1, 0))
+    assert s == PrimeSieve(10, (2, 3, 5, 7), bytearray(5)) and "flags" not in repr(s)
+    flags = arith._odd_flags(10**4)
+    assert _eratosthenes(10**4, flags) == _eratosthenes(10**4)
+    assert PrimeSieve(10**4, _eratosthenes(10**4)).flags == flags
 
 
 def test_lone_negative_target_takes_the_quadratic_table(monkeypatch, folds):

@@ -84,6 +84,15 @@ def test_system_spec_refuses_inexact_coefficients():
             SystemSpec((row, (4, 1, 1)), 2)
 
 
+def test_system_spec_refuses_rows_that_are_not_triples():
+    # unpacking (1, 2) raised ValueError, and unpacking 5 raised TypeError
+    for rows in (((1, 2),), (5,), ((1, 2, 3, 4),), ((1, 2, 3), "ab")):
+        with pytest.raises(DegenerateInput):
+            SystemSpec(rows, 2)
+    # a list row is a sequence of three, as a decoded JSON report gives it
+    assert SystemSpec([[1, 2, 3]], 2).rows == ((1, 2, 3),)
+
+
 # ---------------------------------------------------------------------------
 # positive rules
 

@@ -395,6 +395,18 @@ def test_system_scan_refuses_inexact_coefficients():
             verify_system_no_mono(system, ValuationColoring(5), box)
 
 
+def test_search_box_refuses_inexact_bounds():
+    # range() used to raise TypeError for these inside the scans
+    for lo, hi in ((-2.0, 2), (-2, 2.5), ("a", 2), (None, 2), (Fraction(1), 3)):
+        with pytest.raises(DegenerateInput):
+            SearchBox(lo, hi)
+    with pytest.raises(DegenerateInput):
+        verify_no_mono_solution((1, 2, 3, 1, 1), ModColoring(2, (0, 1)), SearchBox(-2.0, 2))
+    with pytest.raises(DegenerateInput):
+        verify_system_no_mono((((1, 2, 3),), 1), ModColoring(2, (0, 1)), SearchBox(-2, 2.5))
+    assert SearchBox(-2, 2).values() == [-2, -1, 1, 2]
+
+
 def test_system_scan_matches_oracle():
     rows = ((1, 1, 1), (1, 2, 1))
     box = SearchBox(1, 12)

@@ -32,6 +32,7 @@ from parreg.density import (
     admissible_primes,
     hit_primes,
     joint_survey,
+    nonresidue_pattern_occurs,
     residue_pattern_densities,
     survey,
     write_csv,
@@ -452,6 +453,41 @@ def test_densities_match_explicit_enumeration_grid():
         for qs in ([36, 9], [4, -4], [-3, 12], [2, 3, 6], [Fraction(-1, 2), 10, 15]):
             qs = [Fraction(q) for q in qs]
             assert residue_pattern_densities(qs, n) == _oracle_densities(qs, n), (qs, n)
+
+
+@given(small_targets_st, st.integers(1, 12))
+@settings(max_examples=60, deadline=None)
+def test_nonresidue_decision_matches_explicit_enumeration(qs, n):
+    assert nonresidue_pattern_occurs(qs, n) == ((False,) * len(qs) in _oracle_densities(qs, n))
+
+
+@given(targets_st, st.integers(1, 24))
+@settings(max_examples=200, deadline=None)
+def test_nonresidue_decision_reads_the_densities(qs, n):
+    densities = residue_pattern_densities(qs, n)
+    assert nonresidue_pattern_occurs(qs, n) == ((False,) * len(qs) in densities)
+
+
+def test_nonresidue_decision_grid():
+    singles = [-1, 2, -2, 3, -3, 5, 6, -12, 18, 45, Fraction(3, 4), Fraction(-5, 18), 16, 4096]
+    for n in range(1, 13):
+        for q in singles:
+            want = (False,) in _oracle_densities([Fraction(q)], n)
+            assert nonresidue_pattern_occurs([q], n) == want, (q, n)
+    for n in (2, 4, 6, 8, 12):
+        for qs in ([36, 9], [4, -4], [-3, 12], [2, 3, 6], [Fraction(-1, 2), 10, 15], [16, 17, 33]):
+            qs = [Fraction(q) for q in qs]
+            want = (False,) * len(qs) in _oracle_densities(qs, n)
+            assert nonresidue_pattern_occurs(qs, n) == want, (qs, n)
+    # the two n = 11 decisions of a corpus pass (seed 1), whose primes 43,
+    # 941, 67, 151, 19 and 73 lie past the explicit oracle's support
+    for qs in ([5, 40463, 40468], [Fraction(-1387, 8), Fraction(-1365, 8), Fraction(11, 4)]):
+        want = (False,) * 3 in _factored_densities(qs, 11)
+        assert nonresidue_pattern_occurs(qs, 11) == want, qs
+    # 16 is an 8th-power residue mod every odd prime (Grunwald-Wang)
+    assert nonresidue_pattern_occurs([16], 8) is False
+    assert nonresidue_pattern_occurs([2], 25) is None
+    assert nonresidue_pattern_occurs([2, 3, 5, 7], 2) is None
 
 
 def _factored_densities(qs, n, exps=None):

@@ -131,6 +131,11 @@ def test_witness_searches_refuse_a_float_bound():
         find_witness_prime([2, 3], 2, search_bound=100.0)
     with pytest.raises(DegenerateInput):
         find_system_witness(((2, 3, 1), (4, 1, 1)), 2, search_bound=100.0)
+    # both arguments are compared before any search: a string raised
+    # TypeError from `<`, and min_exclusive=1.5 was accepted (p = 5)
+    for kwargs in ({"search_bound": "100"}, {"min_exclusive": "3"}, {"min_exclusive": 1.5}):
+        with pytest.raises(DegenerateInput):
+            find_witness_prime([2, 3], 2, **kwargs)
 
 
 def test_witness_searches_refuse_a_float_exponent():
@@ -550,7 +555,8 @@ def test_no_prediction_falls_back_to_the_full_scan(residue_tests, monkeypatch):
     # prediction (n > MAX_PREDICTED_N, or too many targets) the searches
     # scan to the bound
     assert (False,) * 3 not in density.residue_pattern_densities([16, 17, 33], 8)
-    monkeypatch.setattr(witness, "residue_pattern_densities", lambda targets, n: None)
+    assert density.nonresidue_pattern_occurs([16, 17, 33], 8) is False
+    monkeypatch.setattr(witness, "nonresidue_pattern_occurs", lambda targets, n: None)
     assert find_witness_prime([16, 17, 33], 8, min_exclusive=33, search_bound=20000) is None
     assert max(residue_tests) > 19000
     residue_tests.clear()

@@ -24,9 +24,9 @@ from .arith import (
 from .witness import (
     DEFAULT_SEARCH_BOUND,
     WitnessPrime,
+    _witness_search,
     check_hypotheses,
     find_system_witness,
-    find_witness_prime,
     system_intersection,
     verify_system_witness,
     verify_witness,
@@ -317,19 +317,14 @@ def classify_equation(eq: EquationSpec, config=None) -> Verdict:
     else:
         min_exclusive = max(abs(a) + abs(b), abs(c))
         targets = _witness_targets(ratios)
-        witness = None
+        witness, impossible = None, False
         # when a positive rule fired, some ratio is an n-th power in Q, hence
         # an n-th power residue mod every prime: the scan cannot succeed
         wanted = a + b != 0 and not certs
         # with min_exclusive >= witness_bound no prime is left to scan
         scanned = wanted and min_exclusive < witness_bound
         if scanned:
-            witness = find_witness_prime(
-                targets,
-                n,
-                min_exclusive=min_exclusive,
-                search_bound=witness_bound,
-            )
+            witness, impossible = _witness_search(targets, n, min_exclusive, witness_bound)
 
         def supporting():
             if witness is None:
@@ -417,8 +412,9 @@ def classify_equation(eq: EquationSpec, config=None) -> Verdict:
                     )
                 )
             if rule is None and scanned:
-                report = check_hypotheses(targets, n)
-                if report.satisfied:
+                # a satisfied lemma gives infinitely many witness primes, so
+                # a search that the decision cut short has its hypotheses unmet
+                if not impossible and check_hypotheses(targets, n).satisfied:
                     pending.append(f"Q:witness:bound-exhausted:{witness_bound}")
                 else:
                     pending.append("Q:witness:hypotheses-unmet")

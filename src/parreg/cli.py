@@ -24,6 +24,7 @@ from .arith import (
     DEFAULT_FACTOR_BUDGET,
     DegenerateInput,
     FactorizationBudgetExceeded,
+    _as_int,
     load_or_build_sieve,
 )
 from .classify import (
@@ -80,7 +81,7 @@ class RunConfig:
         if self.output not in ("text", "json"):
             raise DegenerateInput(f"output must be 'text' or 'json', not {self.output!r}")
         for name in ("witness_bound", "box_half_width", "factor_budget", "sieve_bound", "threads"):
-            if getattr(self, name) < 1:
+            if _as_int(getattr(self, name)) < 1:
                 raise DegenerateInput(f"{name} must be positive")
 
 

@@ -289,7 +289,7 @@ def verify_no_mono_solution(
     engine (it ignores workers) and makes candidates_scanned lookups times
     the class size.
     """
-    params = _eq_params(eq)
+    params, workers = _eq_params(eq), _as_int(workers)
     values = rational_box_values(box) if rational else box.values()
     cmap = _color_map(values, spec)
     total = len(values) ** 3

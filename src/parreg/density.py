@@ -11,10 +11,13 @@ primes in each class mod lcm(L, 24), read from the sieve's flags.
 
 The predicted densities take the quadratic characters of 2 and of the
 primes dividing n from the same Jacobi symbol, `arith._jacobi`, and factor
-no target.  One model (`_residue_model`) gives a call's cosets and spans;
-`residue_pattern_densities` tallies every pattern from it, and the witness
-decision (`nonresidue_pattern_occurs`) asks only whether the pattern with no
-residue occurs, stopping at the first coset that holds it.
+no target.  One model (`_residue_model`) gives a call's cosets and the
+generators of each coset's subgroup.  `residue_pattern_densities` builds
+each subgroup and tallies every pattern from it.  The witness decision
+(`nonresidue_pattern_occurs`) asks only whether the pattern with no residue
+occurs.  It decides a coset from each target's coordinate range where it
+can, walks the subgroup only where it cannot, and stops at the first coset
+that holds the pattern.
 """
 
 from __future__ import annotations
@@ -111,11 +114,35 @@ def _span(gens, g: int, k: int) -> set:
     return span
 
 
+def _span_walk(gens, g: int, k: int):
+    """The elements of `_span(gens, g, k)`, each yielded once, as it is
+    added: the new cosets H + j*v of each generator v in turn."""
+    zero = (0,) * k
+    span, seen = [zero], {zero}
+    yield zero
+    for v in gens:
+        v = tuple(x % g for x in v)
+        if v in seen:
+            continue
+        steps, m = [], v
+        while m not in seen:
+            steps.append(m)
+            m = tuple((x + y) % g for x, y in zip(m, v))
+        new = []
+        for s in steps:
+            for h in span:
+                x = tuple(map(mod, map(add, h, s), repeat(g)))
+                yield x
+                new.append(x)
+        span += new
+        seen.update(new)
+
+
 def _residue_model(targets, n: int):
     """The targets' classes in F_p^* / F_p^*g = Z/g as cosets of subgroups
     of (Z/g)^k, for `residue_pattern_densities` and
-    `nonresidue_pattern_occurs`: ({(g, target): weight}, span, units) with
-    `span(g)` the subgroup, built once per g, and `units` the number of
+    `nonresidue_pattern_occurs`: ({(g, target): weight}, gens, units) with
+    `gens[g]` the generators of the subgroup at g, and `units` the number of
     classes a mod M, of which `weight` give that g and that coset.  A
     target is a residue where its coordinate equals its entry of `target`,
     which is minus the coset's shift mod g.  None outside the caps.
@@ -136,11 +163,13 @@ def _residue_model(targets, n: int):
     of one element b = s**j, with j maximal, have exponents whose gcd is j,
     so together they generate the multiples of j times the exponents of b
     in the targets, and mod g the multiples of gcd(j, n) times them.
+
+    What does not change with a (the targets' signs, each fixed prime's
+    exponent vector) is read once, outside the loop over the units.
     """
     qs = _targets(targets, n)
     if n > MAX_PREDICTED_N or len(qs) > MAX_PREDICTED_TARGETS:
         return None
-    k = len(qs)
     # the primes whose quadratic character p mod M decides: 2 and those dividing n
     fixed = [ell for ell in sieve(2 * n).primes if 2 * n % ell == 0]
     exps, rests = [], []
@@ -162,37 +191,37 @@ def _residue_model(targets, n: int):
             while n % (j * ell) == 0 and (root := integer_nth_root(s, ell)) ** ell == s:
                 s, j = root, j * ell
         free.append([j * valuation(r, b) for r in rests])
+    rows = [[e.get(ell, 0) for e in exps] for ell in fixed]
+    negative = [q.numerator < 0 for q in qs]
     modulus = lcm(8, 2 * n)
     units = [a for a in range(1, modulus) if gcd(a, modulus) == 1]
     cosets = Counter()
     for a in units:
         g = gcd(n, a - 1)
-        shift = [(a - 1) // 2 if q < 0 else 0 for q in qs]
+        half = (a - 1) // 2
+        shift = [half if neg else 0 for neg in negative]
         if g % 2 == 0:
-            for ell in fixed:
+            for ell, row in zip(fixed, rows):
                 # (ell|p) is the Jacobi symbol (ell|a) at every prime
                 # p = a (mod M), as 4*ell divides M (quadratic reciprocity)
                 if _jacobi(ell, a) == -1:
-                    shift = [s + e.get(ell, 0) for s, e in zip(shift, exps)]
+                    shift = list(map(add, shift, row))
         cosets[g, tuple(-s % g for s in shift)] += 1
-    spans = {}
-
-    def span(g: int) -> set:
-        if g not in spans:
-            double = 2 if g % 2 == 0 else 1
-            gens = [[e.get(ell, 0) * double for e in exps] for ell in fixed]
-            spans[g] = _span(gens + free, g, k)
-        return spans[g]
-
-    return cosets, span, len(units)
+    # at even g a fixed prime's class is its quadratic character plus twice
+    # a uniform class
+    odd = rows + free
+    even = [[2 * x for x in row] for row in rows] + free
+    gens = {g: even if g % 2 == 0 else odd for g, _ in cosets}
+    return cosets, gens, len(units)
 
 
 def residue_pattern_densities(targets, n: int) -> dict | None:
     """Exact density among all primes of each residue pattern of the targets,
     as {flags: Fraction} over the patterns that occur; flags[i] says whether
     targets[i] is an n-th power residue, as in the surveys.  The model is
-    that of `_residue_model`; the counts stay integers over one common
-    denominator until each pattern's density is taken.
+    that of `_residue_model`, with each g's subgroup built once by `_span`;
+    the counts stay integers over one common denominator until each
+    pattern's density is taken.
 
     None when n > MAX_PREDICTED_N or with more than MAX_PREDICTED_TARGETS
     targets.
@@ -200,13 +229,17 @@ def residue_pattern_densities(targets, n: int) -> dict | None:
     model = _residue_model(targets, n)
     if model is None:
         return None
-    cosets, span, units = model
-    sizes = {g: len(span(g)) for g, _ in cosets}
+    cosets, gens, units = model
+    spans = {}
+    for g, target in cosets:
+        if g not in spans:
+            spans[g] = _span(gens[g], g, len(target))
+    sizes = {g: len(span) for g, span in spans.items()}
     whole = lcm(*sizes.values())
     tallies = Counter()
     for (g, target), weight in cosets.items():
         scale = weight * (whole // sizes[g])
-        tally = Counter(map(tuple, map(map, repeat(eq), span(g), repeat(target))))
+        tally = Counter(map(tuple, map(map, repeat(eq), spans[g], repeat(target))))
         for flags, count in tally.items():
             tallies[flags] += scale * count
     return {flags: Fraction(count, units * whole) for flags, count in tallies.items()}
@@ -216,15 +249,39 @@ def nonresidue_pattern_occurs(targets, n: int) -> bool | None:
     """Whether the pattern in which no target is an n-th power residue has
     positive density, which is `(False,) * k in residue_pattern_densities`:
     whether some coset of `_residue_model` holds an element with no
-    coordinate equal to its target.  It stops at the first such coset.
-    None outside the caps."""
+    coordinate equal to its target.  None outside the caps.
+
+    Each coset is decided by its coordinates first.  Coordinate i of the
+    subgroup at g ranges over the multiples of d_i = gcd(g, i-th entries of
+    the generators).  If d_i = g and target_i = 0, target i is a residue on
+    the whole coset, which is skipped.  If d_i does not divide target_i,
+    target i is a residue nowhere on it, and coordinate i is dropped.  With
+    at most one coordinate left the pattern occurs (a proper subgroup of Z/g
+    has a second element).  Otherwise the subgroup's projection onto the
+    coordinates left is walked (`_span_walk`) up to the first element with
+    no coordinate equal to its target.  It stops at the first coset that
+    holds one.
+    """
     model = _residue_model(targets, n)
     if model is None:
         return None
-    cosets, span, _ = model
-    return any(
-        any(map(all, map(map, repeat(ne), span(g), repeat(target)))) for g, target in cosets
-    )
+    cosets, gens, _ = model
+    divisors = {g: [gcd(g, *col) for col in zip(*vs)] for g, vs in gens.items()}
+    for g, target in cosets:
+        live = []
+        for i, (d, t) in enumerate(zip(divisors[g], target)):
+            if t % d == 0:
+                if d == g:  # then t = 0: a residue on the whole coset
+                    break
+                live.append(i)
+        else:
+            if len(live) <= 1:
+                return True
+            proj = [[v[i] for i in live] for v in gens[g]]
+            want = [target[i] for i in live]
+            if any(map(all, map(map, repeat(ne), _span_walk(proj, g, len(live)), repeat(want)))):
+                return True
+    return False
 
 
 @dataclass(frozen=True)

@@ -33,11 +33,14 @@ MODE_TWO_VAR = "TWO_VAR"
 _PARALLEL_BLOCK = 4096
 
 # Candidate primes a search scans before it asks whether a witness exists at
-# all.  A witness, when there is one, nearly always lies among them.  The
-# decision is exact only because they include every candidate prime dividing
-# 2n: it covers n <= MAX_PREDICTED_N = 24, so those are among the 9 primes
-# <= 23, which the first 64 candidates above any min_exclusive always hold.
-_DECIDE_AFTER = 64
+# all.  A witness, when there is one, nearly always lies among them: over
+# the 2,000 `corpus` requests of one seed, a 64-prime prefix left no search
+# to the decision, 32 left 7 and 16 left 60, and at 16 the extra decisions
+# made a pass slower.  The decision is exact only because the prefix holds
+# every candidate prime dividing 2n: it covers n <= MAX_PREDICTED_N = 24, so
+# those are among the 9 primes <= 23, which any 32 consecutive candidates
+# above min_exclusive hold.
+_DECIDE_AFTER = 32
 
 
 @dataclass(frozen=True)
@@ -185,13 +188,15 @@ def _no_witness_exists(targets, n: int) -> bool:
 
 
 def _search(ts, bad, n, min_exclusive, search_bound, workers):
-    """The smallest prime p with min_exclusive < p <= search_bound that
-    `_first_witness` accepts for the targets ts, as a WitnessPrime.
+    """(the smallest prime p with min_exclusive < p <= search_bound that
+    `_first_witness` accepts for the targets ts, as a WitnessPrime or None;
+    whether the decision cut the search short).
 
     When the first _DECIDE_AFTER candidates miss and no witness exists
     (`_no_witness_exists`), the rest of the range is not scanned: the result
-    is the same None.  Only that rest is sharded over `workers` processes,
-    and sharded scans still return the global minimum.
+    is the same None, and the second item is True.  Only that rest is
+    sharded over `workers` processes, and sharded scans still return the
+    global minimum.
     """
     primes = sieve(search_bound).primes
     start = bisect_right(primes, min_exclusive)
@@ -200,8 +205,10 @@ def _search(ts, bad, n, min_exclusive, search_bound, workers):
     found = _first_witness(primes[start:cut], pairs, n, bad)
     # bad == 0 (a system row with a + b = 0) leaves no prime to qualify
     more = found is None and cut < len(primes) and bad != 0
+    decided = False
     if more and ts:  # with no targets every prime not dividing bad qualifies
-        more = not _no_witness_exists(ts, n)
+        decided = _no_witness_exists(ts, n)
+        more = not decided
     if more and workers <= 1:
         found = _first_witness(islice(primes, cut, None), pairs, n, bad)
     elif more:
@@ -217,13 +224,25 @@ def _search(ts, bad, n, min_exclusive, search_bound, workers):
             )
             found = next((hit for hit in hits if hit is not None), None)
     if found is None:
-        return None
+        return None, decided
     return WitnessPrime(
         p=found,
         n=n,
         targets=tuple((t, False) for t in ts),
         lower_bound_satisfied=found > min_exclusive,
-    )
+    ), False
+
+
+def _witness_search(targets, n, min_exclusive, search_bound, workers=1):
+    """`_search` over the validated targets of `find_witness_prime`."""
+    ts = _normalize_targets(targets)
+    if _as_int(n) < 1:
+        raise DegenerateInput("n must be >= 1")
+    min_exclusive, search_bound = _as_int(min_exclusive), _as_int(search_bound)
+    if search_bound < min_exclusive:
+        raise DegenerateInput("search_bound must be >= min_exclusive")
+    bad = prod(t.numerator * t.denominator for t in ts)
+    return _search(ts, bad, n, min_exclusive, search_bound, _as_int(workers))
 
 
 def find_witness_prime(
@@ -234,21 +253,15 @@ def find_witness_prime(
     workers: int = 1,
 ) -> WitnessPrime | None:
     """Smallest prime p with min_exclusive < p <= search_bound modulo which every
-    target is a non-n-th-power residue.  None when the bound is exhausted; the
-    caller distinguishes "enlarge the bound" from "hypotheses unmet".
+    target is a non-n-th-power residue.  None when none exists up to the
+    bound, or at all (`_no_witness_exists`); `classify_equation` tells the
+    two apart through `_witness_search`.
 
     Primes dividing any target's numerator or denominator are skipped (no
     residue to test).  The search, its early decision and its `workers`
     shards are those of `_search`.
     """
-    ts = _normalize_targets(targets)
-    if _as_int(n) < 1:
-        raise DegenerateInput("n must be >= 1")
-    min_exclusive, search_bound = _as_int(min_exclusive), _as_int(search_bound)
-    if search_bound < min_exclusive:
-        raise DegenerateInput("search_bound must be >= min_exclusive")
-    bad = prod(t.numerator * t.denominator for t in ts)
-    return _search(ts, bad, n, min_exclusive, search_bound, workers)
+    return _witness_search(targets, n, min_exclusive, search_bound, workers)[0]
 
 
 def _euler_exponent(n: int, p: int) -> int:
@@ -363,7 +376,7 @@ def find_system_witness(
     union, inter = _union_intersection(rows)
     union, inter = sorted(union), tuple(sorted(inter))
     bad = _reduce_system(rows, union)
-    return _search(inter, bad, n, 0, search_bound, workers=1)
+    return _search(inter, bad, n, 0, search_bound, workers=1)[0]
 
 
 def verify_system_witness(w: WitnessPrime, rows, n: int) -> bool:

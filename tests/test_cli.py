@@ -380,6 +380,15 @@ def test_config_validation():
             RunConfig(output=bad)
 
 
+def test_config_refuses_inexact_numbers():
+    # "5" raised TypeError from `<`; 10.5 was accepted and failed later,
+    # inside classify_equation
+    for name in ("witness_bound", "box_half_width", "factor_budget", "sieve_bound", "threads"):
+        for bad in ("5", 10.5, 2.0, None):
+            with pytest.raises(cli.DegenerateInput):
+                RunConfig(**{name: bad})
+
+
 def test_zero_options_are_rejected():
     for opt in ("--bound", "--box", "--threads"):
         assert run(["classify", "2", "3", "1", "1", "2", opt, "0"])[0] == EXIT_USAGE, opt

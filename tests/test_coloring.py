@@ -395,6 +395,15 @@ def test_system_scan_refuses_inexact_coefficients():
             verify_system_no_mono(system, ValuationColoring(5), box)
 
 
+def test_equation_scan_refuses_inexact_workers():
+    # the full engine compared the string "2" with 1 and raised TypeError
+    box = SearchBox(1, 6)
+    for engine in (ENGINE_FULL, ENGINE_BUCKETED):
+        for workers in ("2", 2.0, None):
+            with pytest.raises(DegenerateInput):
+                verify_no_mono_solution((2, 3, 1, 1, 2), ValuationColoring(5), box, engine=engine, workers=workers)
+
+
 def test_search_box_refuses_inexact_bounds():
     # range() used to raise TypeError for these inside the scans
     for lo, hi in ((-2.0, 2), (-2, 2.5), ("a", 2), (None, 2), (Fraction(1), 3)):

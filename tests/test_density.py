@@ -28,6 +28,8 @@ from parreg.density import (
     _hits_outside,
     _joint_survey,
     _pass,
+    _span,
+    _span_walk,
     _survey,
     admissible_primes,
     hit_primes,
@@ -488,6 +490,50 @@ def test_nonresidue_decision_grid():
     assert nonresidue_pattern_occurs([16], 8) is False
     assert nonresidue_pattern_occurs([2], 25) is None
     assert nonresidue_pattern_occurs([2, 3, 5, 7], 2) is None
+
+
+def test_nonresidue_decision_coordinate_branches():
+    """Each way a coset is settled by its coordinates, against the explicit
+    enumeration (d_i is the gcd of g and the i-th generator entries)."""
+    cases = (
+        # every coset has d_i = g and target_i = 0 for one coordinate: 16 and
+        # 4096 are 8th-power residues mod every prime, so all are skipped
+        ([16], 8),
+        ([4096], 8),
+        ([16, 4096], 8),
+        # a dropped coordinate: d_i does not divide target_i, at d_i = g
+        # ([-1]) and at d_i < g (4 at the third coset of [2, 4], after two
+        # skipped ones), and no coordinate left
+        ([-1], 4),
+        ([2, 4], 4),
+        ([-1, -2], 4),
+        # a single live coordinate, alone or next to a dropped one
+        ([3], 3),
+        ([-1, 3], 4),
+        # all coordinates live: the walk ends on the whole subgroup
+        # (60*90*150 is a square) or stops at an element
+        ([60, 90, 150], 2),
+        ([12, 18], 6),
+    )
+    for qs, n in cases:
+        qs = [Fraction(q) for q in qs]
+        want = (False,) * len(qs) in _oracle_densities(qs, n)
+        assert nonresidue_pattern_occurs(qs, n) == want, (qs, n)
+    assert not nonresidue_pattern_occurs([16], 8) and not nonresidue_pattern_occurs([60, 90, 150], 2)
+    assert nonresidue_pattern_occurs([2, 4], 4) and nonresidue_pattern_occurs([12, 18], 6)
+    # the two n = 11 corpus sets: every coordinate is live at g = 11
+    for qs in ([5, 40463, 40468], [Fraction(-1387, 8), Fraction(-1365, 8), Fraction(11, 4)]):
+        assert (False,) * 3 in _factored_densities(qs, 11)
+        assert nonresidue_pattern_occurs(qs, 11) is True, qs
+
+
+@given(st.integers(1, 24), st.integers(1, 3), st.data())
+@settings(max_examples=100, deadline=None)
+def test_span_walk_yields_the_span_once(g, k, data):
+    gens = data.draw(st.lists(st.lists(st.integers(-30, 30), min_size=k, max_size=k), max_size=4))
+    walk = list(_span_walk(gens, g, k))
+    assert len(walk) == len(set(walk))
+    assert set(walk) == _span(gens, g, k)
 
 
 def _factored_densities(qs, n, exps=None):

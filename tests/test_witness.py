@@ -10,10 +10,10 @@ from math import gcd, prod
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from parreg import density, witness
+from parreg import classify, density, witness
 import parreg.arith as arith
 from parreg.arith import (
     DegenerateInput,
@@ -136,6 +136,13 @@ def test_witness_searches_refuse_a_float_bound():
     for kwargs in ({"search_bound": "100"}, {"min_exclusive": "3"}, {"min_exclusive": 1.5}):
         with pytest.raises(DegenerateInput):
             find_witness_prime([2, 3], 2, **kwargs)
+
+
+def test_witness_search_refuses_inexact_workers():
+    # workers="2" was accepted while the prefix found the witness
+    for workers in ("2", 2.0, None):
+        with pytest.raises(DegenerateInput):
+            find_witness_prime([2, 3, 5], 2, workers=workers)
 
 
 def test_witness_searches_refuse_a_float_exponent():
@@ -442,7 +449,8 @@ def _euler_scan(targets, n, min_exclusive):
 @given(
     st.lists(st.sampled_from((2, 3, 5, 6, 7, 10, 11, 13)), min_size=1, max_size=3),
     st.integers(min_value=2, max_value=8),
-    # the second range holds the last 64 primes, where the prefix is short
+    # the second range ends in the last _DECIDE_AFTER primes, where the
+    # prefix is short
     st.one_of(st.integers(0, 10**6), st.integers(998_500, 10**6)),
 )
 @settings(max_examples=60, deadline=None)
@@ -533,10 +541,76 @@ def test_decision_prefix_holds_every_prime_dividing_2n():
         assert set(small) <= set(primes[:_DECIDE_AFTER]), n
 
 
-def test_small_bound_still_scans_to_the_bound(residue_tests):
+@pytest.fixture
+def lemma_checks(monkeypatch):
+    """The (targets, n) that `classify_equation` hands to check_hypotheses."""
+    seen = []
+
+    def counted(targets, n):
+        seen.append((tuple(targets), n))
+        return check_hypotheses(targets, n)
+
+    monkeypatch.setattr(classify, "check_hypotheses", counted)
+    return seen
+
+
+def test_futile_searches_skip_the_lemma_check(lemma_checks, monkeypatch):
+    decided = [classify_equation(EquationSpec(*spec)).reasons for spec in FUTILE_EQUATIONS]
+    assert lemma_checks == []
+    # the oracle: with no decision every search scans to its bound (above
+    # every threshold a + b, the largest 90,000), and the lemma check
+    # chooses the reason
+    monkeypatch.setattr(witness, "_no_witness_exists", lambda targets, n: False)
+    config = SimpleNamespace(witness_bound=10**5)
+    scanned = [classify_equation(EquationSpec(*spec), config=config).reasons for spec in FUTILE_EQUATIONS]
+    assert len(lemma_checks) == len(FUTILE_EQUATIONS)
+    assert decided == scanned
+    for (a, b, c, _, n), reasons in zip(FUTILE_EQUATIONS, decided):
+        assert "Q:witness:hypotheses-unmet" in reasons
+        assert not check_hypotheses([Fraction(a, c), Fraction(b, c), Fraction(a + b, c)], n).satisfied
+
+
+def test_small_bound_still_scans_to_the_bound(residue_tests, lemma_checks):
     v = classify_equation(EquationSpec(9, 2, 1, 1, 8), config=SimpleNamespace(witness_bound=13))
     assert residue_tests and max(residue_tests) == 13
     assert "Q:witness:bound-exhausted:13" in v.reasons
+    # no decision ran, so the lemma check chose the reason
+    assert lemma_checks == [((2, 9, 11), 8)]
+
+
+def _signed_product(negative: bool, exps: dict) -> Fraction:
+    q = prod((Fraction(ell) ** e for ell, e in exps.items()), start=Fraction(1))
+    return -q if negative else q
+
+
+@given(
+    st.lists(
+        st.builds(
+            _signed_product,
+            st.booleans(),
+            st.dictionaries(st.sampled_from((2, 3, 5, 7, 13, 17)), st.integers(-12, 12), max_size=3),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    st.integers(1, MAX_PREDICTED_N),
+)
+# the reproduction table's target sets that have no witness prime
+@example([3, 13, 16], 8)
+@example([16, 32], 8)
+@example([60, 90, 150], 2)
+@example([81, 729, 810], 12)
+@example([32400, 57600, 90000], 4)
+@example([16, 17, 33], 8)
+@example([33, 4063, 4096], 8)
+@settings(max_examples=200, deadline=None)
+def test_no_witness_decision_leaves_the_lemmas_unmet(qs, n):
+    """A satisfied lemma gives infinitely many witness primes, so the
+    all-non-residue pattern has positive density: where the decision says
+    no witness exists, no lemma holds, and `classify_equation` records
+    hypotheses-unmet without checking them."""
+    if density.nonresidue_pattern_occurs(qs, n) is False:
+        assert not check_hypotheses(qs, n).satisfied
 
 
 def test_possible_witness_keeps_scanning_past_the_prefix(residue_tests):

@@ -8,8 +8,11 @@ carries BOX_CAVEAT saying exactly that.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from math import gcd, lcm
 
 from .arith import DegenerateInput, _as_int, _int_rows, is_probable_prime
 
@@ -43,7 +46,7 @@ class ModColoring:
     palette: tuple
 
     def __post_init__(self):
-        if self.modulus < 1 or len(self.palette) != self.modulus:
+        if _as_int(self.modulus) < 1 or len(self.palette) != self.modulus:
             raise DegenerateInput("palette must have one entry per residue")
 
 
@@ -100,12 +103,26 @@ class SearchBox:
 def rational_box_values(box: SearchBox) -> list[Fraction]:
     """All fractions num/den with num, den drawn from the box (den != 0),
     deduplicated and sorted.  Small boxes only.
+
+    Each quotient is reduced to an integer pair (num, den) with den > 0, so
+    a value is hashed and sorted as a pair and its Fraction is made once.
+    The sort key num / den is exact while every |num|, den <= H < 2**17:
+    int division rounds correctly, so the key is monotone in the value,
+    and two distinct values differ by at least 1/H**2, while two values
+    that round to the same float differ by at most one ulp of a float of
+    size <= H, which is <= H * 2**-52 < 1/H**2 for H**3 < 2**52.  Wider
+    boxes sort the Fractions themselves.
     """
     vs = box.values()
-    out = {Fraction(p, q) for p in vs for q in vs if q != 0}
-    if box.exclude_zero:
-        out.discard(Fraction(0))
-    return sorted(out)
+    pairs = set()
+    for q in vs:
+        if q:
+            for p in vs:
+                g = gcd(p, q) if q > 0 else -gcd(p, q)
+                pairs.add((p // g, q // g))
+    if max(abs(box.lo), abs(box.hi)) < 2**17:
+        return [Fraction(p, q) for p, q in sorted(pairs, key=lambda t: t[0] / t[1])]
+    return sorted(Fraction(p, q) for p, q in pairs)
 
 
 @dataclass(frozen=True)
@@ -118,8 +135,9 @@ class MonoReport:
     scan; when the scan stopped at the first hit it is lookups times the
     class size, summed over the classes reached, which never exceeds the
     full size.  pairs_indexed (the sum of k^2 over the color classes of size
-    k that were indexed) and lookups (the (w, z) probes made) count the work
-    the sumset join actually did; the full engine leaves both at 0.
+    k that were indexed) and lookups (the (w, z) probes in walk order, up to
+    the hit under stop_on_find) count the work of the sumset join; the full
+    engine leaves both at 0.
     """
 
     subject: tuple
@@ -147,16 +165,34 @@ def _eq_params(eq) -> tuple[int, int, int, int, int]:
 
 
 def _color_map(values, spec) -> dict:
+    """{v: color_of(v, spec)} for the box values, in their order.
+
+    On an integer box a residue coloring reads palette[v % m] and a
+    valuation coloring v % p, so only the multiples of p (and 0, which has
+    no color) go through color_of; rational values and other specs take
+    color_of for every value.
+    """
+    if values and isinstance(values[0], int):
+        if isinstance(spec, ModColoring):
+            palette, m = spec.palette, spec.modulus
+            cmap = {v: palette[v % m] for v in values}
+            if 0 in cmap:
+                raise DegenerateInput("0 has no color")
+            return cmap
+        if isinstance(spec, ValuationColoring):
+            p = spec.p
+            return {v: v % p or color_of(v, spec) for v in values}
     return {v: color_of(v, spec) for v in values}
 
 
-def _buckets(values, cmap) -> list[list]:
+def _buckets(cmap) -> list[list]:
     """The box split into color classes, classes in repr order of their
-    color and values in box order within each class.
+    color and values in box order within each class (cmap's order, so no
+    value is hashed again).
     """
     buckets: dict = {}
-    for v in values:
-        buckets.setdefault(cmap[v], []).append(v)
+    for v, d in cmap.items():
+        buckets.setdefault(d, []).append(v)
     return [buckets[d] for d in sorted(buckets, key=repr)]
 
 
@@ -165,13 +201,15 @@ def _scan_bucketed(vals, params, stop_on_find):
     same-colored tuples can be monochromatic, so every variable ranges over
     vals.
 
-    The class is first scaled to integers by the common denominator den of
-    its values (1 on an integer box); a*x + b*y = c*w^m*z^n then becomes
+    A class of Fractions is first scaled to integers by the common
+    denominator den of its values; a*x + b*y = c*w^m*z^n then becomes
     A*X + B*Y = c*W^m*Z^n with A, B = a, b times den^(m+n-1), so every key
-    below is an exact integer.  Index A*X + B*Y over the class's (X, Y)
-    pairs, each key mapped to its pair count and its least X (Y follows
-    from the key), then look up c*W^m*Z^n once per (W, Z), with Z^n
-    computed once per class.
+    below is an exact integer.  An integer class is used as it is.  The
+    set of keys A*X + B*Y over the class's (X, Y) pairs meets the probes
+    c*W^m*Z^n, one per (W, Z) in walk order, or the class has no solution.
+    Otherwise the first W row with a hit holds the least tuple, since W
+    grows with the row, and each hit's least x is found by walking x up
+    from the least value; the count sums each probe's pair count.
 
     Returns (count, best, lookups): the class's solution count, its least
     (w, x, y, z) in the original values and the number of (w, z) probes.
@@ -179,46 +217,40 @@ def _scan_bucketed(vals, params, stop_on_find):
     that hits and returns its least x, the very tuple the literal walk
     meets first, with count 1.
     """
-    from math import lcm
-
     a, b, c, m, n = params
-    # a list, not a generator: on CPython 3.11 lcm(*generator) made the
-    # process's peak RSS creep up by about 3 MB over repeated scans
-    den = lcm(*[v.denominator for v in vals])
-    ivals = [v.numerator * (den // v.denominator) for v in vals]
-    scale = den ** (m + n - 1)
-    a, b = a * scale, b * scale
-    orig = dict(zip(ivals, vals))
-    bys = [b * y for y in ivals]
-    counts: dict = {}
-    least: dict = {}
-    for x in reversed(ivals):  # descending, so each key keeps its least x
-        ax = a * x
-        for by in bys:
-            key = ax + by
-            counts[key] = counts.get(key, 0) + 1
-            least[key] = x
-    zns = [z**n for z in ivals]
+    if isinstance(vals[0], int):
+        ivals = vals
+    else:
+        # a list, not a generator: on CPython 3.11 lcm(*generator) made the
+        # process's peak RSS creep up by about 3 MB over repeated scans
+        den = lcm(*[v.denominator for v in vals])
+        ivals = [v.numerator * (den // v.denominator) for v in vals]
+        scale = den ** (m + n - 1)
+        a, b = a * scale, b * scale
     k = len(vals)
-    count = 0
-    best = None
-    for i, w in enumerate(ivals):
-        cwm = c * w**m
-        row = [cwm * zn for zn in zns]
-        if counts.keys().isdisjoint(row):
-            continue
-        for j, rhs in enumerate(row):
-            hits = counts.get(rhs)
-            if hits is None:
-                continue
-            x = least[rhs]
-            t = (vals[i], orig[x], orig[(rhs - a * x) // b], vals[j])
-            if stop_on_find:
-                return 1, t, i * k + j + 1
-            count += hits
-            if best is None or t < best:
-                best = t
-    return count, best, k * k
+    bys = [b * y for y in ivals]
+    keys = [ax + by for ax in [a * x for x in ivals] for by in bys]
+    keyset = set(keys)
+    zns = [z**n for z in ivals]
+    probes = [cwm * zn for cwm in [c * w**m for w in ivals] for zn in zns]
+    if keyset.isdisjoint(probes):
+        return 0, None, k * k
+    # the first W row with a hit starts at probe `row`
+    row = next(i for i in range(0, k * k, k) if not keyset.isdisjoint(probes[i : i + k]))
+    index = {v: i for i, v in enumerate(ivals)}
+
+    def solution(q):  # the least (w, x, y, z) of the hit probe q
+        rhs = probes[q]
+        for i, x in enumerate(ivals):
+            y, r = divmod(rhs - a * x, b)
+            if not r and y in index:
+                return vals[q // k], vals[i], vals[index[y]], vals[q % k]
+
+    hits = [q for q in range(row, row + k) if probes[q] in keyset]
+    if stop_on_find:
+        return 1, solution(hits[0]), hits[0] + 1
+    counts = Counter(keys)
+    return sum(map(counts.get, probes[row:], repeat(0))), min(map(solution, hits)), k * k
 
 
 def _scan_full_shard(args):
@@ -299,7 +331,7 @@ def verify_no_mono_solution(
     if not values:
         scanned = 0
     elif engine == ENGINE_BUCKETED:
-        for vals in _buckets(values, cmap):
+        for vals in _buckets(cmap):
             k = len(vals)
             rc, rb, rl = _scan_bucketed(vals, params, stop_on_find)
             pairs += k * k
@@ -354,24 +386,25 @@ def _system_params(system) -> tuple[tuple[tuple[int, int, int], ...], int]:
     return rows, n
 
 
-def verify_system_no_mono(system, spec, box: SearchBox) -> MonoReport:
+def verify_system_no_mono(system, spec, box: SearchBox, rational: bool = False) -> MonoReport:
     """Join each row a_i*x + b_i*y = c_i*w*z^n separately per color class,
     building one index per row per class; a monochromatic system solution
     is one per-row tuple for every row with all values sharing a single
     color.  solutions_found multiplies the per-row counts within each color
     (rows have disjoint variables), and a class stops at its first row
-    without a solution.  candidates_scanned stays the closed form rows *
-    |box|^3; pairs_indexed and lookups count the join's work.
+    without a solution.  rational scans the values of rational_box_values
+    in place of the integers.  candidates_scanned stays the closed form
+    rows * |values|^3; pairs_indexed and lookups count the join's work.
     """
     rows, n = _system_params(system)
-    values = box.values()
+    values = rational_box_values(box) if rational else box.values()
     cmap = _color_map(values, spec)
     total = len(rows) * len(values) ** 3
     count = 0
     best = None
     pairs = 0
     lookups = 0
-    for vals in _buckets(values, cmap):
+    for vals in _buckets(cmap):
         per_row = []
         prod = 1
         for a, b, c in rows:

@@ -21,6 +21,7 @@ from parreg.coloring import (
     ModColoring,
     SearchBox,
     ValuationColoring,
+    _color_map,
     color_of,
     rational_box_values,
     verify_no_mono_solution,
@@ -52,6 +53,15 @@ def oracle_vp(x, p):
         den //= p
         v -= 1
     return v
+
+
+def literal_rational_box_values(box):
+    # the definition: every num/den with both drawn from the box, as a set
+    vs = box.values()
+    out = {Fraction(p, q) for p in vs for q in vs if q != 0}
+    if box.exclude_zero:
+        out.discard(Fraction(0))
+    return sorted(out)
 
 
 def oracle_scan(a, b, c, m, n, p, values):
@@ -138,6 +148,16 @@ def test_mod_coloring():
         color_of(1, {1: 0})
 
 
+def test_mod_coloring_refuses_an_inexact_modulus():
+    # ModColoring(2.0, (0, 1)) was accepted and the scan then raised
+    # TypeError indexing the palette with a float
+    for modulus in (2.0, "2", None, Fraction(2)):
+        with pytest.raises(DegenerateInput):
+            ModColoring(modulus, (0, 1))
+    with pytest.raises(DegenerateInput):
+        ModColoring(0, ())
+
+
 # ---------------------------------------------------------------------------
 # boxes
 
@@ -157,6 +177,63 @@ def test_rational_box_values():
     assert set(vals) == {
         Fraction(a, b) for a in range(1, 4) for b in range(1, 4)
     }
+
+
+small_boxes = st.builds(
+    SearchBox,
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-9, max_value=9),
+    st.booleans(),
+)
+wide_boxes = st.builds(
+    lambda lo, width, exclude_zero: SearchBox(lo, lo + width, exclude_zero),
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.integers(min_value=-2, max_value=40),
+    st.booleans(),
+)
+color_map_specs = st.one_of(
+    st.sampled_from((2, 3, 5, 7, 11, 13)).map(ValuationColoring),
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda m: st.lists(st.integers(0, 3), min_size=m, max_size=m).map(
+            lambda pal: ModColoring(m, tuple(pal))
+        )
+    ),
+)
+
+
+def _color_outcome(make, values, spec):
+    try:
+        return list(make(values, spec).items())
+    except DegenerateInput:  # 0 in the box, or a denominator with no inverse
+        return "refused"
+
+
+@given(
+    color_map_specs,
+    st.one_of(
+        st.tuples(small_boxes, st.booleans()),
+        st.tuples(wide_boxes, st.just(False)),
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_color_map_matches_color_of(spec, box_mode):
+    box, rational = box_mode
+    values = literal_rational_box_values(box) if rational else box.values()
+    if rational:
+        assert rational_box_values(box) == values
+    literal = _color_outcome(lambda vs, sp: {v: color_of(v, sp) for v in vs}, values, spec)
+    assert _color_outcome(_color_map, values, spec) == literal
+
+
+def test_color_map_refusals():
+    over_zero = SearchBox(-3, 3, exclude_zero=False)
+    for spec in (ValuationColoring(5), ModColoring(5, (0, 1, 2, 3, 4))):
+        for values in (over_zero.values(), rational_box_values(over_zero)):
+            with pytest.raises(DegenerateInput, match="0 has no color"):
+                _color_map(values, spec)
+    with pytest.raises(DegenerateInput, match="not invertible"):
+        _color_map(rational_box_values(SearchBox(1, 4)), ModColoring(4, (0, 1, 2, 3)))
+    assert _color_map([], ModColoring(1, ("a",))) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +568,75 @@ def test_join_matches_full_walk(eq, spec, box_mode):
     )
 
 
+def first_hit_walk(eq, spec, values):
+    # the walk stop_on_find stands for: classes in repr order of their
+    # color, (w, z) in box order within a class, then the least x; with the
+    # pairs indexed, (w, z) lookups and candidates examined up to the hit
+    a, b, c, m, n = eq
+    colors = {v: color_of(v, spec) for v in values}
+    pairs = lookups = examined = 0
+    for d in sorted(set(colors.values()), key=repr):
+        cls = [v for v in values if colors[v] == d]
+        members = set(cls)
+        pairs += len(cls) ** 2
+        for w in cls:
+            for z in cls:
+                lookups += 1
+                examined += len(cls)
+                rhs = c * Fraction(w) ** m * Fraction(z) ** n
+                for x in cls:
+                    y = (rhs - a * x) / b
+                    if y in members:
+                        return (w, x, y, z), pairs, lookups, examined
+    return None, pairs, lookups, examined
+
+
+@given(equations, colorings, st.one_of(int_boxes, rational_boxes))
+@settings(max_examples=150, deadline=None)
+def test_first_hit_matches_literal_walk(eq, spec, box_mode):
+    box, rational = box_mode
+    values = literal_rational_box_values(box) if rational else box.values()
+    try:
+        want = first_hit_walk(eq, spec, values)
+    except DegenerateInput:  # a denominator with no residue mod m
+        with pytest.raises(DegenerateInput):
+            verify_no_mono_solution(eq, spec, box, stop_on_find=True, rational=rational)
+        return
+    rep = verify_no_mono_solution(eq, spec, box, stop_on_find=True, rational=rational)
+    assert (rep.found, rep.pairs_indexed, rep.lookups, rep.candidates_scanned) == want
+    assert rep.solutions_found == (rep.found is not None)
+    full = verify_no_mono_solution(eq, spec, box, engine=ENGINE_FULL, rational=rational)
+    assert (rep.found is None) == (full.solutions_found == 0)
+
+
+# (equation, coloring, box, stop_on_find, rational) ->
+# (found, solutions_found, candidates_scanned, pairs_indexed, lookups),
+# recorded from the join before integer classes skipped the rescaling
+F = Fraction
+PINNED_SCANS = [
+    ((2, -3, 1, 1, 2), ValuationColoring(5), SearchBox(-20, 20), False, False,
+     ((-18, -18, 12, 2), 48, 64000, 400, 400)),
+    ((1, 1, 1, 1, 1), ModColoring(4, (0, 1, 2, 3)), SearchBox(1, 30), True, False,
+     ((4, 4, 12, 4), 1, 7, 49, 1)),
+    ((3, 5, -2, 2, 1), ModColoring(3, (0, 1, 2)), SearchBox(-15, 9), False, False,
+     ((-3, -3, -9, 3), 4, 24**3, 192, 192)),
+    ((1, 2, 1, 1, 1), ValuationColoring(5), SearchBox(-4, 4), False, True,
+     ((F(-2), F(-2), F(-2), F(3)), 69, 22**3, 122, 122)),
+    ((1, -1, 2, 1, 1), ValuationColoring(3), SearchBox(-3, 3), True, True,
+     ((F(-2), F(3), F(1, 3), F(-2, 3)), 1, 3 * 7, 49, 3)),
+    ((4, 1, 1, 1, 2), ValuationColoring(7), SearchBox(2, 5), False, True,
+     (None, 0, 13**3, 33, 33)),
+]
+
+
+@pytest.mark.parametrize("eq, spec, box, stop, rational, want", PINNED_SCANS)
+def test_join_work_counts_pinned(eq, spec, box, stop, rational, want):
+    rep = verify_no_mono_solution(eq, spec, box, stop_on_find=stop, rational=rational)
+    got = (rep.found, rep.solutions_found, rep.candidates_scanned, rep.pairs_indexed, rep.lookups)
+    assert got == want
+    assert [type(v) for v in rep.found or ()] == [F if rational else int] * len(rep.found or ())
+
+
 @given(
     st.lists(
         st.tuples(nonzero_coeff, nonzero_coeff, st.sampled_from((1, -1, 2, -2))),
@@ -499,14 +645,30 @@ def test_join_matches_full_walk(eq, spec, box_mode):
     ),
     st.integers(min_value=1, max_value=3),
     st.sampled_from((2, 3, 5, 7)),
-    st.integers(min_value=1, max_value=8),
+    st.one_of(
+        st.tuples(st.integers(min_value=1, max_value=8), st.just(False)),
+        st.tuples(st.integers(min_value=1, max_value=3), st.just(True)),
+    ),
 )
-@settings(max_examples=60, deadline=None)
-def test_system_join_matches_oracle(rows, n, p, half):
+@settings(max_examples=120, deadline=None)
+def test_system_join_matches_oracle(rows, n, p, box_mode):
     rows = tuple(rows)
+    half, rational = box_mode
     box = SearchBox(-half, half)
-    rep = verify_system_no_mono(SystemSpec(rows, n), ValuationColoring(p), box)
-    total, best = oracle_system_scan(rows, n, p, box.values())
+    values = literal_rational_box_values(box) if rational else box.values()
+    rep = verify_system_no_mono(SystemSpec(rows, n), ValuationColoring(p), box, rational=rational)
+    total, best = oracle_system_scan(rows, n, p, values)
     assert rep.solutions_found == total
     assert rep.found == best
-    assert rep.candidates_scanned == len(rows) * (2 * half) ** 3
+    assert rep.candidates_scanned == len(rows) * len(values) ** 3
+
+
+def test_rational_system_scan_matches_oracle():
+    rows = ((1, 1, 2), (2, -1, 1))
+    box = SearchBox(1, 4)
+    rep = verify_system_no_mono(SystemSpec(rows, 1), ValuationColoring(3), box, rational=True)
+    values = literal_rational_box_values(box)
+    total, best = oracle_system_scan(rows, 1, 3, values)
+    assert total > 0 and any(v.denominator > 1 for t in best for v in t)
+    assert (rep.solutions_found, rep.found) == (total, best)
+    assert rep.candidates_scanned == 2 * len(values) ** 3 == 2 * 11**3

@@ -232,23 +232,30 @@ def factor(q, budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
     return Factorization(sign=1 if q > 0 else -1, exponents=dict(sorted(exps.items())))
 
 
-def valuation(q, p: int) -> int:
-    """p-adic valuation of a nonzero rational."""
+def _split(q, p: int) -> tuple[int, int, int]:
+    """(v, num, den) with q = p**v * num / den, den > 0 and p dividing
+    neither num nor den, for a nonzero rational q and any p >= 2 (prime or
+    not): the one pass over q that `valuation` and the p-adic tests read."""
     q = _as_rat(q)
-    if q == 0:
+    if not q:
         raise DegenerateInput("valuation of 0 is undefined")
+    if _as_int(p) < 2:
+        raise DegenerateInput(f"valuation needs p >= 2, got {p}")
+    num, den = q.numerator, q.denominator
     v = 0
-    num = abs(q.numerator)
     while num % p == 0:
         num //= p
         v += 1
-    if v:
-        return v
-    den = q.denominator
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    if not v:
+        while den % p == 0:
+            den //= p
+            v -= 1
+    return v, num, den
+
+
+def valuation(q, p: int) -> int:
+    """p-adic valuation of a nonzero rational, for any p >= 2."""
+    return _split(q, p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -668,9 +675,8 @@ def nth_power_mod_p(q, n: int, p: int) -> bool:
 
 def p_unit_residue(q, p: int, modulus: int) -> int:
     """The p-free unit part of q reduced mod `modulus` (a power of p)."""
-    q = _as_rat(q)
-    u = q / Fraction(p) ** valuation(q, p)
-    return u.numerator * pow(u.denominator, -1, modulus) % modulus
+    _, num, den = _split(q, p)
+    return num * pow(den, -1, modulus) % modulus
 
 
 def nth_power_in_Qp(q, p: int, n: int) -> bool:
@@ -689,23 +695,28 @@ def nth_power_in_Qp(q, p: int, n: int) -> bool:
     if _as_int(n) < 1:
         raise DegenerateInput("n must be >= 1")
     _check_prime_arg(p)
-    v = valuation(q, p)
-    if v % n != 0:
+    return _is_qp_power(*_split(q, p), p, n)
+
+
+def _is_qp_power(v: int, num: int, den: int, p: int, n: int) -> bool:
+    """`nth_power_in_Qp` of q from its `_split` (v, num, den) at p, on
+    trusted arguments: p prime and n >= 1.  As den is a unit mod p^k,
+    num/den = 1 iff num = den, and (num/den)^(p-1) = 1 iff
+    num^(p-1) = den^(p-1) (mod p^k), so no inverse is taken."""
+    if v % n:
         return False
-    u = q / Fraction(p) ** v
-    e = 0
-    m = n
+    m, e = n, 0
     while m % p == 0:
         m //= p
         e += 1
-    if not nth_power_mod_p(u, m, p):
+    if not _is_residue(num, den, (p - 1) // gcd(m, p - 1), p):
         return False
     if e == 0:
         return True
     if p == 2:
-        return p_unit_residue(u, 2, 2 ** (e + 2)) == 1
+        return (num - den) % (1 << (e + 2)) == 0
     pk = p ** (e + 1)
-    return pow(p_unit_residue(u, p, pk), p - 1, pk) == 1
+    return pow(num, p - 1, pk) == pow(den, p - 1, pk)
 
 
 # ---------------------------------------------------------------------------

@@ -7,19 +7,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd
 
 from .arith import (
     DEFAULT_FACTOR_BUDGET,
     DegenerateInput,
     FactorizationBudgetExceeded,
     ParregError,
+    _as_int,
+    _check_prime_arg,
     _int_rows,
+    _is_qp_power,
+    _is_residue,
+    _split,
     factor,
     nth_power_in_Q,
     nth_power_in_Q_nonneg,
-    nth_power_in_Qp,
-    nth_power_mod_p,
-    valuation,
 )
 from .witness import (
     DEFAULT_SEARCH_BOUND,
@@ -235,14 +238,19 @@ def _padic_case(gamma: Fraction, ratios, p: int, n: int):
 
     A: (a+b)/c is not of the shape p^(jn) * (n-th power residue unit);
     B: none of the three ratios is an n-th power in Q_p.
+
+    p is checked once, before anything is split at it; each value is then
+    split at p once (`_split`) and tested on the ints of its split.
     """
-    v = valuation(gamma, p)
-    unit = gamma / Fraction(p) ** v
-    unit_residue_ok = nth_power_mod_p(unit, n, p)
+    _check_prime_arg(p)
+    if _as_int(n) < 1:
+        raise DegenerateInput("n must be >= 1")
+    v, num, den = _split(gamma, p)
+    unit_residue_ok = _is_residue(num, den, (p - 1) // gcd(n, p - 1), p)
     a_holds = not (v >= 0 and v % n == 0 and unit_residue_ok)
-    qp = tuple((q, nth_power_in_Qp(q, p, n)) for q in ratios)
+    qp = tuple((q, _is_qp_power(*_split(q, p), p, n)) for q in ratios)
     b_holds = not any(flag for _, flag in qp)
-    return a_holds, b_holds, v, unit, unit_residue_ok, qp
+    return a_holds, b_holds, v, Fraction(num, den), unit_residue_ok, qp
 
 
 def classify_equation(eq: EquationSpec, config=None) -> Verdict:

@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, compress, repeat
 from math import gcd, lcm
 from operator import add, eq, mod, ne
@@ -138,6 +139,30 @@ def _span_walk(gens, g: int, k: int):
         seen.update(new)
 
 
+@cache
+def _unit_table(n: int):
+    """What `_residue_model` reads of n alone, built once per n (at most
+    MAX_PREDICTED_N entries): (fixed, classes, units) with `fixed` the
+    primes dividing 2n, `units` the number of units a mod M = lcm(8, 2n),
+    and `classes` the distinct (g, (a-1)/2 mod g, flips) over them with how
+    many units give each, in order of first unit, where g = gcd(n, a-1) and
+    `flips` are the indices of the fixed primes ell with (ell|a) = -1 at
+    even g (none at odd g).
+    """
+    # the primes whose quadratic character p mod M decides: 2 and those dividing n
+    fixed = tuple(ell for ell in sieve(2 * n).primes if 2 * n % ell == 0)
+    modulus = lcm(8, 2 * n)
+    units = [a for a in range(1, modulus) if gcd(a, modulus) == 1]
+    classes = Counter()
+    for a in units:
+        g = gcd(n, a - 1)
+        # (ell|p) is the Jacobi symbol (ell|a) at every prime p = a (mod M),
+        # as 4*ell divides M (quadratic reciprocity)
+        flips = () if g % 2 else tuple(i for i, ell in enumerate(fixed) if _jacobi(ell, a) == -1)
+        classes[g, (a - 1) // 2 % g, flips] += 1
+    return fixed, tuple((*key, count) for key, count in classes.items()), len(units)
+
+
 def _residue_model(targets, n: int):
     """The targets' classes in F_p^* / F_p^*g = Z/g as cosets of subgroups
     of (Z/g)^k, for `residue_pattern_densities` and
@@ -164,14 +189,15 @@ def _residue_model(targets, n: int):
     so together they generate the multiples of j times the exponents of b
     in the targets, and mod g the multiples of gcd(j, n) times them.
 
-    What does not change with a (the targets' signs, each fixed prime's
-    exponent vector) is read once, outside the loop over the units.
+    What depends on n alone (the fixed primes, and per unit a its g, (a-1)/2
+    and quadratic characters) comes from `_unit_table`; what does not change
+    with a (the targets' signs, each fixed prime's exponent vector) is read
+    once, outside the loop over its classes.
     """
     qs = _targets(targets, n)
     if n > MAX_PREDICTED_N or len(qs) > MAX_PREDICTED_TARGETS:
         return None
-    # the primes whose quadratic character p mod M decides: 2 and those dividing n
-    fixed = [ell for ell in sieve(2 * n).primes if 2 * n % ell == 0]
+    fixed, classes, units = _unit_table(n)
     exps, rests = [], []
     for q in qs:
         e, rest = {}, []
@@ -193,26 +219,18 @@ def _residue_model(targets, n: int):
         free.append([j * valuation(r, b) for r in rests])
     rows = [[e.get(ell, 0) for e in exps] for ell in fixed]
     negative = [q.numerator < 0 for q in qs]
-    modulus = lcm(8, 2 * n)
-    units = [a for a in range(1, modulus) if gcd(a, modulus) == 1]
     cosets = Counter()
-    for a in units:
-        g = gcd(n, a - 1)
-        half = (a - 1) // 2
+    for g, half, flips, count in classes:
         shift = [half if neg else 0 for neg in negative]
-        if g % 2 == 0:
-            for ell, row in zip(fixed, rows):
-                # (ell|p) is the Jacobi symbol (ell|a) at every prime
-                # p = a (mod M), as 4*ell divides M (quadratic reciprocity)
-                if _jacobi(ell, a) == -1:
-                    shift = list(map(add, shift, row))
-        cosets[g, tuple(-s % g for s in shift)] += 1
+        for i in flips:
+            shift = list(map(add, shift, rows[i]))
+        cosets[g, tuple(-s % g for s in shift)] += count
     # at even g a fixed prime's class is its quadratic character plus twice
     # a uniform class
     odd = rows + free
     even = [[2 * x for x in row] for row in rows] + free
     gens = {g: even if g % 2 == 0 else odd for g, _ in cosets}
-    return cosets, gens, len(units)
+    return cosets, gens, units
 
 
 def residue_pattern_densities(targets, n: int) -> dict | None:
@@ -324,16 +342,19 @@ def survey(target, n: int, prime_bound: int) -> DensitySurvey:
     inadmissible.  `predicted` is the exact hit density the ratio tends to.
     """
     qs = _targets((target,), n)
-    return _survey(qs, n, prime_bound, _pass(qs, n, prime_bound), 0)
+    counts = _pass(qs, n, prime_bound)
+    return _survey(qs, n, prime_bound, counts, 0, residue_pattern_densities(qs, n))
 
 
-def _survey(qs, n: int, prime_bound: int, counts: Counter, i: int) -> DensitySurvey:
-    """`survey` of qs[i] from a `_pass` over qs."""
+def _survey(
+    qs, n: int, prime_bound: int, counts: Counter, i: int, predicted: dict | None
+) -> DensitySurvey:
+    """`survey` of qs[i] from a `_pass` over qs, with `predicted` the
+    `residue_pattern_densities` of qs[i] as the caller has them, or None."""
     patterns = _patterns(counts, (i,))
     admissible = sum(patterns.values())
     hits = patterns[(True,)]
     density = Fraction(hits, admissible) if admissible else Fraction(0)
-    predicted = residue_pattern_densities(qs[i : i + 1], n)
     return DensitySurvey(
         target=qs[i],
         n=n,
@@ -375,12 +396,17 @@ def joint_survey(targets, n: int, prime_bound: int) -> JointSurvey:
     """
     qs = _targets(targets, n)
     counts = _pass(qs, n, prime_bound)
-    return _joint_survey(qs, n, prime_bound, counts, range(len(qs)))
+    return _joint_survey(
+        qs, n, prime_bound, counts, range(len(qs)), residue_pattern_densities(qs, n)
+    )
 
 
-def _joint_survey(qs, n: int, prime_bound: int, counts: Counter, idx) -> JointSurvey:
+def _joint_survey(
+    qs, n: int, prime_bound: int, counts: Counter, idx, predicted: dict | None
+) -> JointSurvey:
     """`joint_survey` of the targets qs[i] for i in idx, in that order, from a
-    `_pass` over qs."""
+    `_pass` over qs, with `predicted` the `residue_pattern_densities` of
+    those targets as the caller has them, or None."""
     patterns = _patterns(counts, idx)
     qs = tuple(qs[i] for i in idx)
     every = tuple(range(len(qs)))
@@ -394,7 +420,6 @@ def _joint_survey(qs, n: int, prime_bound: int, counts: Counter, idx) -> JointSu
     )
     if ie != at_least_one:
         raise AssertionError("inclusion-exclusion bookkeeping broke")
-    predicted = residue_pattern_densities(qs, n)
     predicted_none = predicted_hits = None
     if predicted is not None:
         predicted_none = predicted.get((False,) * len(qs), Fraction(0))

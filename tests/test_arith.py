@@ -43,6 +43,7 @@ from parreg.arith import (
     sieve,
     valuation,
 )
+from parreg.classify import _padic_case
 from parreg.density import _pass
 
 # ---------------------------------------------------------------------------
@@ -324,6 +325,157 @@ def test_qp_grunwald_wang_values():
 def test_p_unit_residue():
     assert p_unit_residue(Fraction(3, 5), 2, 8) == 3 * pow(5, -1, 8) % 8
     assert p_unit_residue(48, 2, 4) == 3
+
+
+# The p-adic tests as they stood before they split q at p once: Fraction
+# powers and divisions, a valuation and a prime check per call.  Kept as the
+# reference that the split versions must reproduce, refusals included; only
+# called at p >= 2, where their valuation ends.
+
+
+def _ref_valuation(q, p):
+    q = Fraction(q)
+    if q == 0:
+        raise DegenerateInput("valuation of 0 is undefined")
+    v = 0
+    num = abs(q.numerator)
+    while num % p == 0:
+        num //= p
+        v += 1
+    if v:
+        return v
+    den = q.denominator
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def _ref_p_unit_residue(q, p, modulus):
+    q = Fraction(q)
+    u = q / Fraction(p) ** _ref_valuation(q, p)
+    return u.numerator * pow(u.denominator, -1, modulus) % modulus
+
+
+def _ref_nth_power_in_Qp(q, p, n):
+    q = Fraction(q)
+    if q == 0:
+        raise DegenerateInput("0 is excluded; test nonzero values")
+    if arith._as_int(n) < 1:
+        raise DegenerateInput("n must be >= 1")
+    arith._check_prime_arg(p)
+    v = _ref_valuation(q, p)
+    if v % n != 0:
+        return False
+    u = q / Fraction(p) ** v
+    e = 0
+    m = n
+    while m % p == 0:
+        m //= p
+        e += 1
+    if not nth_power_mod_p(u, m, p):
+        return False
+    if e == 0:
+        return True
+    if p == 2:
+        return _ref_p_unit_residue(u, 2, 2 ** (e + 2)) == 1
+    pk = p ** (e + 1)
+    return pow(_ref_p_unit_residue(u, p, pk), p - 1, pk) == 1
+
+
+def _ref_padic_case(gamma, ratios, p, n):
+    v = _ref_valuation(gamma, p)
+    unit = gamma / Fraction(p) ** v
+    unit_residue_ok = nth_power_mod_p(unit, n, p)
+    a_holds = not (v >= 0 and v % n == 0 and unit_residue_ok)
+    qp = tuple((q, _ref_nth_power_in_Qp(q, p, n)) for q in ratios)
+    b_holds = not any(flag for _, flag in qp)
+    return a_holds, b_holds, v, unit, unit_residue_ok, qp
+
+
+def _outcome(fn, *args):
+    # at a composite p a unit part need not be invertible mod p^k: ValueError
+    try:
+        return "value", fn(*args)
+    except (DegenerateInput, ValueError) as e:
+        return "raised", type(e)
+
+
+@st.composite
+def _padic_args(draw):
+    """(q, p, n): p <= 47, prime or not; n <= 24, a multiple of p about half
+    the time p allows it; q = p^v * (a unit-ish rational) with v in
+    [-30, 30], sometimes an n-th power or a principal unit 1 + p^k * t, so
+    that both answers and the deep condition at p | n all occur."""
+    p = draw(st.integers(2, 47))
+    if p <= 24 and draw(st.booleans()):
+        n = p * draw(st.integers(1, 24 // p))
+    else:
+        n = draw(st.integers(1, 24))
+    v = draw(st.integers(-30, 30))
+    num = draw(st.integers(-10**6, 10**6).filter(bool))
+    den = draw(st.integers(1, 10**6))
+    kind = draw(st.sampled_from(("plain", "power", "principal")))
+    if kind == "power":
+        unit = Fraction(num % 1000 or 1, den % 1000 or 1) ** n
+    elif kind == "principal":
+        unit = 1 + Fraction(p) ** draw(st.integers(1, 8)) * Fraction(num, den)
+        if unit == 0:
+            unit = Fraction(1)
+    else:
+        unit = Fraction(num, den)
+    return unit * Fraction(p) ** v, p, n
+
+
+@given(_padic_args(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_qp_split_matches_the_fraction_reference(args, data):
+    q, p, n = args
+    assert _outcome(nth_power_in_Qp, q, p, n) == _outcome(_ref_nth_power_in_Qp, q, p, n)
+    modulus = p ** data.draw(st.integers(1, 6))
+    assert _outcome(p_unit_residue, q, p, modulus) == _outcome(
+        _ref_p_unit_residue, q, p, modulus
+    )
+    assert valuation(q, p) == _ref_valuation(q, p)
+    ratios = (q, *data.draw(st.lists(_padic_args().map(lambda a: a[0]), min_size=2, max_size=2)))
+    gamma = data.draw(_padic_args().map(lambda a: a[0]))
+    assert _outcome(_padic_case, gamma, ratios, p, n) == _outcome(
+        _ref_padic_case, gamma, ratios, p, n
+    )
+
+
+def test_qp_split_refusals_match_the_reference():
+    # a nonprime p, a zero value and n < 1 are refused alike; p < 2 only by
+    # the split versions (there the reference's valuation never ends)
+    ratios = (Fraction(3, 2), Fraction(-5), Fraction(7, 9))
+    for q in (Fraction(0), Fraction(48), Fraction(-3, 8)):
+        for p in (2, 3, 4, 9, 15, 16, 45):
+            for n in (-1, 0, 1, 2, 8):
+                want = _outcome(_ref_nth_power_in_Qp, q, p, n)
+                assert _outcome(nth_power_in_Qp, q, p, n) == want, (q, p, n)
+                want = _outcome(_ref_padic_case, q, ratios, p, n)
+                assert _outcome(_padic_case, q, ratios, p, n) == want, (q, p, n)
+            want = _outcome(_ref_p_unit_residue, q, p, p**3)
+            assert _outcome(p_unit_residue, q, p, p**3) == want, (q, p)
+        for p in (1, 0, -1, -2, True, False):
+            for fn, args in (
+                (nth_power_in_Qp, (q, p, 2)),
+                (p_unit_residue, (q, p, 8)),
+                (valuation, (q, p)),
+                (_padic_case, (q, ratios, p, 2)),
+            ):
+                with pytest.raises(DegenerateInput):
+                    fn(*args)
+
+
+def test_valuation_refuses_p_below_two_but_not_composites():
+    # density splits targets over a coprime base of composite elements
+    assert valuation(Fraction(144, 7), 12) == 2
+    assert valuation(Fraction(5, 36), 6) == -2
+    assert valuation(2**40, 4) == 20
+    for p in (1, 0, -1, -7, True):
+        with pytest.raises(DegenerateInput):
+            valuation(12, p)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ and certificate re-verification including tamper detection.
 
 import os
 import re
+import signal
 import subprocess
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -391,10 +393,31 @@ def test_reverify_rejects_flipped_status():
     assert not reverify(v)
 
 
+@contextmanager
+def _deadline(seconds: int):
+    """Fail, rather than hang, when the block runs past `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_reverify_rejects_tampered_padic_prime():
     v = classify_equation(EquationSpec(3, 13, 1, 1, 8), config=SMALL)
-    v.certificates[0].data["p"] = 3
-    assert not reverify(v)
+    cert = v.certificates[0]
+    assert cert.rule == "R9" and reverify(v)
+    # a valuation at p = 1 or -1 never ended, and p = 0 divided by zero
+    for p in (3, 1, -1, 0, True, 4):
+        cert.data["p"] = p
+        with _deadline(10):
+            assert reverify(v) is False, p
 
 
 def test_reverify_rejects_missing_field():

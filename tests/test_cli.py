@@ -44,6 +44,7 @@ from parreg.cli import (
     read_matrix_file,
     read_rows_file,
 )
+from parreg.density import joint_survey, survey
 from parreg.radolinear import QMatrix, columns_condition
 from parreg.witness import WitnessPrime
 
@@ -790,6 +791,55 @@ def test_reproduce_diff_detected(monkeypatch):
     assert code == EXIT_DIFF
     assert "PASS  x" in text and "FAIL  y" in text
     assert "1/2 rows match" in text
+
+
+def test_reproduction_table_is_plain_json():
+    # `cmd_reproduce` compares and emits the table as it is built
+    table = cli.reproduction_table(RunConfig())
+    assert json.loads(json.dumps(table)) == table
+
+
+def test_reproduce_reads_one_unmutated_fixture(monkeypatch):
+    committed = json.loads(
+        (Path(cli.__file__).parent / "data" / "reproduce_expected.json").read_text()
+    )
+    assert cli._fixture() is cli._fixture()
+    code, text = run(["reproduce"])
+    assert code == EXIT_OK and "21/21 rows match" in text
+    built = cli.reproduction_table
+
+    def drifted(config):
+        table = built(config)
+        table["padic-3x+13y=wz8"]["padic_p"] = 5
+        table["identity-4,-4-fourth-powers"]["none"] += 1
+        return table
+
+    monkeypatch.setattr(cli, "reproduction_table", drifted)
+    code, text = run(["reproduce", "--json"])
+    assert code == EXIT_DIFF
+    failures = json.loads(text)["result"]["failures"]
+    assert [f["name"] for f in failures] == [
+        "identity-4,-4-fourth-powers",
+        "padic-3x+13y=wz8",
+    ]
+    monkeypatch.undo()
+    code, text = run(["reproduce"])
+    assert code == EXIT_OK and "21/21 rows match" in text
+    assert cli._fixture() == committed
+
+
+def test_density_reports_predictions_up_to_the_cap():
+    # the reproduction table drops the predictions; every other survey keeps them
+    for n in (1, 2, 8, 12, 24):
+        assert survey(3, n, 500).predicted is not None, n
+        j = joint_survey([2, -3, Fraction(5, 4)], n, 500)
+        assert j.predicted_none is not None and j.predicted_subset_hits is not None, n
+        code, text = run(["density", str(n), "3", "--bound", "500", "--json"])
+        assert code == EXIT_OK and decode_value(json.loads(text)["result"])["predicted"] is not None
+        code, text = run(["density", str(n), "2", "-3", "5/4", "--bound", "500", "--json"])
+        result = decode_value(json.loads(text)["result"])
+        assert code == EXIT_OK
+        assert result["predicted_none"] is not None and result["predicted_subset_hits"] is not None
 
 
 def test_reproduce_json_report():

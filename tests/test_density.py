@@ -6,6 +6,7 @@ import csv
 import io
 import time
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
@@ -25,12 +26,15 @@ from parreg.arith import (
     sieve,
 )
 from parreg.density import (
+    MAX_PREDICTED_N,
     _hits_outside,
     _joint_survey,
     _pass,
+    _residue_model,
     _span,
     _span_walk,
     _survey,
+    _unit_table,
     admissible_primes,
     hit_primes,
     joint_survey,
@@ -574,6 +578,62 @@ def test_densities_match_the_factored_oracle(qs, n):
     assert residue_pattern_densities(qs, n) == _factored_densities(qs, n)
 
 
+def _per_unit_model(targets, n):
+    """`_residue_model` as it stood with its loop over every unit a mod M,
+    each unit's g, (a-1)/2 and Jacobi symbols worked out on the spot: the
+    reference for the per-n unit table."""
+    qs = [Fraction(q) for q in targets]
+    fixed = [ell for ell in sieve(2 * n).primes if 2 * n % ell == 0]
+    exps, rests = [], []
+    for q in qs:
+        e, rest = {}, []
+        for part, sign in ((abs(q.numerator), 1), (q.denominator, -1)):
+            for ell in fixed:
+                while part % ell == 0:
+                    part //= ell
+                    e[ell] = e.get(ell, 0) + sign
+            rest.append(part)
+        exps.append(e)
+        rests.append(Fraction(*rest))
+    free = []
+    for b in arith._coprime_base([part for r in rests for part in (r.numerator, r.denominator)]):
+        s, j = b, 1
+        for ell in fixed:
+            while n % (j * ell) == 0 and (root := arith.integer_nth_root(s, ell)) ** ell == s:
+                s, j = root, j * ell
+        free.append([j * arith.valuation(r, b) for r in rests])
+    rows = [[e.get(ell, 0) for e in exps] for ell in fixed]
+    negative = [q.numerator < 0 for q in qs]
+    modulus = lcm(8, 2 * n)
+    units = [a for a in range(1, modulus) if gcd(a, modulus) == 1]
+    cosets = Counter()
+    for a in units:
+        g = gcd(n, a - 1)
+        half = (a - 1) // 2
+        shift = [half if neg else 0 for neg in negative]
+        if g % 2 == 0:
+            for ell, row in zip(fixed, rows):
+                if arith._jacobi(ell, a) == -1:
+                    shift = [x + y for x, y in zip(shift, row)]
+        cosets[g, tuple(-x % g for x in shift)] += 1
+    odd = rows + free
+    even = [[2 * x for x in row] for row in rows] + free
+    gens = {g: even if g % 2 == 0 else odd for g, _ in cosets}
+    return cosets, gens, len(units)
+
+
+@given(targets_st, st.integers(1, 24))
+@settings(max_examples=100, deadline=None)
+def test_unit_table_model_matches_the_per_unit_loop(qs, n):
+    assert _residue_model(qs, n) == _per_unit_model(qs, n)
+    densities = residue_pattern_densities(qs, n)
+    assert densities == _factored_densities(qs, n)
+    assert nonresidue_pattern_occurs(qs, n) == ((False,) * len(qs) in densities)
+    # the table is keyed by n alone, and no n past the cap reaches it
+    assert _residue_model(qs, MAX_PREDICTED_N + 1) is None
+    assert _unit_table.cache_info().currsize <= MAX_PREDICTED_N
+
+
 def _prime_after(x):
     while not is_probable_prime(x):
         x += 1
@@ -689,11 +749,18 @@ def test_projected_surveys_equal_direct_surveys(qs, n, bound, data):
     qs = tuple(qs)
     counts = _pass(qs, n, bound)
     idx = data.draw(st.lists(st.integers(0, len(qs) - 1), min_size=1, unique=True))
-    assert _joint_survey(qs, n, bound, counts, idx) == joint_survey(
-        [qs[i] for i in idx], n, bound
+    direct = joint_survey([qs[i] for i in idx], n, bound)
+    predicted = residue_pattern_densities([qs[i] for i in idx], n)
+    assert _joint_survey(qs, n, bound, counts, idx, predicted) == direct
+    # without a prediction the counts are the same and nothing is predicted
+    assert _joint_survey(qs, n, bound, counts, idx, None) == replace(
+        direct, predicted_none=None, predicted_subset_hits=None
     )
     for j in range(len(qs)):
-        assert _survey(qs, n, bound, counts, j) == survey(qs[j], n, bound)
+        direct = survey(qs[j], n, bound)
+        predicted = residue_pattern_densities(qs[j : j + 1], n)
+        assert _survey(qs, n, bound, counts, j, predicted) == direct
+        assert _survey(qs, n, bound, counts, j, None) == replace(direct, predicted=None)
     i = idx[0]
     # a random class set, and the classes where qs[i] never hits, which makes
     # the law hold whenever no class mixes hits and misses

@@ -301,12 +301,6 @@ def nth_power_in_Q(q, n: int) -> Fraction | None:
     return -root if q < 0 else root
 
 
-def nth_power_in_Q_nonneg(q, n: int) -> Fraction | None:
-    """The root r >= 0 with r**n == q, or None (the positive-reals variant)."""
-    r = nth_power_in_Q(q, n)
-    return r if r is not None and r >= 0 else None
-
-
 # ---------------------------------------------------------------------------
 # Modular and p-adic power tests
 
@@ -671,12 +665,6 @@ def nth_power_mod_p(q, n: int, p: int) -> bool:
     if q.numerator % p == 0 or q.denominator % p == 0:
         raise BadReduction(f"{q} does not reduce to a unit mod {p}")
     return _is_residue(q.numerator, q.denominator, (p - 1) // gcd(n, p - 1), p)
-
-
-def p_unit_residue(q, p: int, modulus: int) -> int:
-    """The p-free unit part of q reduced mod `modulus` (a power of p)."""
-    _, num, den = _split(q, p)
-    return num * pow(den, -1, modulus) % modulus
 
 
 def nth_power_in_Qp(q, p: int, n: int) -> bool:

@@ -22,7 +22,6 @@ from .arith import (
     _split,
     factor,
     nth_power_in_Q,
-    nth_power_in_Q_nonneg,
 )
 from .witness import (
     DEFAULT_SEARCH_BOUND,
@@ -212,15 +211,6 @@ def _witness_targets(ratios) -> list[Fraction]:
     return sorted(set(ratios))
 
 
-def _first_root(ratios, n: int, nonneg: bool):
-    fn = nth_power_in_Q_nonneg if nonneg else nth_power_in_Q
-    for label, q in zip(RATIO_LABELS, ratios):
-        root = fn(q, n)
-        if root is not None:
-            return label, q, root
-    return None
-
-
 def _power_checks(ratios, k: int) -> tuple:
     return tuple(
         (label, q, nth_power_in_Q(q, k) is None)
@@ -253,219 +243,174 @@ def _padic_case(gamma: Fraction, ratios, p: int, n: int):
     return a_holds, b_holds, v, Fraction(num, den), unit_residue_ok, qp
 
 
+def _lemma_certificate(ratios, n: int, checks_n) -> Certificate | None:
+    """The certificate of the first of R5, R6 and R7 whose hypotheses hold,
+    or None.  checks_n are the ratios' n-th power checks, taken once for R4.
+    """
+    if n % 2 == 1:
+        if not all(ok for _, _, ok in checks_n):
+            return None
+        return Certificate(
+            kind=KIND_RULE,
+            rule="R5",
+            domain=DOMAIN_Q,
+            verdict=NOT_PR,
+            data={"n": n, "checks": checks_n},
+        )
+    if n not in (4, 8):
+        checks = _power_checks(ratios, n // 2)
+        if all(ok for _, _, ok in checks):
+            if n % 4 == 0:
+                # a/c + b/c = (a+b)/c rules out three simultaneous
+                # (n/4)-th powers (no Fermat triple), so the last
+                # hypothesis of the even-n lemma holds for free
+                assert any(nth_power_in_Q(q, n // 4) is None for q in ratios)
+            return Certificate(
+                kind=KIND_RULE,
+                rule="R6",
+                domain=DOMAIN_Q,
+                verdict=NOT_PR,
+                data={"n": n, "half": n // 2, "checks": checks},
+            )
+    sq = checks_n if n == 2 else _power_checks(ratios, 2)
+    if not all(ok for _, _, ok in sq):
+        return None
+    prod = ratios[0] * ratios[1] * ratios[2]
+    if nth_power_in_Q(prod, 2) is not None:
+        return None
+    return Certificate(
+        kind=KIND_SQUARE,
+        rule="R7",
+        domain=DOMAIN_Q,
+        verdict=NOT_PR,
+        data={"n": n, "checks": sq + (("product", prod, True),)},
+    )
+
+
+def _m1_track(eq: EquationSpec, config) -> tuple[list, list]:
+    """The certificates and pending reasons when m = 1 and a + b != 0: R4 on
+    a rational root; else the first lemma of R5 to R7 that holds, with its
+    supporting witness; else a witness (R8); else the p-adic rule (R9).
+    """
+    a, b, c, n = eq.a, eq.b, eq.c, eq.n
+    ratios = eq.ratios
+    roots = [nth_power_in_Q(q, n) for q in ratios]
+    hits = [hit for hit in zip(RATIO_LABELS, ratios, roots) if hit[2] is not None]
+    if hits:
+        # a non-negative root proves PR over N, any other root over Z
+        nonneg = [hit for hit in hits if hit[2] >= 0]
+        label, q, root = (nonneg or hits)[0]
+        cert = Certificate(
+            kind=KIND_RATIONAL_ROOT,
+            rule="R4",
+            domain=DOMAIN_N if nonneg else DOMAIN_Z,
+            verdict=PR,
+            data={"which": label, "ratio": q, "root": root, "n": n},
+        )
+        # an n-th power in Q is one mod every prime and in every Q_p, so no
+        # witness, lemma or p-adic case can hold
+        return [cert], []
+
+    witness_bound = _config_get(config, "witness_bound", DEFAULT_SEARCH_BOUND)
+    min_exclusive = max(abs(a) + abs(b), abs(c))
+    targets = _witness_targets(ratios)
+    witness, impossible = None, False
+    # with min_exclusive >= witness_bound no prime is left to scan
+    scanned = min_exclusive < witness_bound
+    if scanned:
+        witness, impossible = _witness_search(targets, n, min_exclusive, witness_bound)
+    checks_n = tuple(
+        (label, q, root is None) for label, q, root in zip(RATIO_LABELS, ratios, roots)
+    )
+    lemma = _lemma_certificate(ratios, n, checks_n)
+    certs = [] if lemma is None else [lemma]
+    if witness is not None:
+        data = {"witness": witness, "min_exclusive": min_exclusive}
+        if lemma is not None:
+            data["supporting"] = True
+        certs.append(
+            Certificate(
+                kind=KIND_WITNESS,
+                rule="R8" if lemma is None else lemma.rule,
+                domain=DOMAIN_Q,
+                verdict=NOT_PR,
+                data=data,
+            )
+        )
+    if certs:
+        return certs, []
+    if not scanned:
+        pending = [f"Q:witness:threshold-above-bound:{witness_bound}"]
+    # a satisfied lemma gives infinitely many witness primes, so a search
+    # that the decision cut short has its hypotheses unmet
+    elif not impossible and check_hypotheses(targets, n).satisfied:
+        pending = [f"Q:witness:bound-exhausted:{witness_bound}"]
+    else:
+        pending = ["Q:witness:hypotheses-unmet"]
+
+    gamma = ratios[2]
+    factor_budget = _config_get(config, "factor_budget", DEFAULT_FACTOR_BUDGET)
+    try:
+        candidates = _padic_candidates(gamma, factor_budget)
+    except FactorizationBudgetExceeded:
+        candidates = []
+        pending.append("Z:padic:budget-exceeded")
+    for p in candidates:
+        a_holds, b_holds, v, unit, unit_ok, qp = _padic_case(gamma, ratios, p, n)
+        if a_holds and b_holds:
+            certs.append(
+                Certificate(
+                    kind=KIND_PADIC,
+                    rule="R9",
+                    domain=DOMAIN_Z,
+                    verdict=NOT_PR,
+                    data={
+                        "p": p,
+                        "n": n,
+                        "v": v,
+                        "unit": unit,
+                        "unit_is_residue": unit_ok,
+                        "ratios_qp": qp,
+                    },
+                )
+            )
+            pending.append("Q:padic:scope-Z-only")
+            break
+    else:
+        if candidates:
+            pending.append("Z:padic:no-candidate-fired")
+    return certs, pending
+
+
 def classify_equation(eq: EquationSpec, config=None) -> Verdict:
-    """Apply the positive rules (R1, R3, R4) and the negative rules (R2, R5 to
-    R9) in order; the first applicable rule on each side records certificates.
-    Undecided statuses stay UNKNOWN with machine-readable reasons.
+    """Decide the equation on one of three tracks: a + b = 0 (R1 when m >= 2,
+    R3 when m = 1), else m >= 2 (R2), else the m = 1 track.  Sign feasibility
+    (R4') then decides status_N when nothing else did.  Undecided statuses
+    stay UNKNOWN with machine-readable reasons.
     """
     if not isinstance(eq, EquationSpec):
         eq = EquationSpec(*eq)
     a, b, c, m, n = eq.a, eq.b, eq.c, eq.m, eq.n
-    witness_bound = _config_get(config, "witness_bound", DEFAULT_SEARCH_BOUND)
-    factor_budget = _config_get(config, "factor_budget", DEFAULT_FACTOR_BUDGET)
-    ratios = eq.ratios
-    certs: list[Certificate] = []
-    pending: list[str] = []
-
-    # positive track
-    if m >= 2:
-        if a + b == 0:
-            certs.append(
-                Certificate(
-                    kind=KIND_RULE,
-                    rule="R1",
-                    domain=DOMAIN_N,
-                    verdict=PR,
-                    data={"a": a, "b": b, "m": m, "n": n},
-                )
-            )
+    if a + b == 0:
+        cert = Certificate(
+            kind=KIND_RULE,
+            rule="R1" if m >= 2 else "R3",
+            domain=DOMAIN_N,
+            verdict=PR,
+            data={"a": a, "b": b, "m": m, "n": n} if m >= 2 else {"a": a, "b": b, "n": n},
+        )
+        certs, pending = [cert], []
+    elif m >= 2:
+        cert = Certificate(
+            kind=KIND_RULE,
+            rule="R2",
+            domain=DOMAIN_Z,
+            verdict=NOT_PR,
+            data={"a": a, "b": b, "m": m, "n": n},
+        )
+        certs, pending = [cert], ["Q:m-reduction-open"]
     else:
-        if a + b == 0:
-            certs.append(
-                Certificate(
-                    kind=KIND_RULE,
-                    rule="R3",
-                    domain=DOMAIN_N,
-                    verdict=PR,
-                    data={"a": a, "b": b, "n": n},
-                )
-            )
-        else:
-            # a non-negative root proves PR over N, any other root over Z
-            domain, hit = DOMAIN_N, _first_root(ratios, n, nonneg=True)
-            if hit is None:
-                domain, hit = DOMAIN_Z, _first_root(ratios, n, nonneg=False)
-            if hit is not None:
-                label, q, root = hit
-                certs.append(
-                    Certificate(
-                        kind=KIND_RATIONAL_ROOT,
-                        rule="R4",
-                        domain=domain,
-                        verdict=PR,
-                        data={"which": label, "ratio": q, "root": root, "n": n},
-                    )
-                )
-
-    # negative track
-    negative_fired = False
-    if m >= 2:
-        if a + b != 0:
-            certs.append(
-                Certificate(
-                    kind=KIND_RULE,
-                    rule="R2",
-                    domain=DOMAIN_Z,
-                    verdict=NOT_PR,
-                    data={"a": a, "b": b, "m": m, "n": n},
-                )
-            )
-            pending.append("Q:m-reduction-open")
-            negative_fired = True
-    else:
-        min_exclusive = max(abs(a) + abs(b), abs(c))
-        targets = _witness_targets(ratios)
-        witness, impossible = None, False
-        # when a positive rule fired, some ratio is an n-th power in Q, hence
-        # an n-th power residue mod every prime: the scan cannot succeed
-        wanted = a + b != 0 and not certs
-        # with min_exclusive >= witness_bound no prime is left to scan
-        scanned = wanted and min_exclusive < witness_bound
-        if scanned:
-            witness, impossible = _witness_search(targets, n, min_exclusive, witness_bound)
-
-        def supporting():
-            if witness is None:
-                return []
-            return [
-                Certificate(
-                    kind=KIND_WITNESS,
-                    rule=rule,
-                    domain=DOMAIN_Q,
-                    verdict=NOT_PR,
-                    data={
-                        "witness": witness,
-                        "min_exclusive": min_exclusive,
-                        "supporting": True,
-                    },
-                )
-            ]
-
-        rule = None
-        if a + b != 0:
-            if n % 2 == 1:
-                checks = _power_checks(ratios, n)
-                if all(ok for _, _, ok in checks):
-                    rule = "R5"
-                    certs.append(
-                        Certificate(
-                            kind=KIND_RULE,
-                            rule="R5",
-                            domain=DOMAIN_Q,
-                            verdict=NOT_PR,
-                            data={"n": n, "checks": checks},
-                        )
-                    )
-                    certs.extend(supporting())
-            else:
-                if n not in (4, 8):
-                    checks = _power_checks(ratios, n // 2)
-                    if all(ok for _, _, ok in checks):
-                        rule = "R6"
-                        if n % 4 == 0:
-                            # a/c + b/c = (a+b)/c rules out three simultaneous
-                            # (n/4)-th powers (no Fermat triple), so the last
-                            # hypothesis of the even-n lemma holds for free
-                            assert any(
-                                nth_power_in_Q(q, n // 4) is None for q in ratios
-                            )
-                        certs.append(
-                            Certificate(
-                                kind=KIND_RULE,
-                                rule="R6",
-                                domain=DOMAIN_Q,
-                                verdict=NOT_PR,
-                                data={"n": n, "half": n // 2, "checks": checks},
-                            )
-                        )
-                        certs.extend(supporting())
-                if rule is None:
-                    sq = _power_checks(ratios, 2)
-                    prod = ratios[0] * ratios[1] * ratios[2]
-                    prod_ok = nth_power_in_Q(prod, 2) is None
-                    if all(ok for _, _, ok in sq) and prod_ok:
-                        rule = "R7"
-                        certs.append(
-                            Certificate(
-                                kind=KIND_SQUARE,
-                                rule="R7",
-                                domain=DOMAIN_Q,
-                                verdict=NOT_PR,
-                                data={
-                                    "n": n,
-                                    "checks": sq + (("product", prod, prod_ok),),
-                                },
-                            )
-                        )
-                        certs.extend(supporting())
-            if rule is None and witness is not None:
-                rule = "R8"
-                certs.append(
-                    Certificate(
-                        kind=KIND_WITNESS,
-                        rule="R8",
-                        domain=DOMAIN_Q,
-                        verdict=NOT_PR,
-                        data={"witness": witness, "min_exclusive": min_exclusive},
-                    )
-                )
-            if rule is None and scanned:
-                # a satisfied lemma gives infinitely many witness primes, so
-                # a search that the decision cut short has its hypotheses unmet
-                if not impossible and check_hypotheses(targets, n).satisfied:
-                    pending.append(f"Q:witness:bound-exhausted:{witness_bound}")
-                else:
-                    pending.append("Q:witness:hypotheses-unmet")
-            elif rule is None and wanted:
-                pending.append(f"Q:witness:threshold-above-bound:{witness_bound}")
-            negative_fired = rule is not None
-
-        if not negative_fired and a + b != 0:
-            gamma = ratios[2]
-            try:
-                candidates = _padic_candidates(gamma, factor_budget)
-            except FactorizationBudgetExceeded:
-                candidates = []
-                pending.append("Z:padic:budget-exceeded")
-            fired_p = None
-            for p in candidates:
-                a_holds, b_holds, v, unit, unit_ok, qp = _padic_case(
-                    gamma, ratios, p, n
-                )
-                if a_holds and b_holds:
-                    fired_p = p
-                    certs.append(
-                        Certificate(
-                            kind=KIND_PADIC,
-                            rule="R9",
-                            domain=DOMAIN_Z,
-                            verdict=NOT_PR,
-                            data={
-                                "p": p,
-                                "n": n,
-                                "v": v,
-                                "unit": unit,
-                                "unit_is_residue": unit_ok,
-                                "ratios_qp": qp,
-                            },
-                        )
-                    )
-                    break
-            if fired_p is not None:
-                negative_fired = True
-                pending.append("Q:padic:scope-Z-only")
-            elif candidates:
-                pending.append("Z:padic:no-candidate-fired")
+        certs, pending = _m1_track(eq, config)
 
     st = _Statuses(certs)
     # sign feasibility decides status_N when nothing else did
@@ -508,7 +453,6 @@ def classify_system(sys_spec: SystemSpec, config=None) -> Verdict:
     pending: list[str] = []
     no_zero_rows = all(a + b != 0 for a, b, _ in sys_spec.rows)
 
-    fired = False
     for q in sorted_i:
         root = nth_power_in_Q(q, n)
         if root is not None:
@@ -522,68 +466,59 @@ def classify_system(sys_spec: SystemSpec, config=None) -> Verdict:
                 )
             )
             pending.append("N:system:open-over-N")
-            fired = True
-            break
+            return _verdict(sys_spec, _Statuses(certs), certs, pending)
 
-    if not fired:
-        exponent = n // 2 if n % 4 == 0 else n
-        structural_ok = (
-            no_zero_rows
-            and len(sorted_i) <= 2
-            and all(nth_power_in_Q(q, exponent) is None for q in sorted_i)
-        )
-        witness = None
-        if no_zero_rows:
-            witness = find_system_witness(sys_spec.rows, n, search_bound=witness_bound)
-        if structural_ok:
-            rule = "S2" if n % 4 else "S3"
-            certs.append(
-                Certificate(
-                    kind=KIND_SYSTEM_INTERSECTION,
-                    rule=rule,
-                    domain=DOMAIN_Z,
-                    verdict=NOT_PR,
-                    data={
-                        "intersection": tuple(sorted_i),
-                        "n": n,
-                        "exponent": exponent,
-                        "checks": tuple(
-                            (q, nth_power_in_Q(q, exponent) is None) for q in sorted_i
-                        ),
-                    },
-                )
+    exponent = n // 2 if n % 4 == 0 else n
+    checks = None
+    if no_zero_rows and len(sorted_i) <= 2:
+        checks = tuple((q, nth_power_in_Q(q, exponent) is None) for q in sorted_i)
+    witness = None
+    if no_zero_rows:
+        witness = find_system_witness(sys_spec.rows, n, search_bound=witness_bound)
+    if checks is not None and all(ok for _, ok in checks):
+        rule = "S2" if n % 4 else "S3"
+        certs.append(
+            Certificate(
+                kind=KIND_SYSTEM_INTERSECTION,
+                rule=rule,
+                domain=DOMAIN_Z,
+                verdict=NOT_PR,
+                data={
+                    "intersection": tuple(sorted_i),
+                    "n": n,
+                    "exponent": exponent,
+                    "checks": checks,
+                },
             )
-            if witness is not None:
-                certs.append(
-                    Certificate(
-                        kind=KIND_WITNESS,
-                        rule=rule,
-                        domain=DOMAIN_Z,
-                        verdict=NOT_PR,
-                        data={"witness": witness, "system": True, "supporting": True},
-                    )
-                )
-            pending.append("Q:system:scope-Z-only")
-            fired = True
-        elif witness is not None:
+        )
+        if witness is not None:
             certs.append(
                 Certificate(
                     kind=KIND_WITNESS,
-                    rule="S4",
-                    domain=DOMAIN_Q,
+                    rule=rule,
+                    domain=DOMAIN_Z,
                     verdict=NOT_PR,
-                    data={"witness": witness, "system": True},
+                    data={"witness": witness, "system": True, "supporting": True},
                 )
             )
-            fired = True
-        else:
-            if not no_zero_rows:
-                pending.append("Z:system:zero-sum-row")
-            elif len(sorted_i) > 2:
-                pending.append("Z:system:intersection-size-3-open")
-                pending.append(f"Z:system-witness:bound-exhausted:{witness_bound}")
-            else:
-                pending.append(f"Z:system-witness:bound-exhausted:{witness_bound}")
+        pending.append("Q:system:scope-Z-only")
+    elif witness is not None:
+        certs.append(
+            Certificate(
+                kind=KIND_WITNESS,
+                rule="S4",
+                domain=DOMAIN_Q,
+                verdict=NOT_PR,
+                data={"witness": witness, "system": True},
+            )
+        )
+    elif not no_zero_rows:
+        pending.append("Z:system:zero-sum-row")
+    elif len(sorted_i) > 2:
+        pending.append("Z:system:intersection-size-3-open")
+        pending.append(f"Z:system-witness:bound-exhausted:{witness_bound}")
+    else:
+        pending.append(f"Z:system-witness:bound-exhausted:{witness_bound}")
 
     return _verdict(sys_spec, _Statuses(certs), certs, pending)
 

@@ -544,10 +544,7 @@ def cmd_columns(args, out) -> int:
 
 def _predicted(d) -> str:
     if d is None:
-        return (
-            f"unknown (n > {MAX_PREDICTED_N}, more than {MAX_PREDICTED_TARGETS}"
-            " targets, or factoring budget spent)"
-        )
+        return f"unknown (n > {MAX_PREDICTED_N} or more than {MAX_PREDICTED_TARGETS} targets)"
     return f"{_frac(d)} ~ {float(d):.4f}"
 
 

@@ -305,10 +305,6 @@ def _union_intersection(rows) -> tuple[frozenset[Fraction], frozenset[Fraction]]
     return frozenset().union(*sets), sets[0].intersection(*sets[1:])
 
 
-def system_union(rows) -> frozenset[Fraction]:
-    return _union_intersection(rows)[0]
-
-
 def system_intersection(rows) -> frozenset[Fraction]:
     return _union_intersection(rows)[1]
 

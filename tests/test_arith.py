@@ -35,10 +35,8 @@ from parreg.arith import (
     load_or_build_sieve,
     load_sieve,
     nth_power_in_Q,
-    nth_power_in_Q_nonneg,
     nth_power_in_Qp,
     nth_power_mod_p,
-    p_unit_residue,
     save_sieve,
     sieve,
     valuation,
@@ -237,12 +235,6 @@ def test_nth_power_in_Q_negatives_and_misses():
     assert nth_power_in_Q(1, 7) == 1
 
 
-def test_nth_power_nonneg_variant():
-    assert nth_power_in_Q_nonneg(4, 2) == 2
-    assert nth_power_in_Q_nonneg(-8, 3) is None
-    assert nth_power_in_Q_nonneg(9, 2) == 3
-
-
 # ---------------------------------------------------------------------------
 # Euler criterion
 
@@ -320,11 +312,6 @@ def test_qp_grunwald_wang_values():
     assert nth_power_in_Qp(33, 2, 8) is True
     assert nth_power_in_Qp(17, 2, 8) is False
     assert nth_power_in_Qp(16, 2, 8) is False
-
-
-def test_p_unit_residue():
-    assert p_unit_residue(Fraction(3, 5), 2, 8) == 3 * pow(5, -1, 8) % 8
-    assert p_unit_residue(48, 2, 4) == 3
 
 
 # The p-adic tests as they stood before they split q at p once: Fraction
@@ -432,10 +419,6 @@ def _padic_args(draw):
 def test_qp_split_matches_the_fraction_reference(args, data):
     q, p, n = args
     assert _outcome(nth_power_in_Qp, q, p, n) == _outcome(_ref_nth_power_in_Qp, q, p, n)
-    modulus = p ** data.draw(st.integers(1, 6))
-    assert _outcome(p_unit_residue, q, p, modulus) == _outcome(
-        _ref_p_unit_residue, q, p, modulus
-    )
     assert valuation(q, p) == _ref_valuation(q, p)
     ratios = (q, *data.draw(st.lists(_padic_args().map(lambda a: a[0]), min_size=2, max_size=2)))
     gamma = data.draw(_padic_args().map(lambda a: a[0]))
@@ -455,12 +438,9 @@ def test_qp_split_refusals_match_the_reference():
                 assert _outcome(nth_power_in_Qp, q, p, n) == want, (q, p, n)
                 want = _outcome(_ref_padic_case, q, ratios, p, n)
                 assert _outcome(_padic_case, q, ratios, p, n) == want, (q, p, n)
-            want = _outcome(_ref_p_unit_residue, q, p, p**3)
-            assert _outcome(p_unit_residue, q, p, p**3) == want, (q, p)
         for p in (1, 0, -1, -2, True, False):
             for fn, args in (
                 (nth_power_in_Qp, (q, p, 2)),
-                (p_unit_residue, (q, p, 8)),
                 (valuation, (q, p)),
                 (_padic_case, (q, ratios, p, 2)),
             ):

@@ -2,11 +2,14 @@
 and certificate re-verification including tamper detection.
 """
 
+import hashlib
+import itertools
 import os
 import re
 import signal
 import subprocess
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parreg
-from parreg.arith import DegenerateInput
+import parreg.classify as classify_module
+from parreg import arith, witness
+from parreg.arith import DegenerateInput, nth_power_in_Q
 from parreg.classify import (
     NOT_PR,
     PR,
@@ -31,6 +36,7 @@ from parreg.classify import (
     classify_system,
     reverify,
 )
+from parreg.cli import RunConfig, canonical_json, report, reproduction_table
 
 
 def rules_of(v):
@@ -522,6 +528,102 @@ def test_every_equation_gets_a_checkable_verdict(a, b, c, m, n):
     for domain, status in zip("NZQ", statuses(v)):
         if status == UNKNOWN:
             assert any(r.startswith(domain + ":") for r in v.reasons), (domain, v.reasons)
+
+
+# ---------------------------------------------------------------------------
+# pinned report bytes and root counts over a box of small inputs
+
+BOX_COEFFICIENTS = [v for v in range(-6, 7) if v]
+
+
+def box_subjects():
+    """9,216 equations and 80 two-row systems; at bound 10^6 they reach R1 to
+    R9, R4', S1, S2 and S3, and at bound 10 also every witness reason."""
+    for a, b, c, m, n in itertools.product(
+        BOX_COEFFICIENTS, BOX_COEFFICIENTS, (1, -1, 2, 3), (1, 2), range(1, 9)
+    ):
+        yield "classify", EquationSpec(a, b, c, m, n)
+    for a, b, n in itertools.product((1, 2, 4, 9, 16), (1, 3, 5, 17), (2, 3, 4, 8)):
+        yield "system", SystemSpec(((a, b, 1), (b, a + 1, 1)), n)
+
+
+@pytest.mark.parametrize(
+    "bound, digest, counts",
+    [
+        (
+            10**6,
+            "40e85a22deed45b6781b1841dd5f416b4cc4f26f1926f82cbd6acc18cbc34168",
+            {
+                (NOT_PR, NOT_PR, NOT_PR): 2781,
+                (NOT_PR, NOT_PR, UNKNOWN): 3784,
+                (NOT_PR, PR, PR): 295,
+                (PR, PR, PR): 2234,
+                (UNKNOWN, PR, PR): 194,
+                (UNKNOWN, UNKNOWN, UNKNOWN): 8,
+            },
+        ),
+        (
+            10,
+            "395e22cbb15ea5e16139ac5f1df4494b73227130645a7b00e66f8659ede6c3e1",
+            {
+                (NOT_PR, NOT_PR, NOT_PR): 2649,
+                (NOT_PR, NOT_PR, UNKNOWN): 3874,
+                (NOT_PR, PR, PR): 295,
+                (PR, PR, PR): 2234,
+                (UNKNOWN, PR, PR): 194,
+                (UNKNOWN, UNKNOWN, UNKNOWN): 50,
+            },
+        ),
+    ],
+    ids=("bound-1000000", "bound-10"),
+)
+def test_box_reports_are_pinned(bound, digest, counts):
+    # one sha256 over the JSON reports, in box order
+    config = RunConfig(witness_bound=bound, output="json")
+    h = hashlib.sha256()
+    seen = Counter()
+    for command, subject in box_subjects():
+        classify = classify_equation if command == "classify" else classify_system
+        v = classify(subject, config=config)
+        h.update(canonical_json(report(command, config, v)).encode())
+        seen[statuses(v)] += 1
+    assert dict(seen) == counts
+    assert h.hexdigest() == digest
+
+
+def counting_roots(monkeypatch, modules):
+    calls = []
+
+    def counted(q, k):
+        calls.append((q, k))
+        return nth_power_in_Q(q, k)
+
+    for module in modules:
+        monkeypatch.setattr(module, "nth_power_in_Q", counted)
+    return calls
+
+
+def test_each_root_is_taken_once(monkeypatch):
+    # per exponent k, one call per ratio position and, at k = 2, the
+    # product's square test; a = b makes two ratios equal, so values repeat
+    calls = counting_roots(monkeypatch, (classify_module,))
+    for command, eq in box_subjects():
+        if command != "classify":
+            continue
+        ratios = eq.ratios
+        calls.clear()
+        classify_equation(eq, config=SMALL)
+        per_k = Counter(k for _, k in calls)
+        for k, count in per_k.items():
+            assert count <= 3 + (k == 2), (eq, per_k)
+        product = ratios[0] * ratios[1] * ratios[2]
+        assert all(q in ratios or (k, q) == (2, product) for q, k in calls), (eq, calls)
+
+
+def test_reproduction_table_root_count(monkeypatch):
+    calls = counting_roots(monkeypatch, (arith, witness, classify_module))
+    reproduction_table(RunConfig())
+    assert 0 < len(calls) <= 65
 
 
 # ---------------------------------------------------------------------------

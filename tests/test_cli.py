@@ -842,6 +842,16 @@ def test_density_reports_predictions_up_to_the_cap():
         assert result["predicted_none"] is not None and result["predicted_subset_hits"] is not None
 
 
+def test_density_text_names_the_prediction_caps():
+    # the prediction factors nothing: it is None only past its two caps
+    code, text = run(["density", "25", "2", "--bound", "1000"])
+    assert code == EXIT_OK
+    assert "predicted=unknown (n > 24 or more than 3 targets)" in text.splitlines()
+    code, text = run(["density", "2", "2", "3", "5", "7", "--bound", "1000"])
+    assert code == EXIT_OK
+    assert "predicted none=unknown (n > 24 or more than 3 targets)" in text.splitlines()
+
+
 def test_reproduce_json_report():
     code, text = run(["reproduce", "--json"])
     assert code == EXIT_OK

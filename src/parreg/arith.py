@@ -276,6 +276,22 @@ def integer_nth_root(x: int, n: int) -> int:
         r = s
 
 
+def _exact_root(x: int, n: int) -> int | None:
+    """The r with r**n == x, for ints x, n >= 1, or None.
+
+    A root below 2^32, which is where x has at most 32*n bits, is the
+    rounded float estimate, whose error is far below 1/2 there;
+    `integer_nth_root` would start Newton a factor of up to 2 high, which
+    for a large n closes only by about 1/n a step.  Larger roots take
+    Newton, as their float estimate could overflow.
+    """
+    if x.bit_length() <= 32 * n:
+        r = round(2 ** (log2(x) / n))
+    else:
+        r = integer_nth_root(x, n)
+    return r if r**n == x else None
+
+
 def nth_power_in_Q(q, n: int) -> Fraction | None:
     """The rational r with r**n == q, or None.
 
@@ -287,18 +303,19 @@ def nth_power_in_Q(q, n: int) -> Fraction | None:
         raise DegenerateInput("n must be >= 1")
     if n == 1:
         return q
-    if q == 0:
+    # zero and sign are read from the numerator: no Fraction compare
+    num, den = q.numerator, q.denominator
+    if num == 0:
         return Fraction(0)
-    if q < 0 and n % 2 == 0:
+    if num < 0 and n % 2 == 0:
         return None
-    rn = integer_nth_root(abs(q.numerator), n)
-    if rn**n != abs(q.numerator):
+    rn = _exact_root(abs(num), n)
+    if rn is None:
         return None
-    rd = integer_nth_root(q.denominator, n)
-    if rd**n != q.denominator:
+    rd = _exact_root(den, n)
+    if rd is None:
         return None
-    root = Fraction(rn, rd)
-    return -root if q < 0 else root
+    return Fraction(-rn if num < 0 else rn, rd)
 
 
 # ---------------------------------------------------------------------------
@@ -360,23 +377,12 @@ def _coprime_base(values) -> list[int]:
 def _perfect_power(b: int) -> tuple[int, int]:
     """(s, j) with s**j == b and j maximal, for b other than 0 and 1; a
     negative b takes the largest odd j.  Only prime roots are tried: a
-    composite root would have been taken as roots of its prime factors.
-    A root below 2^32, which is where s has at most 32*ell bits, is the
-    rounded float estimate, whose error is far below 1/2 there;
-    `integer_nth_root` would start Newton a factor of up to 2 high, which for
-    a large ell closes only by about 1/ell a step.  Larger roots take Newton,
-    as their float estimate could overflow."""
+    composite root would have been taken as roots of its prime factors."""
     s, j = abs(b), 1
     for ell in sieve(s.bit_length()).primes:
         if ell > s.bit_length():
             break
-        while True:
-            if s.bit_length() <= 32 * ell:
-                r = round(2 ** (log2(s) / ell))
-            else:
-                r = integer_nth_root(s, ell)
-            if r**ell != s:
-                break
+        while (r := _exact_root(s, ell)) is not None:
             s, j = r, j * ell
     if b < 0:
         while j % 2 == 0:

@@ -26,10 +26,12 @@ from .arith import (
 from .witness import (
     DEFAULT_SEARCH_BOUND,
     WitnessPrime,
+    _ordered,
+    _ratio_pairs,
+    _union_intersection,
     _witness_search,
     check_hypotheses,
     find_system_witness,
-    system_intersection,
     verify_system_witness,
     verify_witness,
 )
@@ -208,7 +210,10 @@ def _sign_infeasible(a: int, b: int, c: int) -> bool:
 
 
 def _witness_targets(ratios) -> list[Fraction]:
-    return sorted(set(ratios))
+    """sorted(set(ratios)), deduped and ordered as (num, den) pairs
+    (`_ordered`), so no Fraction is hashed or compared."""
+    by_pair = {(q.numerator, q.denominator): q for q in ratios}
+    return [by_pair[t] for t in _ordered(by_pair)]
 
 
 def _power_checks(ratios, k: int) -> tuple:
@@ -257,7 +262,8 @@ def _lemma_certificate(ratios, n: int, checks_n) -> Certificate | None:
             verdict=NOT_PR,
             data={"n": n, "checks": checks_n},
         )
-    if n not in (4, 8):
+    # at n = 2 the (n/2)-th power checks are first powers, which always hold
+    if n not in (2, 4, 8):
         checks = _power_checks(ratios, n // 2)
         if all(ok for _, _, ok in checks):
             if n % 4 == 0:
@@ -298,7 +304,7 @@ def _m1_track(eq: EquationSpec, config) -> tuple[list, list]:
     hits = [hit for hit in zip(RATIO_LABELS, ratios, roots) if hit[2] is not None]
     if hits:
         # a non-negative root proves PR over N, any other root over Z
-        nonneg = [hit for hit in hits if hit[2] >= 0]
+        nonneg = [hit for hit in hits if hit[2].numerator >= 0]
         label, q, root = (nonneg or hits)[0]
         cert = Certificate(
             kind=KIND_RATIONAL_ROOT,
@@ -447,13 +453,12 @@ def classify_system(sys_spec: SystemSpec, config=None) -> Verdict:
         v = classify_equation(EquationSpec(a, b, c, 1, n), config=config)
         return replace(v, subject=sys_spec)
 
-    inter = system_intersection(sys_spec.rows)
-    sorted_i = sorted(inter)
+    inter = _union_intersection(sys_spec.rows)[1]
     certs: list[Certificate] = []
     pending: list[str] = []
     no_zero_rows = all(a + b != 0 for a, b, _ in sys_spec.rows)
 
-    for q in sorted_i:
+    for q in inter:
         root = nth_power_in_Q(q, n)
         if root is not None:
             certs.append(
@@ -462,7 +467,7 @@ def classify_system(sys_spec: SystemSpec, config=None) -> Verdict:
                     rule="S1",
                     domain=DOMAIN_Z,
                     verdict=PR,
-                    data={"intersection": tuple(sorted_i), "n": n, "power": q, "root": root},
+                    data={"intersection": inter, "n": n, "power": q, "root": root},
                 )
             )
             pending.append("N:system:open-over-N")
@@ -470,8 +475,11 @@ def classify_system(sys_spec: SystemSpec, config=None) -> Verdict:
 
     exponent = n // 2 if n % 4 == 0 else n
     checks = None
-    if no_zero_rows and len(sorted_i) <= 2:
-        checks = tuple((q, nth_power_in_Q(q, exponent) is None) for q in sorted_i)
+    if no_zero_rows and len(inter) <= 2:
+        # at exponent n the S1 scan has just found no member a root
+        checks = tuple(
+            (q, exponent == n or nth_power_in_Q(q, exponent) is None) for q in inter
+        )
     witness = None
     if no_zero_rows:
         witness = find_system_witness(sys_spec.rows, n, search_bound=witness_bound)
@@ -484,7 +492,7 @@ def classify_system(sys_spec: SystemSpec, config=None) -> Verdict:
                 domain=DOMAIN_Z,
                 verdict=NOT_PR,
                 data={
-                    "intersection": tuple(sorted_i),
+                    "intersection": inter,
                     "n": n,
                     "exponent": exponent,
                     "checks": checks,
@@ -514,7 +522,7 @@ def classify_system(sys_spec: SystemSpec, config=None) -> Verdict:
         )
     elif not no_zero_rows:
         pending.append("Z:system:zero-sum-row")
-    elif len(sorted_i) > 2:
+    elif len(inter) > 2:
         pending.append("Z:system:intersection-size-3-open")
         pending.append(f"Z:system-witness:bound-exhausted:{witness_bound}")
     else:
@@ -527,7 +535,10 @@ def classify_system(sys_spec: SystemSpec, config=None) -> Verdict:
 # Re-verification
 
 
-def _reverify_cert(subject, cert: Certificate) -> bool:
+def _reverify_cert(subject, cert: Certificate, pairs) -> bool:
+    """Whether cert holds for subject.  pairs are the subject's ratios as
+    reduced (num, den) pairs (None for a system), which the values a
+    certificate stores are compared with."""
     data = cert.data
     if cert.kind == KIND_RULE and cert.rule in ("R1", "R2", "R3"):
         eq = subject
@@ -554,14 +565,14 @@ def _reverify_cert(subject, cert: Certificate) -> bool:
                 return False
         labels = [label for label, _, _ in data["checks"]]
         return labels == list(RATIO_LABELS) and tuple(
-            q for _, q, _ in data["checks"]
-        ) == subject.ratios
+            (q.numerator, q.denominator) for _, q, _ in data["checks"]
+        ) == pairs
     if cert.kind == KIND_RATIONAL_ROOT:
         q, root, n = data["ratio"], data["root"], data["n"]
         if Fraction(root) ** n != q:
             return False
         idx = RATIO_LABELS.index(data["which"])
-        if subject.ratios[idx] != q:
+        if pairs[idx] != (q.numerator, q.denominator):
             return False
         if cert.domain == DOMAIN_N and Fraction(root) < 0:
             return False
@@ -570,10 +581,12 @@ def _reverify_cert(subject, cert: Certificate) -> bool:
         checks = data["checks"]
         if len(checks) != 4:
             return False
-        ratios = subject.ratios
-        expect = list(ratios) + [ratios[0] * ratios[1] * ratios[2]]
+        (n0, d0), (n1, d1), (n2, d2) = pairs
+        num, den = n0 * n1 * n2, d0 * d1 * d2
+        g = gcd(num, den)
+        expect = pairs + ((num // g, den // g),)
         for (label, q, ok), want in zip(checks, expect):
-            if q != want or not ok or nth_power_in_Q(q, 2) is not None:
+            if (q.numerator, q.denominator) != want or not ok or nth_power_in_Q(q, 2) is not None:
                 return False
         return True
     if cert.kind == KIND_WITNESS:
@@ -584,8 +597,8 @@ def _reverify_cert(subject, cert: Certificate) -> bool:
             return False
         if any(flag for _, flag in w.targets):
             return False
-        stored = tuple(q for q, _ in w.targets)
-        if stored != tuple(_witness_targets(subject.ratios)):
+        stored = [(q.numerator, q.denominator) for q, _ in w.targets]
+        if stored != _ordered(pairs):
             return False
         if w.n != subject.n:
             return False
@@ -594,12 +607,11 @@ def _reverify_cert(subject, cert: Certificate) -> bool:
             return False
         return w.p > need and w.lower_bound_satisfied
     if cert.kind == KIND_PADIC:
-        eq = subject
-        gamma = eq.ratios[2]
         p, n = data["p"], data["n"]
-        if n != eq.n:
+        if n != subject.n:
             return False
-        a_holds, b_holds, v, unit, unit_ok, qp = _padic_case(gamma, eq.ratios, p, n)
+        ratios = tuple(Fraction(*t) for t in pairs)
+        a_holds, b_holds, v, unit, unit_ok, qp = _padic_case(ratios[2], ratios, p, n)
         if not (a_holds and b_holds):
             return False
         return (
@@ -614,7 +626,7 @@ def _reverify_cert(subject, cert: Certificate) -> bool:
             return False
         return _sign_infeasible(eq.a, eq.b, eq.c)
     if cert.kind == KIND_SYSTEM_INTERSECTION:
-        inter = tuple(sorted(system_intersection(subject.rows)))
+        inter = _union_intersection(subject.rows)[1]
         if inter != data["intersection"]:
             return False
         if cert.rule == "S1":
@@ -635,17 +647,18 @@ def reverify(verdict: Verdict) -> bool:
     any tampering makes this return False rather than raise.
     """
     try:
+        subject = equation = verdict.subject
+        # a one-row system's equation certificates are checked on its row
+        if isinstance(subject, SystemSpec) and len(subject.rows) == 1:
+            a, b, c = subject.rows[0]
+            equation = EquationSpec(a, b, c, 1, subject.n)
+        pairs = None
+        if isinstance(equation, EquationSpec):
+            pairs = _ratio_pairs(equation.a, equation.b, equation.c)
         st = _Statuses()
         for cert in verdict.certificates:
-            subject = verdict.subject
-            if (
-                isinstance(subject, SystemSpec)
-                and len(subject.rows) == 1
-                and not cert.rule.startswith("S")
-            ):
-                a, b, c = subject.rows[0]
-                subject = EquationSpec(a, b, c, 1, subject.n)
-            if not _reverify_cert(subject, cert):
+            one = subject if equation is subject or cert.rule.startswith("S") else equation
+            if not _reverify_cert(one, cert, pairs):
                 return False
             st.apply(cert)
         return (

@@ -102,18 +102,26 @@ class SearchBox:
 
 def rational_box_values(box: SearchBox) -> list[Fraction]:
     """All fractions num/den with num, den drawn from the box (den != 0),
-    deduplicated and sorted.  Small boxes only.
+    deduplicated and sorted.  Small boxes only."""
+    return _box(box, True)[0]
 
-    Each quotient is reduced to an integer pair (num, den) with den > 0, so
-    a value is hashed and sorted as a pair and its Fraction is made once.
-    The sort key num / den is exact while every |num|, den <= H < 2**17:
-    int division rounds correctly, so the key is monotone in the value,
-    and two distinct values differ by at least 1/H**2, while two values
-    that round to the same float differ by at most one ulp of a float of
-    size <= H, which is <= H * 2**-52 < 1/H**2 for H**3 < 2**52.  Wider
-    boxes sort the Fractions themselves.
+
+def _box(box: SearchBox, rational: bool) -> tuple[list, list | None]:
+    """The values a scan walks and, for a rational box, the reduced integer
+    pairs (num, den) with den > 0 they are made from (None for an integer
+    box).
+
+    Each rational value is hashed and sorted as a pair, and its Fraction is
+    made once.  The sort key num / den is exact while every
+    |num|, den <= H < 2**17: int division rounds correctly, so the key is
+    monotone in the value, and two distinct values differ by at least
+    1/H**2, while two values that round to the same float differ by at most
+    one ulp of a float of size <= H, which is <= H * 2**-52 < 1/H**2 for
+    H**3 < 2**52.  Wider boxes sort by the Fractions themselves.
     """
     vs = box.values()
+    if not rational:
+        return vs, None
     pairs = set()
     for q in vs:
         if q:
@@ -121,8 +129,10 @@ def rational_box_values(box: SearchBox) -> list[Fraction]:
                 g = gcd(p, q) if q > 0 else -gcd(p, q)
                 pairs.add((p // g, q // g))
     if max(abs(box.lo), abs(box.hi)) < 2**17:
-        return [Fraction(p, q) for p, q in sorted(pairs, key=lambda t: t[0] / t[1])]
-    return sorted(Fraction(p, q) for p, q in pairs)
+        pairs = sorted(pairs, key=lambda t: t[0] / t[1])
+    else:
+        pairs = sorted(pairs, key=lambda t: Fraction(*t))
+    return [Fraction(p, q) for p, q in pairs], pairs
 
 
 @dataclass(frozen=True)
@@ -164,34 +174,40 @@ def _eq_params(eq) -> tuple[int, int, int, int, int]:
     return a, b, c, m, n
 
 
-def _color_map(values, spec) -> dict:
-    """{v: color_of(v, spec)} for the box values, in their order.
+def _colors(values, spec, pairs=None) -> list:
+    """[color_of(v, spec) for v in values], in their order; no value is
+    hashed.
 
     On an integer box a residue coloring reads palette[v % m] and a
     valuation coloring v % p, so only the multiples of p (and 0, which has
-    no color) go through color_of; rational values and other specs take
-    color_of for every value.
+    no color) go through color_of.  Rational values come with their pairs
+    from `_box`, and a valuation coloring reads num/den mod p where p
+    divides neither num nor den.  Other values and specs take color_of.
     """
+    if pairs is not None and isinstance(spec, ValuationColoring):
+        p = spec.p
+        return [
+            num * pow(den, -1, p) % p if num % p and den % p else color_of(v, spec)
+            for v, (num, den) in zip(values, pairs)
+        ]
     if values and isinstance(values[0], int):
         if isinstance(spec, ModColoring):
-            palette, m = spec.palette, spec.modulus
-            cmap = {v: palette[v % m] for v in values}
-            if 0 in cmap:
+            if 0 in values:
                 raise DegenerateInput("0 has no color")
-            return cmap
+            palette, m = spec.palette, spec.modulus
+            return [palette[v % m] for v in values]
         if isinstance(spec, ValuationColoring):
             p = spec.p
-            return {v: v % p or color_of(v, spec) for v in values}
-    return {v: color_of(v, spec) for v in values}
+            return [v % p or color_of(v, spec) for v in values]
+    return [color_of(v, spec) for v in values]
 
 
-def _buckets(cmap) -> list[list]:
+def _buckets(values, colors) -> list[list]:
     """The box split into color classes, classes in repr order of their
-    color and values in box order within each class (cmap's order, so no
-    value is hashed again).
+    color and values in box order within each class; no value is hashed.
     """
     buckets: dict = {}
-    for v, d in cmap.items():
+    for v, d in zip(values, colors):
         buckets.setdefault(d, []).append(v)
     return [buckets[d] for d in sorted(buckets, key=repr)]
 
@@ -322,8 +338,8 @@ def verify_no_mono_solution(
     the class size.
     """
     params, workers = _eq_params(eq), _as_int(workers)
-    values = rational_box_values(box) if rational else box.values()
-    cmap = _color_map(values, spec)
+    values, reduced = _box(box, rational)
+    colors = _colors(values, spec, reduced)
     total = len(values) ** 3
     if stop_on_find and engine != ENGINE_BUCKETED:
         raise DegenerateInput("stop_on_find needs the bucketed engine")
@@ -331,7 +347,7 @@ def verify_no_mono_solution(
     if not values:
         scanned = 0
     elif engine == ENGINE_BUCKETED:
-        for vals in _buckets(cmap):
+        for vals in _buckets(values, colors):
             k = len(vals)
             rc, rb, rl = _scan_bucketed(vals, params, stop_on_find)
             pairs += k * k
@@ -344,6 +360,8 @@ def verify_no_mono_solution(
                 break
         scanned = examined if stop_on_find else total
     elif engine == ENGINE_FULL:
+        # the literal walk looks a solved y up by value
+        cmap = dict(zip(values, colors))
         if workers <= 1:
             count, best = _scan_full_shard((values, cmap, params, tuple(values)))
         else:
@@ -397,14 +415,14 @@ def verify_system_no_mono(system, spec, box: SearchBox, rational: bool = False) 
     rows * |values|^3; pairs_indexed and lookups count the join's work.
     """
     rows, n = _system_params(system)
-    values = rational_box_values(box) if rational else box.values()
-    cmap = _color_map(values, spec)
+    values, reduced = _box(box, rational)
+    colors = _colors(values, spec, reduced)
     total = len(rows) * len(values) ** 3
     count = 0
     best = None
     pairs = 0
     lookups = 0
-    for vals in _buckets(cmap):
+    for vals in _buckets(values, colors):
         per_row = []
         prod = 1
         for a, b, c in rows:

@@ -35,12 +35,11 @@ from .arith import (
     _as_int,
     _as_rat,
     _coprime_base,
+    _exact_root,
     _jacobi,
     _residue_columns,
     _residue_counts,
-    integer_nth_root,
     sieve,
-    valuation,
 )
 
 # residue_pattern_densities enumerates subgroups of (Z/g)^k with g | n
@@ -53,7 +52,7 @@ _HITS = bytes.maketrans(b"\2", b"\0")
 
 def _targets(targets, n: int = 1) -> tuple[Fraction, ...]:
     qs = tuple(map(_as_rat, targets))
-    if not qs or any(q == 0 for q in qs):
+    if not qs or any(q.numerator == 0 for q in qs):
         raise DegenerateInput("targets must be nonzero and nonempty")
     if _as_int(n) < 1:
         raise DegenerateInput("n must be >= 1")
@@ -139,6 +138,15 @@ def _span_walk(gens, g: int, k: int):
         seen.update(new)
 
 
+def _multiplicity(x: int, b: int) -> int:
+    """How many times b > 1 divides x != 0."""
+    k = 0
+    while x % b == 0:
+        x //= b
+        k += 1
+    return k
+
+
 @cache
 def _unit_table(n: int):
     """What `_residue_model` reads of n alone, built once per n (at most
@@ -208,15 +216,17 @@ def _residue_model(targets, n: int):
                     e[ell] = e.get(ell, 0) + sign
             rest.append(part)
         exps.append(e)
-        rests.append(Fraction(*rest))
+        rests.append(rest)
     free = []
-    for b in _coprime_base([part for r in rests for part in (r.numerator, r.denominator)]):
+    # a target's rest is the coprime pair (|num|, den) left after the fixed
+    # primes, so an element b divides at most one of its two parts
+    for b in _coprime_base([part for rest in rests for part in rest]):
         # b = s**j with j maximal; as g | n, only gcd(j, n) counts
         s, j = b, 1
         for ell in fixed:
-            while n % (j * ell) == 0 and (root := integer_nth_root(s, ell)) ** ell == s:
+            while n % (j * ell) == 0 and (root := _exact_root(s, ell)) is not None:
                 s, j = root, j * ell
-        free.append([j * valuation(r, b) for r in rests])
+        free.append([j * (_multiplicity(num, b) - _multiplicity(den, b)) for num, den in rests])
     rows = [[e.get(ell, 0) for e in exps] for ell in fixed]
     negative = [q.numerator < 0 for q in qs]
     cosets = Counter()

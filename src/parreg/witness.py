@@ -9,7 +9,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .arith import (
     DegenerateInput,
@@ -77,16 +77,18 @@ class WitnessPrime:
 
 
 def _normalize_targets(targets) -> tuple[Fraction, ...]:
-    seen = []
+    """The targets as Fractions, each once, in the order first met; they are
+    told apart by their reduced (num, den) pairs, so no Fraction is
+    compared."""
+    seen = {}
     for t in targets:
         t = _as_rat(t)
-        if t not in seen:
-            seen.append(t)
+        seen.setdefault((t.numerator, t.denominator), t)
     if not seen:
         raise DegenerateInput("need at least one target")
-    if any(t == 0 for t in seen):
+    if (0, 1) in seen:
         raise DegenerateInput("targets must be nonzero")
-    return tuple(seen)
+    return tuple(seen.values())
 
 
 def _not_power_check(t: Fraction, k: int) -> HypothesisCheck:
@@ -291,22 +293,46 @@ def verify_witness(w: WitnessPrime) -> bool:
 # Systems
 
 
-def ratio_set(a, b, c) -> frozenset[Fraction]:
-    """The value set {a/c, b/c, (a+b)/c} of one row (duplicates collapse)."""
+def _ratio_pairs(a: int, b: int, c: int) -> tuple[tuple[int, int], ...]:
+    """a/c, b/c and (a+b)/c as reduced (num, den) pairs with den > 0."""
     if a == 0 or b == 0 or c == 0:
         raise DegenerateInput("row coefficients must be nonzero")
-    return frozenset({Fraction(a, c), Fraction(b, c), Fraction(a + b, c)})
+    pairs = []
+    for v in (a, b, a + b):
+        g = gcd(v, c) if c > 0 else -gcd(v, c)
+        pairs.append((v // g, c // g))
+    return tuple(pairs)
 
 
-def _union_intersection(rows) -> tuple[frozenset[Fraction], frozenset[Fraction]]:
-    """The union and the intersection of the rows' ratio sets, each row's set
-    built once."""
-    sets = [ratio_set(a, b, c) for a, b, c in rows]
-    return frozenset().union(*sets), sets[0].intersection(*sets[1:])
+def ratio_set(a, b, c) -> frozenset[Fraction]:
+    """The value set {a/c, b/c, (a+b)/c} of one row (duplicates collapse)."""
+    return frozenset(Fraction(*t) for t in _ratio_pairs(a, b, c))
+
+
+def _ordered(pairs) -> list[tuple[int, int]]:
+    """The distinct reduced pairs (num, den), den > 0, in increasing order
+    of num/den, compared as ints: over their common denominator L, num/den
+    is num * (L // den)."""
+    pairs = set(pairs)
+    common = lcm(*[den for _, den in pairs])
+    return sorted(pairs, key=lambda t: t[0] * (common // t[1]))
+
+
+def _union_intersection(rows) -> tuple[list[tuple[int, int]], tuple[Fraction, ...]]:
+    """The union of the rows' ratio sets as reduced (num, den) pairs, and
+    their intersection as Fractions, both in increasing order.
+
+    The sets are met and ordered as pairs (`_ordered`), so no Fraction is
+    hashed or compared; a Fraction is made only for a member of the
+    intersection, which certificates and witnesses store."""
+    sets = [set(_ratio_pairs(a, b, c)) for a, b, c in rows]
+    inter = sets[0].intersection(*sets[1:])
+    union = _ordered(set().union(*sets))
+    return union, tuple(Fraction(*t) for t in union if t in inter)
 
 
 def system_intersection(rows) -> frozenset[Fraction]:
-    return _union_intersection(rows)[1]
+    return frozenset(_union_intersection(rows)[1])
 
 
 def _system_conditions(p: int, rows, union, inter, n: int) -> tuple[bool, bool, bool]:
@@ -315,15 +341,17 @@ def _system_conditions(p: int, rows, union, inter, n: int) -> tuple[bool, bool, 
     (i)  no a_i, b_i, c_i, a_i+b_i vanishes mod p;
     (ii) distinct members of the row-ratio union stay distinct mod p;
     (iii) no member of the intersection is an n-th power residue mod p.
+
+    union holds (num, den) pairs and inter rationals, as
+    `_union_intersection` returns them.
     """
     for a, b, c in rows:
         for v in (a, b, c, a + b):
             if v % p == 0:
                 return (False, True, True)
     residues = set()
-    for v in union:
-        r = v.numerator * pow(v.denominator, p - 2, p) % p
-        residues.add(r)
+    for num, den in union:
+        residues.add(num * pow(den, p - 2, p) % p)
     if len(residues) != len(union):
         return (True, False, True)
     e = _euler_exponent(n, p)
@@ -338,7 +366,7 @@ def _reduce_system(rows, union) -> int:
     divides exactly when it fails one of them.
 
     B is the product of every a_i, b_i, c_i, a_i+b_i and every cross-difference
-    n_u*d_v - n_v*d_u over pairs of union members u = n_u/d_u, v = n_v/d_v: once
+    n_u*d_v - n_v*d_u over pairs of union members (n_u, d_u), (n_v, d_v): once
     (i) holds, every union member reduces to a unit, and two of them collide
     mod p iff p divides their cross-difference.  Every prime dividing the
     numerator or denominator of a union member divides some a_i, b_i, c_i or
@@ -347,9 +375,9 @@ def _reduce_system(rows, union) -> int:
     bad = 1
     for a, b, c in rows:
         bad *= a * b * c * (a + b)
-    for i, u in enumerate(union):
-        for v in union[i + 1 :]:
-            bad *= u.numerator * v.denominator - v.numerator * u.denominator
+    for i, (nu, du) in enumerate(union):
+        for nv, dv in union[i + 1 :]:
+            bad *= nu * dv - nv * du
     return bad
 
 
@@ -370,7 +398,6 @@ def find_system_witness(
     if _as_int(n) < 1:
         raise DegenerateInput("n must be >= 1")
     union, inter = _union_intersection(rows)
-    union, inter = sorted(union), tuple(sorted(inter))
     bad = _reduce_system(rows, union)
     return _search(inter, bad, n, 0, search_bound, workers=1)[0]
 
@@ -381,8 +408,7 @@ def verify_system_witness(w: WitnessPrime, rows, n: int) -> bool:
         return False
     rows = _int_rows(rows)
     union, inter = _union_intersection(rows)
-    union, inter = sorted(union), sorted(inter)
-    if tuple(v for v, _ in w.targets) != tuple(inter):
+    if tuple(v for v, _ in w.targets) != inter:
         return False
     if any(flag for _, flag in w.targets):
         return False

@@ -225,6 +225,64 @@ def test_nth_power_roundtrip(a, b, n):
     assert root**n == q
 
 
+@given(
+    st.integers(min_value=1, max_value=10**40),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=-1, max_value=1),
+)
+@settings(max_examples=400, deadline=None)
+def test_exact_root_matches_newton(x, n, shift):
+    # exact n-th powers and their neighbours, on both sides of 32*n bits
+    y = max(1, integer_nth_root(x, n) ** n + shift)
+    r = integer_nth_root(y, n)
+    assert arith._exact_root(y, n) == (r if r**n == y else None), (y, n)
+
+
+def _ref_nth_power_in_Q(q, n):
+    """The root by Fraction compares, zero and sign included: the oracle
+    that the numerator-reading `nth_power_in_Q` is pinned against."""
+    q = Fraction(q)
+    if n == 1:
+        return q
+    if q == 0:
+        return Fraction(0)
+    if q < 0 and n % 2 == 0:
+        return None
+    rn = integer_nth_root(abs(q.numerator), n)
+    if rn**n != abs(q.numerator):
+        return None
+    rd = integer_nth_root(q.denominator, n)
+    if rd**n != q.denominator:
+        return None
+    root = Fraction(rn, rd)
+    return -root if q < 0 else root
+
+
+@given(
+    st.one_of(
+        st.just(0),
+        st.integers(min_value=-(10**40), max_value=10**40),
+        st.fractions(max_denominator=10**30),
+        # exact powers, so that roots are found, of huge and of negative bases
+        st.tuples(
+            st.integers(min_value=-(10**25), max_value=10**25),
+            st.integers(min_value=1, max_value=10**25),
+            st.integers(min_value=1, max_value=13),
+        ).map(lambda t: (Fraction(t[0], t[1]) ** t[2], t[2])),
+    ),
+    st.integers(min_value=1, max_value=13),
+)
+@settings(max_examples=400, deadline=None)
+def test_nth_power_in_Q_matches_the_fraction_reference(q, n):
+    if isinstance(q, tuple):  # an exact power and, half the time, its own exponent
+        q, k = q
+        n = k if n % 2 else n
+    got = nth_power_in_Q(q, n)
+    want = _ref_nth_power_in_Q(q, n)
+    assert got == want, (q, n)
+    assert type(got) is type(want)
+
+
 def test_nth_power_in_Q_negatives_and_misses():
     assert nth_power_in_Q(-8, 3) == -2
     assert nth_power_in_Q(-8, 2) is None

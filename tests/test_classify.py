@@ -5,6 +5,7 @@ and certificate re-verification including tamper detection.
 import hashlib
 import itertools
 import os
+import random
 import re
 import signal
 import subprocess
@@ -426,6 +427,30 @@ def test_reverify_rejects_tampered_padic_prime():
             assert reverify(v) is False, p
 
 
+def test_reverify_rejects_a_changed_ratio():
+    # each stored ratio is compared with the subject's own: 2 -> 5 keeps
+    # every power check of R5, R6 and R7 true, and the product of R7 is
+    # the subject's only with 2 in place
+    for n in (3, 6, 2):
+        eq = EquationSpec(2, 3, 1, 1, n)
+        v = classify_equation(eq)
+        assert reverify(v)
+        cert = v.certificates[0]
+        (label, q, ok), *rest = cert.data["checks"]
+        cert.data["checks"] = ((label, q + 3, ok), *rest)
+        assert not reverify(v), eq
+    v = classify_equation(EquationSpec(1, 7, 1, 1, 3))
+    assert v.certificates[0].rule == "R4" and reverify(v)
+    v.certificates[0].data["which"] = "b/c"
+    assert not reverify(v)
+    v = classify_equation(EquationSpec(2, 3, 1, 1, 2))
+    w = witness_cert(v).data["witness"]
+    witness_cert(v).data["witness"] = type(w)(
+        p=w.p, n=w.n, targets=w.targets[:2], lower_bound_satisfied=True
+    )
+    assert not reverify(v)
+
+
 def test_reverify_rejects_missing_field():
     v = classify_equation(EquationSpec(3, 13, 1, 1, 8), config=SMALL)
     v.certificates[0].data.pop("p")
@@ -530,6 +555,24 @@ def test_every_equation_gets_a_checkable_verdict(a, b, c, m, n):
             assert any(r.startswith(domain + ":") for r in v.reasons), (domain, v.reasons)
 
 
+@given(
+    st.one_of(
+        st.lists(st.fractions(max_denominator=10**6), min_size=1, max_size=4),
+        # few values, so that duplicates are common
+        st.lists(
+            st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=1, max_size=6
+        ),
+        st.builds(
+            lambda a, b, c: EquationSpec(a, b, c, 1, 1).ratios, coefficient, coefficient, coefficient
+        ),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_witness_targets_match_the_sorted_set(ratios):
+    # the oracle: Fractions hashed into a set and sorted by their compares
+    assert classify_module._witness_targets(ratios) == sorted(set(ratios))
+
+
 # ---------------------------------------------------------------------------
 # pinned report bytes and root counts over a box of small inputs
 
@@ -591,6 +634,55 @@ def test_box_reports_are_pinned(bound, digest, counts):
     assert h.hexdigest() == digest
 
 
+def _signed(rng, magnitude):
+    return magnitude if rng.random() < 0.5 else -magnitude
+
+
+def _log_uniform(rng, hi):
+    return max(1, round(hi ** rng.random()))
+
+
+def corpus_subjects(seed, size):
+    """size seeded requests shaped like everyday traffic: 85% equations with
+    |a|, |b| log-uniform on [1, 10^6], |c| on [1, 100], m = 1 with
+    probability 3/4 (else 2 to 4) and n in 1..12; 15% systems of 2 or 3
+    rows with |a|, |b| <= 10^4, |c| <= 10 and n in 2..12."""
+    rng = random.Random(seed)
+    for _ in range(size):
+        if rng.random() < 0.85:
+            a = _signed(rng, _log_uniform(rng, 10**6))
+            b = _signed(rng, _log_uniform(rng, 10**6))
+            c = _signed(rng, _log_uniform(rng, 100))
+            m = 1 if rng.random() < 0.75 else rng.randint(2, 4)
+            yield "classify", EquationSpec(a, b, c, m, rng.randint(1, 12))
+        else:
+            rows = tuple(
+                (
+                    _signed(rng, rng.randint(1, 10**4)),
+                    _signed(rng, rng.randint(1, 10**4)),
+                    _signed(rng, rng.randint(1, 10)),
+                )
+                for _ in range(rng.randint(2, 3))
+            )
+            yield "system", SystemSpec(rows, rng.randint(2, 12))
+
+
+def test_corpus_reports_are_pinned():
+    # one sha256 over the --json reports of 300 seeded requests at the CLI's
+    # defaults, in draw order; they reach R2 to R8, S2 and S3
+    config = RunConfig(output="json")
+    h = hashlib.sha256()
+    rules = set()
+    for command, subject in corpus_subjects(23, 300):
+        classify = classify_equation if command == "classify" else classify_system
+        v = classify(subject, config=config)
+        assert reverify(v)
+        rules |= rules_of(v)
+        h.update(canonical_json(report(command, config, v)).encode())
+    assert {"R2", "R4", "R5", "R6", "R7", "R8", "S2", "S3"} <= rules
+    assert h.hexdigest() == "8f7b3834b5453e984c9a04bd11f00dfdd48f998d3493509f3c96929b7b4f5e88"
+
+
 def counting_roots(monkeypatch, modules):
     calls = []
 
@@ -618,6 +710,26 @@ def test_each_root_is_taken_once(monkeypatch):
             assert count <= 3 + (k == 2), (eq, per_k)
         product = ratios[0] * ratios[1] * ratios[2]
         assert all(q in ratios or (k, q) == (2, product) for q, k in calls), (eq, calls)
+
+
+def test_no_first_power_check_at_n_2(monkeypatch):
+    # R6's (n/2)-th power checks are first powers at n = 2, which every
+    # rational is, so R6 is not tried there
+    calls = counting_roots(monkeypatch, (classify_module,))
+    for command, eq in box_subjects():
+        if command == "classify" and eq.n == 2:
+            classify_equation(eq, config=SMALL)
+    assert calls and all(k != 1 for _, k in calls)
+
+
+def test_system_roots_are_taken_once(monkeypatch):
+    # S1 has tested every member of I at exponent n, which S2 reuses
+    calls = counting_roots(monkeypatch, (classify_module,))
+    for command, system in box_subjects():
+        if command == "system":
+            calls.clear()
+            classify_system(system)
+            assert len(calls) == len(set(calls)), (system, calls)
 
 
 def test_reproduction_table_root_count(monkeypatch):

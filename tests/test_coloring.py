@@ -21,7 +21,8 @@ from parreg.coloring import (
     ModColoring,
     SearchBox,
     ValuationColoring,
-    _color_map,
+    _box,
+    _colors,
     color_of,
     rational_box_values,
     verify_no_mono_solution,
@@ -201,9 +202,9 @@ color_map_specs = st.one_of(
 )
 
 
-def _color_outcome(make, values, spec):
+def _color_outcome(make):
     try:
-        return list(make(values, spec).items())
+        return list(make())
     except DegenerateInput:  # 0 in the box, or a denominator with no inverse
         return "refused"
 
@@ -219,21 +220,26 @@ def _color_outcome(make, values, spec):
 def test_color_map_matches_color_of(spec, box_mode):
     box, rational = box_mode
     values = literal_rational_box_values(box) if rational else box.values()
+    got, pairs = _box(box, rational)
+    assert got == values
     if rational:
         assert rational_box_values(box) == values
-    literal = _color_outcome(lambda vs, sp: {v: color_of(v, sp) for v in vs}, values, spec)
-    assert _color_outcome(_color_map, values, spec) == literal
+        assert pairs == [(v.numerator, v.denominator) for v in values]
+    literal = _color_outcome(lambda: [color_of(v, spec) for v in values])
+    assert _color_outcome(lambda: _colors(values, spec, pairs)) == literal
 
 
 def test_color_map_refusals():
     over_zero = SearchBox(-3, 3, exclude_zero=False)
     for spec in (ValuationColoring(5), ModColoring(5, (0, 1, 2, 3, 4))):
-        for values in (over_zero.values(), rational_box_values(over_zero)):
+        for rational in (False, True):
+            values, pairs = _box(over_zero, rational)
             with pytest.raises(DegenerateInput, match="0 has no color"):
-                _color_map(values, spec)
+                _colors(values, spec, pairs)
+    values, pairs = _box(SearchBox(1, 4), True)
     with pytest.raises(DegenerateInput, match="not invertible"):
-        _color_map(rational_box_values(SearchBox(1, 4)), ModColoring(4, (0, 1, 2, 3)))
-    assert _color_map([], ModColoring(1, ("a",))) == {}
+        _colors(values, ModColoring(4, (0, 1, 2, 3)), pairs)
+    assert _colors([], ModColoring(1, ("a",))) == []
 
 
 # ---------------------------------------------------------------------------

@@ -257,10 +257,35 @@ def test_ratio_set_examples():
 
 def test_union_and_intersection():
     rows = ((16, 17, 1), (33, 4063, 1))
-    assert _union_intersection(rows)[0] == frozenset({16, 17, 33, 4063, 4096})
+    union, inter = _union_intersection(rows)
+    assert union == [(16, 1), (17, 1), (33, 1), (4063, 1), (4096, 1)]
+    assert inter == (33,)
     assert system_intersection(rows) == frozenset({33})
     cyc = ((8, 27, 1), (27, 343, 1), (343, 8, 1))
     assert system_intersection(cyc) == frozenset()
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=-40, max_value=40).filter(bool),
+            st.integers(min_value=-40, max_value=40).filter(bool),
+            st.sampled_from((1, -1, 2, -3, 4, 6, -10)),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_union_intersection_matches_the_ratio_sets(rows):
+    # the oracle: each row's frozenset of Fractions, united, met and sorted
+    sets = [ratio_set(a, b, c) for a, b, c in rows]
+    union, inter = _union_intersection(rows)
+    assert [Fraction(*t) for t in union] == sorted(frozenset().union(*sets))
+    assert all(gcd(num, den) == 1 and den > 0 for num, den in union)
+    assert inter == tuple(sorted(sets[0].intersection(*sets[1:])))
+    assert all(type(q) is Fraction for q in inter)
+    assert system_intersection(rows) == frozenset(inter)
 
 
 def brute_system_witness(p, rows, n):

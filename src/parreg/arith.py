@@ -235,7 +235,7 @@ def factor(q, budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
 def _split(q, p: int) -> tuple[int, int, int]:
     """(v, num, den) with q = p**v * num / den, den > 0 and p dividing
     neither num nor den, for a nonzero rational q and any p >= 2 (prime or
-    not): the one pass over q that `valuation` and the p-adic tests read."""
+    not): the one pass over q that the p-adic tests read."""
     q = _as_rat(q)
     if not q:
         raise DegenerateInput("valuation of 0 is undefined")
@@ -251,11 +251,6 @@ def _split(q, p: int) -> tuple[int, int, int]:
             den //= p
             v -= 1
     return v, num, den
-
-
-def valuation(q, p: int) -> int:
-    """p-adic valuation of a nonzero rational, for any p >= 2."""
-    return _split(q, p)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -540,6 +540,13 @@ def _reverify_cert(subject, cert: Certificate, pairs) -> bool:
     reduced (num, den) pairs (None for a system), which the values a
     certificate stores are compared with."""
     data = cert.data
+    # only the m = 1 track makes these; m >= 2 is decided by R1 or R2
+    if (
+        cert.kind in (KIND_RATIONAL_ROOT, KIND_SQUARE, KIND_PADIC)
+        or cert.rule in ("R5", "R6")
+        or (cert.kind == KIND_WITNESS and not data.get("system"))
+    ) and subject.m != 1:
+        return False
     if cert.kind == KIND_RULE and cert.rule in ("R1", "R2", "R3"):
         eq = subject
         if (eq.a, eq.b) != (data["a"], data["b"]):
@@ -569,7 +576,7 @@ def _reverify_cert(subject, cert: Certificate, pairs) -> bool:
         ) == pairs
     if cert.kind == KIND_RATIONAL_ROOT:
         q, root, n = data["ratio"], data["root"], data["n"]
-        if Fraction(root) ** n != q:
+        if n != subject.n or Fraction(root) ** n != q:
             return False
         idx = RATIO_LABELS.index(data["which"])
         if pairs[idx] != (q.numerator, q.denominator):
@@ -578,8 +585,9 @@ def _reverify_cert(subject, cert: Certificate, pairs) -> bool:
             return False
         return True
     if cert.kind == KIND_SQUARE:
+        # a non-square mod p is a non-n-th-power residue only for even n
         checks = data["checks"]
-        if len(checks) != 4:
+        if data["n"] != subject.n or subject.n % 2 or len(checks) != 4:
             return False
         (n0, d0), (n1, d1), (n2, d2) = pairs
         num, den = n0 * n1 * n2, d0 * d1 * d2
@@ -631,7 +639,7 @@ def _reverify_cert(subject, cert: Certificate, pairs) -> bool:
             return False
         if cert.rule == "S1":
             q, root = data["power"], data["root"]
-            return q in inter and Fraction(root) ** data["n"] == q
+            return data["n"] == subject.n and q in inter and Fraction(root) ** data["n"] == q
         exponent = data["exponent"]
         want = subject.n // 2 if subject.n % 4 == 0 else subject.n
         if exponent != want or len(inter) > 2:

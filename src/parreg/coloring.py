@@ -145,8 +145,10 @@ class MonoReport:
     scan; when the scan stopped at the first hit it is lookups times the
     class size, summed over the classes reached, which never exceeds the
     full size.  pairs_indexed (the sum of k^2 over the color classes of size
-    k that were indexed) and lookups (the (w, z) probes in walk order, up to
-    the hit under stop_on_find) count the work of the sumset join; the full
+    k reached) and lookups (the (w, z) probes in walk order, up to the hit
+    under stop_on_find) count each class's full pair and probe space,
+    whether the class was joined or ruled out by its unit congruence
+    (_live_test), so they are the same with or without that test; the full
     engine leaves both at 0.
     """
 
@@ -202,14 +204,57 @@ def _colors(values, spec, pairs=None) -> list:
     return [color_of(v, spec) for v in values]
 
 
-def _buckets(values, colors) -> list[list]:
-    """The box split into color classes, classes in repr order of their
-    color and values in box order within each class; no value is hashed.
+def _buckets(values, colors) -> list[tuple]:
+    """The box split into color classes, as (color, values) in repr order of
+    the color and values in box order within each class; no value is
+    hashed.
     """
     buckets: dict = {}
     for v, d in zip(values, colors):
         buckets.setdefault(d, []).append(v)
-    return [buckets[d] for d in sorted(buckets, key=repr)]
+    return [(d, buckets[d]) for d in sorted(buckets, key=repr)]
+
+
+def _live_test(spec, params):
+    """live(color, vals), False only where the unit congruence of the
+    coloring leaves the class vals of that color no monochromatic solution
+    of a*x + b*y = c*w^m*z^n.
+
+    Under ValuationColoring(p) write a, b, c as p-powers times units a', b',
+    c' (their colors).  If x, y, w, z all have color r, the unit of a*x + b*y
+    is a'r, b'r or, when the two valuations tie, (a'+b')r, and the unit of
+    the right side is c'r^(m+n); so c'r^(m+n-1) is a', b' or a'+b' mod p.
+    When p divides a'+b' a tie leaves the unit open and every class stays
+    live; at p = 2 every unit is 1, so a'+b' is even and this is the case.
+    The units are read in Z_(p), so this holds for rational values too.
+    Under ModColoring(M) reduce mod M, a ring map from the rationals whose
+    denominators are units mod M (color_of refuses the others): with R the
+    residues of the class, some a*s + b*t, s, t in R, must equal some
+    c*u^m*v^n, u, v in R.  Each valuation class costs one modular power and
+    a residue class about |R|^2 <= k^2 small products.
+    """
+    a, b, c, m, n = params
+    if isinstance(spec, ValuationColoring):
+        p = spec.p
+        ua, ub, uc = (color_of(v, spec) for v in (a, b, c))
+        if (ua + ub) % p == 0:
+            return lambda r, vals: True
+        units, e = {ua, ub, (ua + ub) % p}, m + n - 1
+        return lambda r, vals: uc * pow(r, e, p) % p in units
+    if not isinstance(spec, ModColoring):
+        return lambda d, vals: True
+    mod = spec.modulus
+
+    def live(d, vals):
+        if isinstance(vals[0], int):
+            rs = {v % mod for v in vals}
+        else:
+            rs = {v.numerator * pow(v.denominator, -1, mod) % mod for v in vals}
+        sums = {(s + t) % mod for s in {a * r % mod for r in rs} for t in {b * r % mod for r in rs}}
+        zs = {pow(r, n, mod) for r in rs}
+        return any(cw * z % mod in sums for cw in {c * pow(r, m, mod) for r in rs} for z in zs)
+
+    return live
 
 
 def _scan_bucketed(vals, params, stop_on_find):
@@ -248,25 +293,32 @@ def _scan_bucketed(vals, params, stop_on_find):
     keys = [ax + by for ax in [a * x for x in ivals] for by in bys]
     keyset = set(keys)
     zns = [z**n for z in ivals]
+
+    def solution(i, j, rhs):  # the least (w, x, y, z) of the hit probe (i, j)
+        for t, x in enumerate(ivals):
+            y, r = divmod(rhs - a * x, b)
+            if not r and y in index:
+                return vals[i], vals[t], vals[index[y]], vals[j]
+
+    if stop_on_find:
+        # one W row at a time, so no probe past the first hit is built
+        for i, w in enumerate(ivals):
+            cwm = c * w**m
+            row = [cwm * zn for zn in zns]
+            if not keyset.isdisjoint(row):
+                j = next(j for j, q in enumerate(row) if q in keyset)
+                index = {v: t for t, v in enumerate(ivals)}
+                return 1, solution(i, j, row[j]), i * k + j + 1
+        return 0, None, k * k
     probes = [cwm * zn for cwm in [c * w**m for w in ivals] for zn in zns]
     if keyset.isdisjoint(probes):
         return 0, None, k * k
     # the first W row with a hit starts at probe `row`
     row = next(i for i in range(0, k * k, k) if not keyset.isdisjoint(probes[i : i + k]))
-    index = {v: i for i, v in enumerate(ivals)}
-
-    def solution(q):  # the least (w, x, y, z) of the hit probe q
-        rhs = probes[q]
-        for i, x in enumerate(ivals):
-            y, r = divmod(rhs - a * x, b)
-            if not r and y in index:
-                return vals[q // k], vals[i], vals[index[y]], vals[q % k]
-
-    hits = [q for q in range(row, row + k) if probes[q] in keyset]
-    if stop_on_find:
-        return 1, solution(hits[0]), hits[0] + 1
+    index = {v: t for t, v in enumerate(ivals)}
+    best = min(solution(q // k, q % k, probes[q]) for q in range(row, row + k) if probes[q] in keyset)
     counts = Counter(keys)
-    return sum(map(counts.get, probes[row:], repeat(0))), min(map(solution, hits)), k * k
+    return sum(map(counts.get, probes[row:], repeat(0))), best, k * k
 
 
 def _scan_full_shard(args):
@@ -328,7 +380,8 @@ def verify_no_mono_solution(
     variable in the box.
 
     The bucketed engine runs the sumset join of _scan_bucketed once per
-    color class and reports pairs_indexed and lookups.  The full engine is
+    color class that its unit congruence (_live_test) leaves live, and
+    reports pairs_indexed and lookups.  The full engine is
     the literal reference walk: it solves for y exactly at every (w, z, x)
     triple and shards by w across workers; its reports are identical for
     any worker count.  Both give the same found (the least tuple),
@@ -347,9 +400,11 @@ def verify_no_mono_solution(
     if not values:
         scanned = 0
     elif engine == ENGINE_BUCKETED:
-        for vals in _buckets(values, colors):
+        live = _live_test(spec, params)
+        for d, vals in _buckets(values, colors):
             k = len(vals)
-            rc, rb, rl = _scan_bucketed(vals, params, stop_on_find)
+            # a ruled-out class counts as a join without a hit
+            rc, rb, rl = _scan_bucketed(vals, params, stop_on_find) if live(d, vals) else (0, None, k * k)
             pairs += k * k
             lookups += rl
             examined += rl * k
@@ -410,9 +465,12 @@ def verify_system_no_mono(system, spec, box: SearchBox, rational: bool = False) 
     is one per-row tuple for every row with all values sharing a single
     color.  solutions_found multiplies the per-row counts within each color
     (rows have disjoint variables), and a class stops at its first row
-    without a solution.  rational scans the values of rational_box_values
-    in place of the integers.  candidates_scanned stays the closed form
-    rows * |values|^3; pairs_indexed and lookups count the join's work.
+    without a solution; a row whose unit congruence (_live_test) rules the
+    class out is not joined and counts as a join without a hit.  rational
+    scans the values of rational_box_values in place of the integers.
+    candidates_scanned stays the closed form rows * |values|^3;
+    pairs_indexed and lookups count each row's full pair and probe space
+    per class reached.
     """
     rows, n = _system_params(system)
     values, reduced = _box(box, rational)
@@ -422,12 +480,15 @@ def verify_system_no_mono(system, spec, box: SearchBox, rational: bool = False) 
     best = None
     pairs = 0
     lookups = 0
-    for vals in _buckets(values, colors):
+    row_params = [(a, b, c, 1, n) for a, b, c in rows]
+    lives = [_live_test(spec, params) for params in row_params]
+    for d, vals in _buckets(values, colors):
         per_row = []
         prod = 1
-        for a, b, c in rows:
-            rc, rb, rl = _scan_bucketed(vals, (a, b, c, 1, n), False)
-            pairs += len(vals) ** 2
+        k = len(vals)
+        for params, live in zip(row_params, lives):
+            rc, rb, rl = _scan_bucketed(vals, params, False) if live(d, vals) else (0, None, k * k)
+            pairs += k * k
             lookups += rl
             if rc == 0:
                 prod = 0

@@ -304,11 +304,6 @@ def _ratio_pairs(a: int, b: int, c: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def ratio_set(a, b, c) -> frozenset[Fraction]:
-    """The value set {a/c, b/c, (a+b)/c} of one row (duplicates collapse)."""
-    return frozenset(Fraction(*t) for t in _ratio_pairs(a, b, c))
-
-
 def _ordered(pairs) -> list[tuple[int, int]]:
     """The distinct reduced pairs (num, den), den > 0, in increasing order
     of num/den, compared as ints: over their common denominator L, num/den
@@ -329,10 +324,6 @@ def _union_intersection(rows) -> tuple[list[tuple[int, int]], tuple[Fraction, ..
     inter = sets[0].intersection(*sets[1:])
     union = _ordered(set().union(*sets))
     return union, tuple(Fraction(*t) for t in union if t in inter)
-
-
-def system_intersection(rows) -> frozenset[Fraction]:
-    return frozenset(_union_intersection(rows)[1])
 
 
 def _system_conditions(p: int, rows, union, inter, n: int) -> tuple[bool, bool, bool]:

@@ -451,6 +451,46 @@ def test_reverify_rejects_a_changed_ratio():
     assert not reverify(v)
 
 
+def test_reverify_rejects_an_m1_certificate_on_m_at_least_2():
+    # R4 of (1, 1, 1, 1, 3) reads a/c = 1 = 1^3, and (1, 8, 1) has a/c = 1
+    # too, but (1, 8, 1, 2, 3) is NOT_PR over N and Z by R2
+    cert = classify_equation(EquationSpec(1, 1, 1, 1, 3)).certificates[0]
+    assert cert.rule == "R4"
+    forged = Verdict(EquationSpec(1, 8, 1, 2, 3), PR, PR, PR, (cert,), ())
+    assert not reverify(forged)
+    assert reverify(Verdict(EquationSpec(1, 8, 1, 1, 3), PR, PR, PR, (cert,), ()))
+
+
+def test_reverify_rejects_a_certificate_for_another_n():
+    # R4 with n = 1 and root = ratio holds for any ratio
+    forged = Certificate(
+        kind="rational_root",
+        rule="R4",
+        domain="N",
+        verdict=PR,
+        data={"which": "a/c", "ratio": Fraction(2), "root": Fraction(2), "n": 1},
+    )
+    assert not reverify(Verdict(EquationSpec(2, 3, 1, 1, 3), PR, PR, PR, (forged,), ()))
+    # R7 of (8, 19, 1, 1, 2): 8, 19, 27 and their product are no squares,
+    # but at n = 3 the equation is PR by R4 (8 = 2^3)
+    v = classify_equation(EquationSpec(8, 19, 1, 1, 2))
+    r7 = next(cert for cert in v.certificates if cert.kind == "square")
+    assert reverify(Verdict(v.subject, NOT_PR, NOT_PR, NOT_PR, (r7,), ()))
+    assert not reverify(Verdict(EquationSpec(8, 19, 1, 1, 3), NOT_PR, NOT_PR, NOT_PR, (r7,), ()))
+    # S1 with n = 1 and power = root on a system whose intersection 2, 3, 5
+    # holds no square
+    v = classify_system(SystemSpec(((2, 3, 1), (2, 3, 1)), 2))
+    inter = (Fraction(2), Fraction(3), Fraction(5))
+    forged = Certificate(
+        kind="system_intersection",
+        rule="S1",
+        domain="Z",
+        verdict=PR,
+        data={"intersection": inter, "n": 1, "power": Fraction(2), "root": Fraction(2)},
+    )
+    assert not reverify(Verdict(v.subject, UNKNOWN, PR, PR, (forged,), ()))
+
+
 def test_reverify_rejects_missing_field():
     v = classify_equation(EquationSpec(3, 13, 1, 1, 8), config=SMALL)
     v.certificates[0].data.pop("p")

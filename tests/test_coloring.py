@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parreg import coloring
 from parreg.arith import DegenerateInput
 from parreg.classify import EquationSpec, SystemSpec
 from parreg.coloring import (
@@ -23,6 +24,8 @@ from parreg.coloring import (
     ValuationColoring,
     _box,
     _colors,
+    _live_test,
+    _scan_full_shard,
     color_of,
     rational_box_values,
     verify_no_mono_solution,
@@ -678,3 +681,124 @@ def test_rational_system_scan_matches_oracle():
     assert total > 0 and any(v.denominator > 1 for t in best for v in t)
     assert (rep.solutions_found, rep.found) == (total, best)
     assert rep.candidates_scanned == 2 * len(values) ** 3 == 2 * 11**3
+
+
+# ---------------------------------------------------------------------------
+# classes ruled out by the unit congruence before the join
+
+prune_equations = st.tuples(
+    st.integers(-12, 12).filter(bool),
+    st.integers(-12, 12).filter(bool),
+    st.integers(-6, 6).filter(bool),
+    st.integers(1, 3),
+    st.integers(1, 3),
+).filter(lambda t: t[3] <= t[4])
+prune_rows = st.lists(
+    st.tuples(
+        st.integers(-12, 12).filter(bool), st.integers(-12, 12).filter(bool), st.integers(-6, 6).filter(bool)
+    ),
+    min_size=2,
+    max_size=3,
+)
+prune_boxes = st.one_of(
+    st.tuples(st.integers(-12, 4), st.integers(0, 16)).map(lambda t: (SearchBox(t[0], t[0] + t[1]), False)),
+    st.integers(1, 3).map(lambda h: (SearchBox(-h, h), True)),
+)
+
+
+def _class_solutions(values, spec, params):
+    """{color: (count, least tuple)} of the full engine's walk over the w of
+    that color: restricted to one w-class, the literal walk finds exactly
+    the class's monochromatic solutions."""
+    cmap = {v: color_of(v, spec) for v in values}
+    return {
+        d: _scan_full_shard((values, cmap, params, tuple(v for v in values if cmap[v] == d)))
+        for d in set(cmap.values())
+    }
+
+
+def _report_fields(rep):
+    return rep.found, rep.solutions_found, rep.candidates_scanned, rep.pairs_indexed, rep.lookups
+
+
+def _unpruned(scan):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coloring, "_live_test", lambda spec, params: lambda d, vals: True)
+        return scan()
+
+
+def _assert_live_where_solved(values, spec, params):
+    live = _live_test(spec, params)
+    for d, (count, _) in _class_solutions(values, spec, params).items():
+        if count:
+            assert live(d, [v for v in values if color_of(v, spec) == d]), (d, count)
+
+
+@given(prune_equations, color_map_specs, prune_boxes)
+@settings(max_examples=200, deadline=None)
+def test_ruled_out_classes_hold_no_solution(eq, spec, box_mode):
+    box, rational = box_mode
+    values = _box(box, rational)[0]
+    try:
+        _colors(values, spec, _box(box, rational)[1])
+    except DegenerateInput:  # a denominator with no residue mod M
+        return
+    _assert_live_where_solved(values, spec, eq)
+    full = verify_no_mono_solution(eq, spec, box, engine=ENGINE_FULL, rational=rational)
+
+    def scan(stop):
+        return _report_fields(verify_no_mono_solution(eq, spec, box, stop_on_find=stop, rational=rational))
+
+    for stop in (False, True):
+        rep = scan(stop)
+        if not stop:
+            assert rep[:3] == _report_fields(full)[:3]
+        # a ruled-out class is counted as a join without a hit
+        assert rep == _unpruned(lambda: scan(stop))
+
+
+@given(prune_rows, st.integers(1, 3), color_map_specs, prune_boxes)
+@settings(max_examples=100, deadline=None)
+def test_ruled_out_system_classes_hold_no_solution(rows, n, spec, box_mode):
+    box, rational = box_mode
+    rows = tuple(rows)
+    values = _box(box, rational)[0]
+    try:
+        _colors(values, spec, _box(box, rational)[1])
+    except DegenerateInput:
+        return
+    per_row = []
+    for a, b, c in rows:
+        _assert_live_where_solved(values, spec, (a, b, c, 1, n))
+        per_row.append(_class_solutions(values, spec, (a, b, c, 1, n)))
+    total, best = 0, None
+    for d in per_row[0]:
+        prod = 1
+        for found in per_row:
+            prod *= found[d][0]
+        total += prod
+        if prod and (best is None or tuple(found[d][1] for found in per_row) < best):
+            best = tuple(found[d][1] for found in per_row)
+    rep = verify_system_no_mono(SystemSpec(rows, n), spec, box, rational=rational)
+    assert (rep.solutions_found, rep.found) == (total, best)
+    assert rep.candidates_scanned == len(rows) * len(values) ** 3
+    assert _report_fields(rep) == _unpruned(
+        lambda: _report_fields(verify_system_no_mono(SystemSpec(rows, n), spec, box, rational=rational)),
+    )
+
+
+def test_unit_congruence_leaves_three_classes_to_join(monkeypatch):
+    # 2x + 3y = wz under ValuationColoring(13): c'r^(m+n-1) = r must be
+    # 2, 3 or 5 mod 13, so only those classes are joined
+    spec = ValuationColoring(13)
+    joined = []
+    scan = coloring._scan_bucketed
+
+    def spy(vals, params, stop_on_find):
+        joined.append(color_of(vals[0], spec))
+        return scan(vals, params, stop_on_find)
+
+    monkeypatch.setattr(coloring, "_scan_bucketed", spy)
+    rep = verify_no_mono_solution((2, 3, 1, 1, 1), spec, SearchBox(-30, 30))
+    assert sorted(joined) == [2, 3, 5]
+    assert _report_fields(rep) == ((-21, -21, -21, 5), 12, 60**3, 308, 308)

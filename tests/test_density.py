@@ -601,7 +601,7 @@ def _per_unit_model(targets, n):
         for ell in fixed:
             while n % (j * ell) == 0 and (root := arith.integer_nth_root(s, ell)) ** ell == s:
                 s, j = root, j * ell
-        free.append([j * arith.valuation(r, b) for r in rests])
+        free.append([j * arith._split(r, b)[0] for r in rests])
     rows = [[e.get(ell, 0) for e in exps] for ell in fixed]
     negative = [q.numerator < 0 for q in qs]
     modulus = lcm(8, 2 * n)

@@ -32,17 +32,25 @@ from parreg.witness import (
     MODE_TWO_VAR,
     WitnessPrime,
     _first_witness,
+    _ratio_pairs,
     _reduce_system,
     _system_conditions,
     _union_intersection,
     check_hypotheses,
     find_system_witness,
     find_witness_prime,
-    ratio_set,
-    system_intersection,
     verify_system_witness,
     verify_witness,
 )
+
+
+def ratio_set(a, b, c):
+    """The value set {a/c, b/c, (a+b)/c} of one row (duplicates collapse)."""
+    return frozenset(Fraction(*t) for t in _ratio_pairs(a, b, c))
+
+
+def system_intersection(rows):
+    return frozenset(_union_intersection(rows)[1])
 
 
 def naive_primes(bound):

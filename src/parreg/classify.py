@@ -28,10 +28,10 @@ from .witness import (
     WitnessPrime,
     _ordered,
     _ratio_pairs,
+    _system_search,
     _union_intersection,
     _witness_search,
     check_hypotheses,
-    find_system_witness,
     verify_system_witness,
     verify_witness,
 )
@@ -297,6 +297,11 @@ def _m1_track(eq: EquationSpec, config) -> tuple[list, list]:
     """The certificates and pending reasons when m = 1 and a + b != 0: R4 on
     a rational root; else the first lemma of R5 to R7 that holds, with its
     supporting witness; else a witness (R8); else the p-adic rule (R9).
+
+    The lemma is decided before the witness search, which it orders: a
+    lemma promises a witness, which the search's prefix nearly always
+    holds, so that search scans first; without one the search asks first
+    whether any witness can exist.
     """
     a, b, c, n = eq.a, eq.b, eq.c, eq.n
     ratios = eq.ratios
@@ -317,6 +322,10 @@ def _m1_track(eq: EquationSpec, config) -> tuple[list, list]:
         # witness, lemma or p-adic case can hold
         return [cert], []
 
+    checks_n = tuple(
+        (label, q, root is None) for label, q, root in zip(RATIO_LABELS, ratios, roots)
+    )
+    lemma = _lemma_certificate(ratios, n, checks_n)
     witness_bound = _config_get(config, "witness_bound", DEFAULT_SEARCH_BOUND)
     min_exclusive = max(abs(a) + abs(b), abs(c))
     targets = _witness_targets(ratios)
@@ -324,11 +333,9 @@ def _m1_track(eq: EquationSpec, config) -> tuple[list, list]:
     # with min_exclusive >= witness_bound no prime is left to scan
     scanned = min_exclusive < witness_bound
     if scanned:
-        witness, impossible = _witness_search(targets, n, min_exclusive, witness_bound)
-    checks_n = tuple(
-        (label, q, root is None) for label, q, root in zip(RATIO_LABELS, ratios, roots)
-    )
-    lemma = _lemma_certificate(ratios, n, checks_n)
+        witness, impossible = _witness_search(
+            targets, n, min_exclusive, witness_bound, decide_first=lemma is None
+        )
     certs = [] if lemma is None else [lemma]
     if witness is not None:
         data = {"witness": witness, "min_exclusive": min_exclusive}
@@ -480,10 +487,12 @@ def classify_system(sys_spec: SystemSpec, config=None) -> Verdict:
         checks = tuple(
             (q, exponent == n or nth_power_in_Q(q, exponent) is None) for q in inter
         )
+    lemma = checks is not None and all(ok for _, ok in checks)
     witness = None
     if no_zero_rows:
-        witness = find_system_witness(sys_spec.rows, n, search_bound=witness_bound)
-    if checks is not None and all(ok for _, ok in checks):
+        # S2/S3 promise a witness: scan first; otherwise decide first
+        witness = _system_search(sys_spec.rows, n, witness_bound, decide_first=not lemma)
+    if lemma:
         rule = "S2" if n % 4 else "S3"
         certs.append(
             Certificate(

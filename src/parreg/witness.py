@@ -9,7 +9,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 from .arith import (
     DegenerateInput,
@@ -32,14 +32,13 @@ MODE_TWO_VAR = "TWO_VAR"
 
 _PARALLEL_BLOCK = 4096
 
-# Candidate primes a search scans before it asks whether a witness exists at
-# all.  A witness, when there is one, nearly always lies among them: over
-# the 2,000 `corpus` requests of one seed, a 64-prime prefix left no search
-# to the decision, 32 left 7 and 16 left 60, and at 16 the extra decisions
-# made a pass slower.  The decision is exact only because the prefix holds
-# every candidate prime dividing 2n: it covers n <= MAX_PREDICTED_N = 24, so
-# those are among the 9 primes <= 23, which any 32 consecutive candidates
-# above min_exclusive hold.
+# Candidate primes a prefix-first search scans before it asks whether a
+# witness exists at all.  A witness, when there is one, nearly always lies
+# among them: over the 2,000 `corpus` requests of one seed, a 64-prime
+# prefix left no search to the decision, 32 left 7 and 16 left 60, and at 16
+# the extra decisions made a pass slower.  It sets only where the decision
+# is asked: after a density-0 decision the search tests the untested
+# candidate primes dividing 2n, which the decision does not cover.
 _DECIDE_AFTER = 32
 
 
@@ -99,6 +98,52 @@ def _not_power_check(t: Fraction, k: int) -> HypothesisCheck:
     )
 
 
+def _cyclotomic_power(t: Fraction, n: int) -> bool:
+    """Whether t is an n-th power in Q(zeta_n), for n = 2m with m odd.
+
+    That holds iff t = s^m with s in Q and s a square in Q(zeta_m): a
+    rational that is an m-th power in Q(zeta_m) is one in Q (m odd), and
+    every m-th root of unity is a square there.  s is such a square iff its
+    square class is d = prod of p* = (-1)^((p-1)/2) * p over some primes p
+    dividing m, the discriminants of the quadratic subfields.  With s*den^2
+    = +-N1*N2, N1 the part of |num*den| made of primes dividing m (split off
+    by gcds, no factoring), that is: N2 is a square and +-N1 = 1 (mod 4),
+    since an odd square is 1 mod 4.
+    """
+    m = n // 2
+    s = nth_power_in_Q(t, m)
+    if s is None:
+        return False
+    rest = s.numerator * s.denominator
+    smooth, g = 1, gcd(rest, m)
+    while g > 1:
+        smooth *= g
+        rest //= g
+        g = gcd(rest, g)
+    root = isqrt(abs(rest))
+    return root * root == abs(rest) and (smooth if rest > 0 else -smooth) % 4 == 1
+
+
+def _two_var_check(t: Fraction, n: int) -> HypothesisCheck:
+    """The TWO_VAR condition on one target.
+
+    The lemma holds when no target is an n-th power in K = Q(zeta_n): each
+    target's Kummer extension of K is then proper, a Frobenius outside both
+    targets' subgroups exists (a group is not the union of two proper
+    subgroups), and Chebotarev gives infinitely many primes p = 1 (mod n)
+    at which both targets are non-residues.  For odd n and n = 2 that is
+    "not an n-th power in Q" (for odd n, K has no new n-th powers of
+    rationals); at n = 2 (mod 4), n >= 6, it is `_cyclotomic_power`; for
+    4 | n the lemma asks for no (n/2)-th power in Q.
+    """
+    if n % 4 != 2 or n == 2:
+        return _not_power_check(t, n // 2 if n % 4 == 0 else n)
+    return HypothesisCheck(
+        description=f"{t} is not a {n}th power in Q(zeta_{n})",
+        passed=not _cyclotomic_power(t, n),
+    )
+
+
 def _squares_report(ts: tuple[Fraction, ...]) -> HypothesisReport:
     checks = [_not_power_check(t, 2) for t in ts]
     prod = ts[0] * ts[1] * ts[2]
@@ -139,9 +184,8 @@ def check_hypotheses(targets, n: int) -> HypothesisReport:
     if len(ts) > 3:
         raise DegenerateInput("at most three targets")
     if len(ts) <= 2:
-        k = n // 2 if n % 4 == 0 else n
         return HypothesisReport(
-            mode=MODE_TWO_VAR, checks=tuple(_not_power_check(t, k) for t in ts)
+            mode=MODE_TWO_VAR, checks=tuple(_two_var_check(t, n) for t in ts)
         )
     if n % 2 == 1:
         return HypothesisReport(
@@ -189,29 +233,40 @@ def _no_witness_exists(targets, n: int) -> bool:
     return nonresidue_pattern_occurs(targets, n) is False
 
 
-def _search(ts, bad, n, min_exclusive, search_bound, workers):
+def _search(ts, bad, n, min_exclusive, search_bound, workers, decide_first=False):
     """(the smallest prime p with min_exclusive < p <= search_bound that
     `_first_witness` accepts for the targets ts, as a WitnessPrime or None;
     whether the decision cut the search short).
 
-    When the first _DECIDE_AFTER candidates miss and no witness exists
-    (`_no_witness_exists`), the rest of the range is not scanned: the result
-    is the same None, and the second item is True.  Only that rest is
-    sharded over `workers` processes, and sharded scans still return the
-    global minimum.
+    Prefix-first, the search scans the first _DECIDE_AFTER candidates and
+    asks `_no_witness_exists` only when they miss; decide-first (for
+    targets no lemma promises a witness for) it asks before any scan.
+    Either way the decision is asked at most once.  When it says no
+    witness exists, the rest of the range is not scanned: only the
+    untested candidates dividing 2n, which the decision does not cover,
+    are tested, and with none of them a witness the result is None and
+    the second item is True.  Otherwise the rest of the range is scanned,
+    sharded over `workers` processes if asked; sharded scans still return
+    the global minimum.
     """
     primes = sieve(search_bound).primes
     start = bisect_right(primes, min_exclusive)
     pairs = tuple((t.numerator, t.denominator) for t in ts)
-    cut = start + _DECIDE_AFTER
-    found = _first_witness(primes[start:cut], pairs, n, bad)
-    # bad == 0 (a system row with a + b = 0) leaves no prime to qualify
+    # bad == 0 (a system row with a + b = 0) leaves no prime to qualify, and
+    # with no targets every prime not dividing bad does: neither is decided
+    decidable = bool(ts) and bad != 0
+    if decide_first and decidable:
+        cut, found = start, None
+    else:
+        cut = start + _DECIDE_AFTER
+        found = _first_witness(primes[start:cut], pairs, n, bad)
     more = found is None and cut < len(primes) and bad != 0
-    decided = False
-    if more and ts:  # with no targets every prime not dividing bad qualifies
-        decided = _no_witness_exists(ts, n)
-        more = not decided
-    if more and workers <= 1:
+    decided = more and decidable and _no_witness_exists(ts, n)
+    if decided:
+        untested = primes[cut : bisect_right(primes, 2 * n)]
+        divisors = [p for p in untested if 2 * n % p == 0]
+        found = _first_witness(divisors, pairs, n, bad)
+    elif more and workers <= 1:
         found = _first_witness(islice(primes, cut, None), pairs, n, bad)
     elif more:
         blocks = [
@@ -235,7 +290,9 @@ def _search(ts, bad, n, min_exclusive, search_bound, workers):
     ), False
 
 
-def _witness_search(targets, n, min_exclusive, search_bound, workers=1):
+def _witness_search(
+    targets, n, min_exclusive, search_bound, workers=1, decide_first=False
+):
     """`_search` over the validated targets of `find_witness_prime`."""
     ts = _normalize_targets(targets)
     if _as_int(n) < 1:
@@ -244,7 +301,7 @@ def _witness_search(targets, n, min_exclusive, search_bound, workers=1):
     if search_bound < min_exclusive:
         raise DegenerateInput("search_bound must be >= min_exclusive")
     bad = prod(t.numerator * t.denominator for t in ts)
-    return _search(ts, bad, n, min_exclusive, search_bound, _as_int(workers))
+    return _search(ts, bad, n, min_exclusive, search_bound, _as_int(workers), decide_first)
 
 
 def find_witness_prime(
@@ -383,6 +440,11 @@ def find_system_witness(
     of `find_witness_prime` over I, with the primes dividing B (see
     `_reduce_system`) skipped and no lower threshold.
     """
+    return _system_search(rows, n, search_bound)
+
+
+def _system_search(rows, n, search_bound, decide_first=False):
+    """`_search` over the row-ratio intersection of `find_system_witness`."""
     rows = _int_rows(rows)
     if not rows:
         raise DegenerateInput("need at least one row")
@@ -390,7 +452,7 @@ def find_system_witness(
         raise DegenerateInput("n must be >= 1")
     union, inter = _union_intersection(rows)
     bad = _reduce_system(rows, union)
-    return _search(inter, bad, n, 0, search_bound, workers=1)[0]
+    return _search(inter, bad, n, 0, search_bound, 1, decide_first)[0]
 
 
 def verify_system_witness(w: WitnessPrime, rows, n: int) -> bool:

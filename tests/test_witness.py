@@ -542,27 +542,62 @@ FUTILE_SYSTEMS = (
 )
 
 
-def test_futile_searches_stop_after_the_prefix(residue_tests):
-    primes = sieve(10**6).primes
+@pytest.fixture
+def decisions(monkeypatch):
+    """The (targets, n) that the witness searches hand to the decision."""
+    seen = []
+    decide = witness._no_witness_exists
+
+    def counted(targets, n):
+        seen.append((tuple(targets), n))
+        return decide(targets, n)
+
+    monkeypatch.setattr(witness, "_no_witness_exists", counted)
+    return seen
+
+
+def test_futile_searches_test_only_the_primes_dividing_2n(residue_tests, decisions):
+    # no lemma promises these a witness, so each search asks the decision
+    # once, before any scan, and then tests only the candidates dividing 2n
+    # (the full scan: 78,000+ residue tests); here each such prime is at
+    # most the threshold or divides a target, so none is tested
     for spec in FUTILE_EQUATIONS:
         residue_tests.clear()
+        decisions.clear()
         v = classify_equation(EquationSpec(*spec))
         assert "Q:witness:hypotheses-unmet" in v.reasons
-        # at most one test per target per prefix prime (the full scan: 78,000+)
-        assert 0 < len(residue_tests) <= 3 * _DECIDE_AFTER, spec
-        start = bisect_right(primes, spec[0] + spec[1])
-        assert max(residue_tests) <= primes[start + _DECIDE_AFTER - 1], spec
+        assert len(decisions) == 1, spec
+        assert residue_tests == [], spec
     for rows, n in FUTILE_SYSTEMS:
         residue_tests.clear()
+        decisions.clear()
         v = classify_system(SystemSpec(rows, n))
         assert v.reasons == ("Z:system-witness:bound-exhausted:1000000",)
-        assert 0 < len(residue_tests) <= 2 * _DECIDE_AFTER
-        assert max(residue_tests) <= primes[_DECIDE_AFTER - 1]
+        assert len(decisions) == 1, rows
+        assert residue_tests == [], rows
+
+
+def test_decided_search_still_tests_the_primes_dividing_2n(residue_tests, monkeypatch):
+    # the decision covers no prime dividing 2n; with it forced to say no
+    # witness exists, 137 (past the prefix, whose primes all divide q) is
+    # still found at n = 2 * 137, in both orders, and tested alone
+    monkeypatch.setattr(witness, "_no_witness_exists", lambda targets, n: True)
+    q = prod(sieve(10**4).primes[:_DECIDE_AFTER])
+    assert brute_is_witness(137, [q], 274)
+    assert find_witness_prime([q], 274, search_bound=10**4).p == 137
+    assert residue_tests == [137]
+    residue_tests.clear()
+    w, decided = witness._witness_search([q], 274, 1, 10**4, decide_first=True)
+    assert (w.p, decided, residue_tests) == (137, False, [137])
+    residue_tests.clear()
+    w, decided = witness._witness_search([q], 274, 137, 10**4, decide_first=True)
+    assert (w, decided, residue_tests) == (None, True, [])
 
 
 def test_decision_prefix_holds_every_prime_dividing_2n():
-    # the decision is exact only if no candidate prime dividing 2n lies past
-    # the prefix, for every n it covers and every min_exclusive
+    # after a density-0 decision a prefix-first search tests the candidates
+    # dividing 2n past its prefix; for every n the decision covers and every
+    # min_exclusive there are none
     primes = sieve(10**4).primes
     for n in range(1, MAX_PREDICTED_N + 1):
         small = [p for p in primes[:20] if 2 * n % p == 0]
@@ -603,11 +638,14 @@ def test_futile_searches_skip_the_lemma_check(lemma_checks, monkeypatch):
         assert not check_hypotheses([Fraction(a, c), Fraction(b, c), Fraction(a + b, c)], n).satisfied
 
 
-def test_small_bound_still_scans_to_the_bound(residue_tests, lemma_checks):
+def test_small_bound_still_scans_to_the_bound(residue_tests, lemma_checks, decisions):
     v = classify_equation(EquationSpec(9, 2, 1, 1, 8), config=SimpleNamespace(witness_bound=13))
     assert residue_tests and max(residue_tests) == 13
     assert "Q:witness:bound-exhausted:13" in v.reasons
-    # no decision ran, so the lemma check chose the reason
+    # no lemma holds, so the decision ran first; it says a witness can
+    # exist, so the search scanned to the bound and the lemma check chose
+    # the reason
+    assert len(decisions) == 1
     assert lemma_checks == [((2, 9, 11), 8)]
 
 
@@ -616,18 +654,19 @@ def _signed_product(negative: bool, exps: dict) -> Fraction:
     return -q if negative else q
 
 
-@given(
-    st.lists(
-        st.builds(
-            _signed_product,
-            st.booleans(),
-            st.dictionaries(st.sampled_from((2, 3, 5, 7, 13, 17)), st.integers(-12, 12), max_size=3),
-        ),
-        min_size=1,
-        max_size=3,
-    ),
-    st.integers(1, MAX_PREDICTED_N),
+signed_products = st.builds(
+    _signed_product,
+    st.booleans(),
+    st.dictionaries(st.sampled_from((2, 3, 5, 7, 13, 17)), st.integers(-12, 12), max_size=3),
 )
+target_sets = st.lists(signed_products, min_size=1, max_size=3)
+
+
+@given(target_sets, st.integers(1, MAX_PREDICTED_N))
+# TWO_VAR at n = 2 (mod 4): 3125 = 5^5 is a 10th power in Q(zeta_5), since
+# sqrt(5) lies there, and -1/19683 = (-1/3)^9 an 18th power in Q(zeta_9)
+@example([4, 3125], 10)
+@example([Fraction(-1, 19683), 9765625], 18)
 # the reproduction table's target sets that have no witness prime
 @example([3, 13, 16], 8)
 @example([16, 32], 8)
@@ -644,6 +683,51 @@ def test_no_witness_decision_leaves_the_lemmas_unmet(qs, n):
     hypotheses-unmet without checking them."""
     if density.nonresidue_pattern_occurs(qs, n) is False:
         assert not check_hypotheses(qs, n).satisfied
+
+
+@given(
+    st.builds(_signed_product, st.booleans(), st.dictionaries(
+        st.sampled_from((2, 3, 5, 7, 11, 13)), st.integers(-6, 6), max_size=3)),
+    st.sampled_from((6, 10, 14, 18, 22, 26, 30)),
+    st.booleans(),
+)
+@example(5, 10, True)
+@example(Fraction(-1, 3), 18, True)
+@example(-3, 6, True)
+@example(3, 6, True)
+@settings(max_examples=60, deadline=None)
+def test_cyclotomic_power_matches_the_split_primes(s, n, power):
+    # by Chebotarev t is an n-th power in Q(zeta_n) iff it is an n-th power
+    # residue at every prime p = 1 (mod n) not dividing it; where it is not,
+    # it fails at half or more of them, so 200 such primes tell
+    t = s ** (n // 2) if power else s
+    num, den = t.numerator, t.denominator
+    split = [p for p in sieve(10**5).primes if p % n == 1 and num * den % p][:200]
+    oracle = all(pow(num * pow(den, -1, p), (p - 1) // n, p) == 1 for p in split)
+    assert witness._cyclotomic_power(t, n) == oracle, (t, n)
+
+
+@given(target_sets, st.integers(1, MAX_PREDICTED_N), st.integers(0, 60), st.integers(500, 2500))
+@example([3, 13, 16], 8, 16, 2500)
+@example([16, 17, 33], 8, 0, 2500)
+@example([81, 729, 810], 12, 0, 2500)
+@example([2], 6, 0, 1000)
+@settings(max_examples=80, deadline=None)
+def test_decide_first_search_matches_brute_force(qs, n, min_exclusive, bound):
+    w, decided = witness._witness_search(qs, n, min_exclusive, bound, decide_first=True)
+    assert (None if w is None else w.p) == _brute_least_witness(qs, n, min_exclusive, bound)
+    assert not (decided and w is not None)
+
+
+@given(systems(), st.integers(1, MAX_PREDICTED_N), st.integers(200, 2000))
+@example(FUTILE_SYSTEMS[0], 8, 2000)
+@example(FUTILE_SYSTEMS[1], 12, 2000)
+@settings(max_examples=60, deadline=None)
+def test_decide_first_system_search_matches_brute_force(system, n, bound):
+    rows = system[0]
+    want = next((p for p in naive_primes(bound) if brute_system_witness(p, rows, n)), None)
+    w = witness._system_search(rows, n, bound, decide_first=True)
+    assert (None if w is None else w.p) == want, (rows, n, bound)
 
 
 def test_possible_witness_keeps_scanning_past_the_prefix(residue_tests):

@@ -654,12 +654,15 @@ def _signed_product(negative: bool, exps: dict) -> Fraction:
     return -q if negative else q
 
 
-signed_products = st.builds(
-    _signed_product,
-    st.booleans(),
-    st.dictionaries(st.sampled_from((2, 3, 5, 7, 13, 17)), st.integers(-12, 12), max_size=3),
+target_sets = st.lists(
+    st.builds(
+        _signed_product,
+        st.booleans(),
+        st.dictionaries(st.sampled_from((2, 3, 5, 7, 13, 17)), st.integers(-12, 12), max_size=3),
+    ),
+    min_size=1,
+    max_size=3,
 )
-target_sets = st.lists(signed_products, min_size=1, max_size=3)
 
 
 @given(target_sets, st.integers(1, MAX_PREDICTED_N))

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .arith import (
     DEFAULT_FACTOR_BUDGET,
@@ -28,9 +28,9 @@ from .witness import (
     WitnessPrime,
     _ordered,
     _ratio_pairs,
-    _system_search,
+    _reduce_system,
+    _search,
     _union_intersection,
-    _witness_search,
     check_hypotheses,
     verify_system_witness,
     verify_witness,
@@ -149,50 +149,77 @@ class Verdict:
                 raise ContradictionError(f"bad status {st!r}")
 
 
-_UP = {DOMAIN_N: (DOMAIN_N, DOMAIN_Z, DOMAIN_Q), DOMAIN_Z: (DOMAIN_Z, DOMAIN_Q), DOMAIN_Q: (DOMAIN_Q,)}
-_DOWN = {DOMAIN_Q: (DOMAIN_Q, DOMAIN_Z, DOMAIN_N), DOMAIN_Z: (DOMAIN_Z, DOMAIN_N), DOMAIN_N: (DOMAIN_N,)}
+_DOMAINS = (DOMAIN_N, DOMAIN_Z, DOMAIN_Q)
+
+# rule -> (the kind of certificate that proves it, the domain and verdict it
+# proves).  A witness prime proves NOT_PR over Q, so it may also stand
+# behind a NOT_PR rule.  R4's domain is N for a non-negative root, Z else.
+_CLAIMS = {
+    "R1": (KIND_RULE, DOMAIN_N, PR),
+    "R2": (KIND_RULE, DOMAIN_Z, NOT_PR),
+    "R3": (KIND_RULE, DOMAIN_N, PR),
+    "R4": (KIND_RATIONAL_ROOT, DOMAIN_Z, PR),
+    "R4'": (KIND_SIGN, DOMAIN_N, NOT_PR),
+    "R5": (KIND_RULE, DOMAIN_Q, NOT_PR),
+    "R6": (KIND_RULE, DOMAIN_Q, NOT_PR),
+    "R7": (KIND_SQUARE, DOMAIN_Q, NOT_PR),
+    "R8": (KIND_WITNESS, DOMAIN_Q, NOT_PR),
+    "R9": (KIND_PADIC, DOMAIN_Z, NOT_PR),
+    "S1": (KIND_SYSTEM_INTERSECTION, DOMAIN_Z, PR),
+    "S2": (KIND_SYSTEM_INTERSECTION, DOMAIN_Z, NOT_PR),
+    "S3": (KIND_SYSTEM_INTERSECTION, DOMAIN_Z, NOT_PR),
+    "S4": (KIND_WITNESS, DOMAIN_Q, NOT_PR),
+}
+
+# (domain, verdict) -> the domains a certificate decides: PR propagates
+# upward N -> Z -> Q, NOT_PR downward Q -> Z -> N
+_DECIDES = {
+    (DOMAIN_N, PR): (DOMAIN_N, DOMAIN_Z, DOMAIN_Q),
+    (DOMAIN_Z, PR): (DOMAIN_Z, DOMAIN_Q),
+    (DOMAIN_Q, PR): (DOMAIN_Q,),
+    (DOMAIN_N, NOT_PR): (DOMAIN_N,),
+    (DOMAIN_Z, NOT_PR): (DOMAIN_N, DOMAIN_Z),
+    (DOMAIN_Q, NOT_PR): (DOMAIN_N, DOMAIN_Z, DOMAIN_Q),
+}
 
 
-class _Statuses:
-    def __init__(self, certs=()):
-        self.by_domain = {DOMAIN_N: UNKNOWN, DOMAIN_Z: UNKNOWN, DOMAIN_Q: UNKNOWN}
-        for cert in certs:
-            self.apply(cert)
-
-    def _set(self, domain: str, status: str):
-        cur = self.by_domain[domain]
-        if cur != UNKNOWN and cur != status:
-            raise ContradictionError(
-                f"{domain}: {cur} and {status} both derived; implementation bug"
-            )
-        self.by_domain[domain] = status
-
-    def positive(self, domain: str):
-        for d in _UP[domain]:
-            self._set(d, PR)
-
-    def negative(self, domain: str):
-        for d in _DOWN[domain]:
-            self._set(d, NOT_PR)
-
-    def apply(self, cert: Certificate):
-        if cert.verdict == PR:
-            self.positive(cert.domain)
-        elif cert.verdict == NOT_PR:
-            self.negative(cert.domain)
-        else:
-            raise ContradictionError(f"certificate with verdict {cert.verdict!r}")
+def _claim(rule: str, data: dict) -> tuple[str, str, str]:
+    kind, domain, verdict = _CLAIMS[rule]
+    if rule == "R4" and data["root"] >= 0:
+        domain = DOMAIN_N
+    return kind, domain, verdict
 
 
-def _verdict(subject, st: _Statuses, certs, pending) -> Verdict:
-    """The verdict the statuses st give, keeping only the pending reasons
-    whose domain st leaves UNKNOWN."""
-    reasons = tuple(r for r in pending if st.by_domain[r.split(":", 1)[0]] == UNKNOWN)
+def _cert(kind: str, rule: str, data: dict) -> Certificate:
+    """A certificate for rule, at the domain and verdict the rule proves."""
+    _, domain, verdict = _claim(rule, data)
+    return Certificate(kind=kind, rule=rule, domain=domain, verdict=verdict, data=data)
+
+
+def _statuses(certs) -> dict:
+    """The status of each domain under certs, UNKNOWN where none decides it.
+    Two certificates that disagree on a domain are an implementation bug."""
+    st = dict.fromkeys(_DOMAINS, UNKNOWN)
+    for cert in certs:
+        for domain in _DECIDES[cert.domain, cert.verdict]:
+            if st[domain] not in (UNKNOWN, cert.verdict):
+                raise ContradictionError(
+                    f"{domain}: PR and NOT_PR both derived; implementation bug"
+                )
+            st[domain] = cert.verdict
+    return st
+
+
+def _verdict(subject, certs, pending) -> Verdict:
+    """The verdict certs give, keeping only the pending reasons whose
+    domain they leave UNKNOWN."""
+    st = _statuses(certs)
+    reasons = tuple(r for r in pending if st[r.split(":", 1)[0]] == UNKNOWN)
     return Verdict(
         subject=subject,
-        status_N=st.by_domain[DOMAIN_N],
-        status_Z=st.by_domain[DOMAIN_Z],
-        status_Q=st.by_domain[DOMAIN_Q],
+        status_N=st[DOMAIN_N],
+        status_Z=st[DOMAIN_Z],
+        status_Q=st[DOMAIN_Q],
         certificates=tuple(certs),
         reasons=reasons,
     )
@@ -255,13 +282,7 @@ def _lemma_certificate(ratios, n: int, checks_n) -> Certificate | None:
     if n % 2 == 1:
         if not all(ok for _, _, ok in checks_n):
             return None
-        return Certificate(
-            kind=KIND_RULE,
-            rule="R5",
-            domain=DOMAIN_Q,
-            verdict=NOT_PR,
-            data={"n": n, "checks": checks_n},
-        )
+        return _cert(KIND_RULE, "R5", {"n": n, "checks": checks_n})
     # at n = 2 the (n/2)-th power checks are first powers, which always hold
     if n not in (2, 4, 8):
         checks = _power_checks(ratios, n // 2)
@@ -271,37 +292,48 @@ def _lemma_certificate(ratios, n: int, checks_n) -> Certificate | None:
                 # (n/4)-th powers (no Fermat triple), so the last
                 # hypothesis of the even-n lemma holds for free
                 assert any(nth_power_in_Q(q, n // 4) is None for q in ratios)
-            return Certificate(
-                kind=KIND_RULE,
-                rule="R6",
-                domain=DOMAIN_Q,
-                verdict=NOT_PR,
-                data={"n": n, "half": n // 2, "checks": checks},
-            )
+            return _cert(KIND_RULE, "R6", {"n": n, "half": n // 2, "checks": checks})
     sq = checks_n if n == 2 else _power_checks(ratios, 2)
     if not all(ok for _, _, ok in sq):
         return None
-    prod = ratios[0] * ratios[1] * ratios[2]
-    if nth_power_in_Q(prod, 2) is not None:
+    product = ratios[0] * ratios[1] * ratios[2]
+    if nth_power_in_Q(product, 2) is not None:
         return None
-    return Certificate(
-        kind=KIND_SQUARE,
-        rule="R7",
-        domain=DOMAIN_Q,
-        verdict=NOT_PR,
-        data={"n": n, "checks": sq + (("product", prod, True),)},
-    )
+    return _cert(KIND_SQUARE, "R7", {"n": n, "checks": sq + (("product", product, True),)})
+
+
+def _q_obstruction(targets, k, threshold, bad, lemma, rule, tag, bound):
+    """The unit-colouring obstruction over Q: the smallest prime p with
+    threshold < p <= bound, not dividing bad, modulo which no target is a
+    k-th power residue (`witness._search`; bad is divisible by every prime
+    dividing a target's numerator or denominator).  Colouring each
+    rational by its unit mod p after stripping p then leaves no
+    monochromatic solution.
+
+    A lemma certificate promises such a prime, which the search's prefix
+    nearly always holds, so that search scans first; without one the
+    search asks first whether any such prime can exist.  The witness
+    certificate supports the lemma under its rule, or stands alone under
+    rule; tag is the data it records besides the witness.  Returns the
+    certificates, lemma first, and whether the decision cut the search
+    short: None when threshold >= bound leaves no prime to scan.
+    """
+    certs = [] if lemma is None else [lemma]
+    if threshold >= bound:
+        return certs, None
+    witness, decided = _search(targets, bad, k, threshold, bound, 1, lemma is None)
+    if witness is not None:
+        data = {"witness": witness, **tag}
+        if lemma is not None:
+            data["supporting"] = True
+        certs.append(_cert(KIND_WITNESS, rule if lemma is None else lemma.rule, data))
+    return certs, decided
 
 
 def _m1_track(eq: EquationSpec, config) -> tuple[list, list]:
     """The certificates and pending reasons when m = 1 and a + b != 0: R4 on
     a rational root; else the first lemma of R5 to R7 that holds, with its
     supporting witness; else a witness (R8); else the p-adic rule (R9).
-
-    The lemma is decided before the witness search, which it orders: a
-    lemma promises a witness, which the search's prefix nearly always
-    holds, so that search scans first; without one the search asks first
-    whether any witness can exist.
     """
     a, b, c, n = eq.a, eq.b, eq.c, eq.n
     ratios = eq.ratios
@@ -311,16 +343,10 @@ def _m1_track(eq: EquationSpec, config) -> tuple[list, list]:
         # a non-negative root proves PR over N, any other root over Z
         nonneg = [hit for hit in hits if hit[2].numerator >= 0]
         label, q, root = (nonneg or hits)[0]
-        cert = Certificate(
-            kind=KIND_RATIONAL_ROOT,
-            rule="R4",
-            domain=DOMAIN_N if nonneg else DOMAIN_Z,
-            verdict=PR,
-            data={"which": label, "ratio": q, "root": root, "n": n},
-        )
         # an n-th power in Q is one mod every prime and in every Q_p, so no
         # witness, lemma or p-adic case can hold
-        return [cert], []
+        data = {"which": label, "ratio": q, "root": root, "n": n}
+        return [_cert(KIND_RATIONAL_ROOT, "R4", data)], []
 
     checks_n = tuple(
         (label, q, root is None) for label, q, root in zip(RATIO_LABELS, ratios, roots)
@@ -329,34 +355,18 @@ def _m1_track(eq: EquationSpec, config) -> tuple[list, list]:
     witness_bound = _config_get(config, "witness_bound", DEFAULT_SEARCH_BOUND)
     min_exclusive = max(abs(a) + abs(b), abs(c))
     targets = _witness_targets(ratios)
-    witness, impossible = None, False
-    # with min_exclusive >= witness_bound no prime is left to scan
-    scanned = min_exclusive < witness_bound
-    if scanned:
-        witness, impossible = _witness_search(
-            targets, n, min_exclusive, witness_bound, decide_first=lemma is None
-        )
-    certs = [] if lemma is None else [lemma]
-    if witness is not None:
-        data = {"witness": witness, "min_exclusive": min_exclusive}
-        if lemma is not None:
-            data["supporting"] = True
-        certs.append(
-            Certificate(
-                kind=KIND_WITNESS,
-                rule="R8" if lemma is None else lemma.rule,
-                domain=DOMAIN_Q,
-                verdict=NOT_PR,
-                data=data,
-            )
-        )
+    bad = prod(t.numerator * t.denominator for t in targets)
+    tag = {"min_exclusive": min_exclusive}
+    certs, decided = _q_obstruction(
+        targets, n, min_exclusive, bad, lemma, "R8", tag, witness_bound
+    )
     if certs:
         return certs, []
-    if not scanned:
+    if decided is None:
         pending = [f"Q:witness:threshold-above-bound:{witness_bound}"]
     # a satisfied lemma gives infinitely many witness primes, so a search
     # that the decision cut short has its hypotheses unmet
-    elif not impossible and check_hypotheses(targets, n).satisfied:
+    elif not decided and check_hypotheses(targets, n).satisfied:
         pending = [f"Q:witness:bound-exhausted:{witness_bound}"]
     else:
         pending = ["Q:witness:hypotheses-unmet"]
@@ -371,22 +381,15 @@ def _m1_track(eq: EquationSpec, config) -> tuple[list, list]:
     for p in candidates:
         a_holds, b_holds, v, unit, unit_ok, qp = _padic_case(gamma, ratios, p, n)
         if a_holds and b_holds:
-            certs.append(
-                Certificate(
-                    kind=KIND_PADIC,
-                    rule="R9",
-                    domain=DOMAIN_Z,
-                    verdict=NOT_PR,
-                    data={
-                        "p": p,
-                        "n": n,
-                        "v": v,
-                        "unit": unit,
-                        "unit_is_residue": unit_ok,
-                        "ratios_qp": qp,
-                    },
-                )
-            )
+            data = {
+                "p": p,
+                "n": n,
+                "v": v,
+                "unit": unit,
+                "unit_is_residue": unit_ok,
+                "ratios_qp": qp,
+            }
+            certs.append(_cert(KIND_PADIC, "R9", data))
             pending.append("Q:padic:scope-Z-only")
             break
     else:
@@ -405,42 +408,24 @@ def classify_equation(eq: EquationSpec, config=None) -> Verdict:
         eq = EquationSpec(*eq)
     a, b, c, m, n = eq.a, eq.b, eq.c, eq.m, eq.n
     if a + b == 0:
-        cert = Certificate(
-            kind=KIND_RULE,
-            rule="R1" if m >= 2 else "R3",
-            domain=DOMAIN_N,
-            verdict=PR,
-            data={"a": a, "b": b, "m": m, "n": n} if m >= 2 else {"a": a, "b": b, "n": n},
-        )
-        certs, pending = [cert], []
+        if m >= 2:
+            certs = [_cert(KIND_RULE, "R1", {"a": a, "b": b, "m": m, "n": n})]
+        else:
+            certs = [_cert(KIND_RULE, "R3", {"a": a, "b": b, "n": n})]
+        pending = []
     elif m >= 2:
-        cert = Certificate(
-            kind=KIND_RULE,
-            rule="R2",
-            domain=DOMAIN_Z,
-            verdict=NOT_PR,
-            data={"a": a, "b": b, "m": m, "n": n},
-        )
-        certs, pending = [cert], ["Q:m-reduction-open"]
+        certs = [_cert(KIND_RULE, "R2", {"a": a, "b": b, "m": m, "n": n})]
+        pending = ["Q:m-reduction-open"]
     else:
         certs, pending = _m1_track(eq, config)
 
-    st = _Statuses(certs)
     # sign feasibility decides status_N when nothing else did
-    if st.by_domain[DOMAIN_N] == UNKNOWN:
+    if _statuses(certs)[DOMAIN_N] == UNKNOWN:
         if _sign_infeasible(a, b, c):
-            cert = Certificate(
-                kind=KIND_SIGN,
-                rule="R4'",
-                domain=DOMAIN_N,
-                verdict=NOT_PR,
-                data={"a": a, "b": b, "c": c},
-            )
-            certs.append(cert)
-            st.apply(cert)
+            certs.append(_cert(KIND_SIGN, "R4'", {"a": a, "b": b, "c": c}))
         else:
             pending.append("N:sign-analysis-inconclusive")
-    return _verdict(eq, st, certs, pending)
+    return _verdict(eq, certs, pending)
 
 
 def classify_system(sys_spec: SystemSpec, config=None) -> Verdict:
@@ -460,84 +445,42 @@ def classify_system(sys_spec: SystemSpec, config=None) -> Verdict:
         v = classify_equation(EquationSpec(a, b, c, 1, n), config=config)
         return replace(v, subject=sys_spec)
 
-    inter = _union_intersection(sys_spec.rows)[1]
-    certs: list[Certificate] = []
-    pending: list[str] = []
+    union, inter = _union_intersection(sys_spec.rows)
     no_zero_rows = all(a + b != 0 for a, b, _ in sys_spec.rows)
 
     for q in inter:
         root = nth_power_in_Q(q, n)
         if root is not None:
-            certs.append(
-                Certificate(
-                    kind=KIND_SYSTEM_INTERSECTION,
-                    rule="S1",
-                    domain=DOMAIN_Z,
-                    verdict=PR,
-                    data={"intersection": inter, "n": n, "power": q, "root": root},
-                )
-            )
-            pending.append("N:system:open-over-N")
-            return _verdict(sys_spec, _Statuses(certs), certs, pending)
+            data = {"intersection": inter, "n": n, "power": q, "root": root}
+            certs = [_cert(KIND_SYSTEM_INTERSECTION, "S1", data)]
+            return _verdict(sys_spec, certs, ["N:system:open-over-N"])
 
     exponent = n // 2 if n % 4 == 0 else n
-    checks = None
+    lemma = None
     if no_zero_rows and len(inter) <= 2:
         # at exponent n the S1 scan has just found no member a root
         checks = tuple(
             (q, exponent == n or nth_power_in_Q(q, exponent) is None) for q in inter
         )
-    lemma = checks is not None and all(ok for _, ok in checks)
-    witness = None
-    if no_zero_rows:
-        # S2/S3 promise a witness: scan first; otherwise decide first
-        witness = _system_search(sys_spec.rows, n, witness_bound, decide_first=not lemma)
-    if lemma:
-        rule = "S2" if n % 4 else "S3"
-        certs.append(
-            Certificate(
-                kind=KIND_SYSTEM_INTERSECTION,
-                rule=rule,
-                domain=DOMAIN_Z,
-                verdict=NOT_PR,
-                data={
-                    "intersection": inter,
-                    "n": n,
-                    "exponent": exponent,
-                    "checks": checks,
-                },
-            )
-        )
-        if witness is not None:
-            certs.append(
-                Certificate(
-                    kind=KIND_WITNESS,
-                    rule=rule,
-                    domain=DOMAIN_Z,
-                    verdict=NOT_PR,
-                    data={"witness": witness, "system": True, "supporting": True},
-                )
-            )
-        pending.append("Q:system:scope-Z-only")
-    elif witness is not None:
-        certs.append(
-            Certificate(
-                kind=KIND_WITNESS,
-                rule="S4",
-                domain=DOMAIN_Q,
-                verdict=NOT_PR,
-                data={"witness": witness, "system": True},
-            )
-        )
+        if all(ok for _, ok in checks):
+            data = {"intersection": inter, "n": n, "exponent": exponent, "checks": checks}
+            lemma = _cert(KIND_SYSTEM_INTERSECTION, "S2" if n % 4 else "S3", data)
+    # a row with a + b = 0 makes the product B of `_reduce_system` 0, so no
+    # prime qualifies
+    bad = _reduce_system(sys_spec.rows, union)
+    certs, _ = _q_obstruction(inter, n, 0, bad, lemma, "S4", {"system": True}, witness_bound)
+    if lemma is not None:
+        pending = ["Q:system:scope-Z-only"]
+    elif certs:
+        pending = []
     elif not no_zero_rows:
-        pending.append("Z:system:zero-sum-row")
+        pending = ["Z:system:zero-sum-row"]
     elif len(inter) > 2:
-        pending.append("Z:system:intersection-size-3-open")
+        pending = ["Z:system:intersection-size-3-open"]
         pending.append(f"Z:system-witness:bound-exhausted:{witness_bound}")
     else:
-        pending.append(f"Z:system-witness:bound-exhausted:{witness_bound}")
-
-    return _verdict(sys_spec, _Statuses(certs), certs, pending)
+        pending = [f"Z:system-witness:bound-exhausted:{witness_bound}"]
+    return _verdict(sys_spec, certs, pending)
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +492,11 @@ def _reverify_cert(subject, cert: Certificate, pairs) -> bool:
     reduced (num, den) pairs (None for a system), which the values a
     certificate stores are compared with."""
     data = cert.data
+    kind, domain, verdict = _claim(cert.rule, data)
+    if (cert.domain, cert.verdict) != (domain, verdict):
+        return False
+    if cert.kind != kind and (cert.kind != KIND_WITNESS or verdict != NOT_PR):
+        return False
     # only the m = 1 track makes these; m >= 2 is decided by R1 or R2
     if (
         cert.kind in (KIND_RATIONAL_ROOT, KIND_SQUARE, KIND_PADIC)
@@ -561,10 +509,10 @@ def _reverify_cert(subject, cert: Certificate, pairs) -> bool:
         if (eq.a, eq.b) != (data["a"], data["b"]):
             return False
         if cert.rule == "R1":
-            return eq.m >= 2 and eq.a + eq.b == 0 and cert.verdict == PR
+            return eq.m >= 2 and eq.a + eq.b == 0
         if cert.rule == "R2":
-            return eq.m >= 2 and eq.a + eq.b != 0 and cert.verdict == NOT_PR
-        return eq.m == 1 and eq.a + eq.b == 0 and cert.verdict == PR
+            return eq.m >= 2 and eq.a + eq.b != 0
+        return eq.m == 1 and eq.a + eq.b == 0
     if cert.kind == KIND_RULE and cert.rule in ("R5", "R6"):
         if data["n"] != subject.n:
             return False
@@ -588,11 +536,7 @@ def _reverify_cert(subject, cert: Certificate, pairs) -> bool:
         if n != subject.n or Fraction(root) ** n != q:
             return False
         idx = RATIO_LABELS.index(data["which"])
-        if pairs[idx] != (q.numerator, q.denominator):
-            return False
-        if cert.domain == DOMAIN_N and Fraction(root) < 0:
-            return False
-        return True
+        return pairs[idx] == (q.numerator, q.denominator)
     if cert.kind == KIND_SQUARE:
         # a non-square mod p is a non-n-th-power residue only for even n
         checks = data["checks"]
@@ -650,8 +594,12 @@ def _reverify_cert(subject, cert: Certificate, pairs) -> bool:
             q, root = data["power"], data["root"]
             return data["n"] == subject.n and q in inter and Fraction(root) ** data["n"] == q
         exponent = data["exponent"]
-        want = subject.n // 2 if subject.n % 4 == 0 else subject.n
-        if exponent != want or len(inter) > 2:
+        # S2 at n not divisible by 4, S3 at exponent n/2 otherwise
+        if subject.n % 4:
+            want = "S2", subject.n
+        else:
+            want = "S3", subject.n // 2
+        if (cert.rule, exponent) != want or len(inter) > 2:
             return False
         if any(a + b == 0 for a, b, _ in subject.rows):
             return False
@@ -672,16 +620,15 @@ def reverify(verdict: Verdict) -> bool:
         pairs = None
         if isinstance(equation, EquationSpec):
             pairs = _ratio_pairs(equation.a, equation.b, equation.c)
-        st = _Statuses()
         for cert in verdict.certificates:
             one = subject if equation is subject or cert.rule.startswith("S") else equation
             if not _reverify_cert(one, cert, pairs):
                 return False
-            st.apply(cert)
-        return (
-            st.by_domain[DOMAIN_N] == verdict.status_N
-            and st.by_domain[DOMAIN_Z] == verdict.status_Z
-            and st.by_domain[DOMAIN_Q] == verdict.status_Q
+        st = _statuses(verdict.certificates)
+        return (st[DOMAIN_N], st[DOMAIN_Z], st[DOMAIN_Q]) == (
+            verdict.status_N,
+            verdict.status_Z,
+            verdict.status_Q,
         )
     except (ParregError, KeyError, ValueError, IndexError, TypeError, AttributeError):
         return False

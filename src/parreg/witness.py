@@ -248,6 +248,10 @@ def _search(ts, bad, n, min_exclusive, search_bound, workers, decide_first=False
     the second item is True.  Otherwise the rest of the range is scanned,
     sharded over `workers` processes if asked; sharded scans still return
     the global minimum.
+
+    This is the one witness search: the public finders reach it through
+    `_witness_search` and `_system_search`, and `classify` calls it
+    directly, for equations and systems alike (`classify._q_obstruction`).
     """
     primes = sieve(search_bound).primes
     start = bisect_right(primes, min_exclusive)
@@ -293,7 +297,8 @@ def _search(ts, bad, n, min_exclusive, search_bound, workers, decide_first=False
 def _witness_search(
     targets, n, min_exclusive, search_bound, workers=1, decide_first=False
 ):
-    """`_search` over the validated targets of `find_witness_prime`."""
+    """`_search` over validated targets: `find_witness_prime` takes its
+    witness, and the tests also its decision flag and decide-first order."""
     ts = _normalize_targets(targets)
     if _as_int(n) < 1:
         raise DegenerateInput("n must be >= 1")
@@ -314,7 +319,7 @@ def find_witness_prime(
     """Smallest prime p with min_exclusive < p <= search_bound modulo which every
     target is a non-n-th-power residue.  None when none exists up to the
     bound, or at all (`_no_witness_exists`); `classify_equation` tells the
-    two apart through `_witness_search`.
+    two apart by the flag `_search` returns with the witness.
 
     Primes dividing any target's numerator or denominator are skipped (no
     residue to test).  The search, its early decision and its `workers`
@@ -438,13 +443,15 @@ def find_system_witness(
     their (all-False) n-th-power booleans; an empty I makes condition (iii)
     vacuous and any prime clearing (i) and (ii) qualifies.  It is the search
     of `find_witness_prime` over I, with the primes dividing B (see
-    `_reduce_system`) skipped and no lower threshold.
+    `_reduce_system`) skipped and no lower threshold; `classify_system`
+    runs the same `_search` through `classify._q_obstruction`.
     """
     return _system_search(rows, n, search_bound)
 
 
 def _system_search(rows, n, search_bound, decide_first=False):
-    """`_search` over the row-ratio intersection of `find_system_witness`."""
+    """`_search` over validated rows: `find_system_witness` scans its prefix
+    first, and the tests also ask for the decide-first order."""
     rows = _int_rows(rows)
     if not rows:
         raise DegenerateInput("need at least one row")

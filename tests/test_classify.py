@@ -12,6 +12,7 @@ import subprocess
 import sys
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -516,6 +517,56 @@ def test_reverify_rejects_contradictory_extra_certificate():
     assert not reverify(v)
 
 
+def _alone(subject, cert):
+    """A verdict resting on cert alone, with the statuses its domain and
+    verdict prove: PR from its domain up, NOT_PR from its domain down."""
+    i = "NZQ".index(cert.domain)
+    st = [
+        cert.verdict if (j >= i if cert.verdict == PR else j <= i) else UNKNOWN
+        for j in range(3)
+    ]
+    return Verdict(subject, *st, (cert,), ())
+
+
+def test_reverify_refuses_a_forged_claim():
+    # every certificate alone re-verifies; moved to any other domain or
+    # verdict, with the statuses re-derived from it, it must not, or a
+    # flipped verdict or a stronger domain would stand
+    forged = 0
+    for v in fresh_verdicts():
+        for cert in v.certificates:
+            assert reverify(_alone(v.subject, cert)), cert
+            for domain, verdict in itertools.product("NZQ", (PR, NOT_PR)):
+                if (domain, verdict) != (cert.domain, cert.verdict):
+                    claim = replace(cert, domain=domain, verdict=verdict)
+                    assert not reverify(_alone(v.subject, claim)), (cert, domain, verdict)
+                    forged += 1
+    assert forged == 115
+
+
+def test_reverify_refuses_a_certificate_under_another_rule():
+    # a certificate proves its own rule's claim only, except that a witness
+    # prime, which proves NOT_PR over Q, may stand behind any NOT_PR rule:
+    # the sign check of R4' renamed R1 would otherwise prove PR over N
+    for v in fresh_verdicts():
+        for cert in v.certificates:
+            for rule, (_, domain, verdict) in classify_module._CLAIMS.items():
+                if rule == cert.rule or (cert.kind == "witness" and verdict == NOT_PR):
+                    continue
+                claim = replace(cert, rule=rule, domain=domain, verdict=verdict)
+                assert not reverify(_alone(v.subject, claim)), (cert, rule)
+
+
+def test_statuses_refuse_disagreeing_certificates():
+    r3 = Certificate(kind="rule", rule="R3", domain="N", verdict=PR, data={})
+    r2 = Certificate(kind="rule", rule="R2", domain="Z", verdict=NOT_PR, data={})
+    assert classify_module._statuses([r3]) == {"N": PR, "Z": PR, "Q": PR}
+    assert classify_module._statuses([r2]) == {"N": NOT_PR, "Z": NOT_PR, "Q": UNKNOWN}
+    for certs in ([r3, r2], [r2, r3]):
+        with pytest.raises(ContradictionError):
+            classify_module._statuses(certs)
+
+
 def test_reverify_rejects_tampered_intersection():
     v = classify_system(SystemSpec(((16, 17, 1), (33, 4063, 1)), 8))
     v.certificates[0].data["intersection"] = (Fraction(35),)
@@ -668,6 +719,7 @@ def test_box_reports_are_pinned(bound, digest, counts):
     for command, subject in box_subjects():
         classify = classify_equation if command == "classify" else classify_system
         v = classify(subject, config=config)
+        assert reverify(v), subject
         h.update(canonical_json(report(command, config, v)).encode())
         seen[statuses(v)] += 1
     assert dict(seen) == counts

@@ -577,6 +577,16 @@ def test_futile_searches_test_only_the_primes_dividing_2n(residue_tests, decisio
         assert residue_tests == [], rows
 
 
+def test_zero_sum_rows_ask_no_decision_and_test_no_residue(residue_tests, decisions):
+    # a row with a + b = 0 makes the product B of `_reduce_system` 0: the
+    # search skips every prime before its residue test and, with no prime
+    # able to qualify, never asks the decision
+    for n in (2, 8):
+        v = classify_system(SystemSpec(((1, -1, 1), (2, 3, 1)), n))
+        assert v.reasons == ("Z:system:zero-sum-row",), n
+        assert decisions == [] and residue_tests == [], n
+
+
 def test_decided_search_still_tests_the_primes_dividing_2n(residue_tests, monkeypatch):
     # the decision covers no prime dividing 2n; with it forced to say no
     # witness exists, 137 (past the prefix, whose primes all divide q) is

@@ -229,6 +229,15 @@ def _config_get(config, name: str, default):
     return default if config is None else getattr(config, name, default)
 
 
+def _witness_bound(config) -> int:
+    """config's witness_bound, refused as `cli.RunConfig` refuses it: an
+    exact integer of at least 1."""
+    bound = _as_int(_config_get(config, "witness_bound", DEFAULT_SEARCH_BOUND))
+    if bound < 1:
+        raise DegenerateInput("witness_bound must be positive")
+    return bound
+
+
 def _sign_infeasible(a: int, b: int, c: int) -> bool:
     """True when {a*x + b*y : x,y in N} cannot meet {c*w^m*z^n : w,z in N} for
     sign reasons alone: a, b one sign, c strictly the other.
@@ -330,7 +339,7 @@ def _q_obstruction(targets, k, threshold, bad, lemma, rule, tag, bound):
     return certs, decided
 
 
-def _m1_track(eq: EquationSpec, config) -> tuple[list, list]:
+def _m1_track(eq: EquationSpec, config, witness_bound: int) -> tuple[list, list]:
     """The certificates and pending reasons when m = 1 and a + b != 0: R4 on
     a rational root; else the first lemma of R5 to R7 that holds, with its
     supporting witness; else a witness (R8); else the p-adic rule (R9).
@@ -352,7 +361,6 @@ def _m1_track(eq: EquationSpec, config) -> tuple[list, list]:
         (label, q, root is None) for label, q, root in zip(RATIO_LABELS, ratios, roots)
     )
     lemma = _lemma_certificate(ratios, n, checks_n)
-    witness_bound = _config_get(config, "witness_bound", DEFAULT_SEARCH_BOUND)
     min_exclusive = max(abs(a) + abs(b), abs(c))
     targets = _witness_targets(ratios)
     bad = prod(t.numerator * t.denominator for t in targets)
@@ -402,10 +410,12 @@ def classify_equation(eq: EquationSpec, config=None) -> Verdict:
     """Decide the equation on one of three tracks: a + b = 0 (R1 when m >= 2,
     R3 when m = 1), else m >= 2 (R2), else the m = 1 track.  Sign feasibility
     (R4') then decides status_N when nothing else did.  Undecided statuses
-    stay UNKNOWN with machine-readable reasons.
+    stay UNKNOWN with machine-readable reasons.  A config witness_bound
+    that is not an integer of at least 1 raises DegenerateInput.
     """
     if not isinstance(eq, EquationSpec):
         eq = EquationSpec(*eq)
+    witness_bound = _witness_bound(config)
     a, b, c, m, n = eq.a, eq.b, eq.c, eq.m, eq.n
     if a + b == 0:
         if m >= 2:
@@ -417,7 +427,7 @@ def classify_equation(eq: EquationSpec, config=None) -> Verdict:
         certs = [_cert(KIND_RULE, "R2", {"a": a, "b": b, "m": m, "n": n})]
         pending = ["Q:m-reduction-open"]
     else:
-        certs, pending = _m1_track(eq, config)
+        certs, pending = _m1_track(eq, config, witness_bound)
 
     # sign feasibility decides status_N when nothing else did
     if _statuses(certs)[DOMAIN_N] == UNKNOWN:
@@ -433,13 +443,15 @@ def classify_system(sys_spec: SystemSpec, config=None) -> Verdict:
     regular over Z\\{0}.  S2/S3: no n-th (or (n/2)-th when 4 | n) power in I,
     not partition regular over Z\\{0}; applied only when |I| <= 2 and no row
     has a + b = 0, where the supporting prime always exists.  S4: a directly
-    verified witness prime.  Single rows delegate to classify_equation.
+    verified witness prime.  Single rows delegate to classify_equation.  A
+    config witness_bound that is not an integer of at least 1 raises
+    DegenerateInput.
     """
     if not isinstance(sys_spec, SystemSpec):
         rows, n = sys_spec
         sys_spec = SystemSpec(tuple(tuple(r) for r in rows), n)
     n = sys_spec.n
-    witness_bound = _config_get(config, "witness_bound", DEFAULT_SEARCH_BOUND)
+    witness_bound = _witness_bound(config)
     if len(sys_spec.rows) == 1:
         a, b, c = sys_spec.rows[0]
         v = classify_equation(EquationSpec(a, b, c, 1, n), config=config)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import repeat
 from math import gcd, lcm
 
@@ -39,13 +40,15 @@ class ValuationColoring:
 @dataclass(frozen=True)
 class ModColoring:
     """palette[x mod modulus]; defined when the denominator is a unit mod
-    modulus.  A probe coloring, never part of a certificate.
+    modulus.  A probe coloring, never part of a certificate.  The palette is
+    stored as a tuple, so a spec built from a list hashes.
     """
 
     modulus: int
     palette: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "palette", tuple(self.palette))
         if _as_int(self.modulus) < 1 or len(self.palette) != self.modulus:
             raise DegenerateInput("palette must have one entry per residue")
 
@@ -204,15 +207,62 @@ def _colors(values, spec, pairs=None) -> list:
     return [color_of(v, spec) for v in values]
 
 
-def _buckets(values, colors) -> list[tuple]:
-    """The box split into color classes, as (color, values) in repr order of
-    the color and values in box order within each class; no value is
-    hashed.
+# Building a box of V values and its colors costs O(V) per scan, while the
+# joins that follow cost about V^2/colors pair keys, so the cache saves a
+# share of the scan that shrinks as the box grows: boxes of more than
+# _CACHE_VALUES values are built afresh, and nothing is kept for them.  An
+# entry then holds at most _CACHE_VALUES values; tracemalloc on CPython 3.11
+# reads 150 KB for 4,096 integers in a few classes and 750 KB for 4,096
+# one-value classes, so _CACHE_ENTRIES entries keep at most about 48 MB
+# alive, the least recently used going first.
+_CACHE_VALUES = 4096
+_CACHE_ENTRIES = 64
+
+
+def _color_classes(box: SearchBox, spec, rational: bool) -> tuple[int, tuple]:
+    """(number of values, classes) of the box under spec, as _classes
+    builds them; from the cache when spec is one of this module's colorings
+    and the box holds at most _CACHE_VALUES values (hi - lo + 1 integers,
+    whose square bounds the rationals).
     """
+    n = max(box.hi - box.lo + 1, 0)
+    if rational:
+        n *= n
+    if isinstance(spec, (ValuationColoring, ModColoring)) and n <= _CACHE_VALUES:
+        return _classes(box, spec, rational, repr(spec))
+    return _classes.__wrapped__(box, spec, rational, None)
+
+
+@lru_cache(maxsize=_CACHE_ENTRIES)
+def _classes(box: SearchBox, spec, rational: bool, spec_repr) -> tuple[int, tuple]:
+    """The number of values in the box and its color classes, each a tuple
+    (color, values, ivals, den) in repr order of the color; values keep box
+    order, and ivals are the integers values * den that the join keys on,
+    den the least common denominator (1, with ivals the values, on an
+    integer box).  No value is hashed.
+
+    spec_repr only keys the cache: ModColoring(2, (1, 5)) and
+    ModColoring(2, (True, 5)) compare and hash equal, but the colors 1 and
+    True order the classes differently.
+    """
+    values, reduced = _box(box, rational)
+    items = values if reduced is None else zip(values, reduced)
     buckets: dict = {}
-    for v, d in zip(values, colors):
+    for v, d in zip(items, _colors(values, spec, reduced)):
         buckets.setdefault(d, []).append(v)
-    return [(d, buckets[d]) for d in sorted(buckets, key=repr)]
+    classes = []
+    for d in sorted(buckets, key=repr):
+        if reduced is None:
+            vals = tuple(buckets[d])
+            classes.append((d, vals, vals, 1))
+        else:
+            vals, pairs = zip(*buckets[d])
+            # a list, not a generator: on CPython 3.11 lcm(*generator) made
+            # the process's peak RSS creep up by about 3 MB over repeated
+            # scans
+            den = lcm(*[q for _, q in pairs])
+            classes.append((d, vals, tuple([p * (den // q) for p, q in pairs]), den))
+    return len(values), tuple(classes)
 
 
 def _live_test(spec, params):
@@ -257,12 +307,12 @@ def _live_test(spec, params):
     return live
 
 
-def _scan_bucketed(vals, params, stop_on_find):
-    """Sumset join over one color class vals (ascending, as in the box): only
-    same-colored tuples can be monochromatic, so every variable ranges over
-    vals.
+def _scan_bucketed(cls, params, stop_on_find):
+    """Sumset join over one color class cls = (color, vals, ivals, den) of
+    _classes (vals ascending, as in the box): only same-colored tuples can
+    be monochromatic, so every variable ranges over vals.
 
-    A class of Fractions is first scaled to integers by the common
+    A class of Fractions comes scaled to the integers ivals by the common
     denominator den of its values; a*x + b*y = c*w^m*z^n then becomes
     A*X + B*Y = c*W^m*Z^n with A, B = a, b times den^(m+n-1), so every key
     below is an exact integer.  An integer class is used as it is.  The
@@ -279,13 +329,8 @@ def _scan_bucketed(vals, params, stop_on_find):
     meets first, with count 1.
     """
     a, b, c, m, n = params
-    if isinstance(vals[0], int):
-        ivals = vals
-    else:
-        # a list, not a generator: on CPython 3.11 lcm(*generator) made the
-        # process's peak RSS creep up by about 3 MB over repeated scans
-        den = lcm(*[v.denominator for v in vals])
-        ivals = [v.numerator * (den // v.denominator) for v in vals]
+    _, vals, ivals, den = cls
+    if den != 1:
         scale = den ** (m + n - 1)
         a, b = a * scale, b * scale
     k = len(vals)
@@ -389,22 +434,25 @@ def verify_no_mono_solution(
     certifies absence over this box only.  stop_on_find needs the bucketed
     engine (it ignores workers) and makes candidates_scanned lookups times
     the class size.
+
+    The bucketed engine takes the color classes of a (box, coloring) from
+    a per-process cache (_color_classes), built once and kept for boxes of
+    at most _CACHE_VALUES = 4,096 values in at most _CACHE_ENTRIES = 64
+    entries; the full engine builds its own box and colors and never reads
+    it.
     """
     params, workers = _eq_params(eq), _as_int(workers)
-    values, reduced = _box(box, rational)
-    colors = _colors(values, spec, reduced)
-    total = len(values) ** 3
     if stop_on_find and engine != ENGINE_BUCKETED:
         raise DegenerateInput("stop_on_find needs the bucketed engine")
     count, best, pairs, lookups, examined = 0, None, 0, 0, 0
-    if not values:
-        scanned = 0
-    elif engine == ENGINE_BUCKETED:
+    if engine == ENGINE_BUCKETED:
+        size, classes = _color_classes(box, spec, rational)
         live = _live_test(spec, params)
-        for d, vals in _buckets(values, colors):
+        for cls in classes:
+            d, vals = cls[:2]
             k = len(vals)
             # a ruled-out class counts as a join without a hit
-            rc, rb, rl = _scan_bucketed(vals, params, stop_on_find) if live(d, vals) else (0, None, k * k)
+            rc, rb, rl = _scan_bucketed(cls, params, stop_on_find) if live(d, vals) else (0, None, k * k)
             pairs += k * k
             lookups += rl
             examined += rl * k
@@ -413,11 +461,13 @@ def verify_no_mono_solution(
                 best = rb
             if stop_on_find and rb is not None:
                 break
-        scanned = examined if stop_on_find else total
+        scanned = examined if stop_on_find else size**3
     elif engine == ENGINE_FULL:
-        # the literal walk looks a solved y up by value
-        cmap = dict(zip(values, colors))
-        if workers <= 1:
+        # the literal walk builds its own box and colors, never the cached
+        # classes, and looks a solved y up by value
+        values, reduced = _box(box, rational)
+        cmap = dict(zip(values, _colors(values, spec, reduced)))
+        if workers <= 1 or not values:
             count, best = _scan_full_shard((values, cmap, params, tuple(values)))
         else:
             step = (len(values) + workers - 1) // workers
@@ -429,7 +479,7 @@ def verify_no_mono_solution(
 
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 count, best = _merge(pool.map(_scan_full_shard, shards))
-        scanned = total
+        scanned = len(values) ** 3
     else:
         raise DegenerateInput(f"unknown engine {engine!r}")
     return MonoReport(
@@ -470,24 +520,25 @@ def verify_system_no_mono(system, spec, box: SearchBox, rational: bool = False) 
     scans the values of rational_box_values in place of the integers.
     candidates_scanned stays the closed form rows * |values|^3;
     pairs_indexed and lookups count each row's full pair and probe space
-    per class reached.
+    per class reached.  The classes come from the same per-process cache
+    as verify_no_mono_solution's bucketed engine: built once per
+    (box, coloring) of at most 4,096 values, 64 entries at most.
     """
     rows, n = _system_params(system)
-    values, reduced = _box(box, rational)
-    colors = _colors(values, spec, reduced)
-    total = len(rows) * len(values) ** 3
+    size, classes = _color_classes(box, spec, rational)
     count = 0
     best = None
     pairs = 0
     lookups = 0
     row_params = [(a, b, c, 1, n) for a, b, c in rows]
     lives = [_live_test(spec, params) for params in row_params]
-    for d, vals in _buckets(values, colors):
+    for cls in classes:
+        d, vals = cls[:2]
         per_row = []
         prod = 1
         k = len(vals)
         for params, live in zip(row_params, lives):
-            rc, rb, rl = _scan_bucketed(vals, params, False) if live(d, vals) else (0, None, k * k)
+            rc, rb, rl = _scan_bucketed(cls, params, False) if live(d, vals) else (0, None, k * k)
             pairs += k * k
             lookups += rl
             if rc == 0:
@@ -503,7 +554,7 @@ def verify_system_no_mono(system, spec, box: SearchBox, rational: bool = False) 
         coloring=spec,
         box=box,
         found=best,
-        candidates_scanned=total,
+        candidates_scanned=len(rows) * size**3,
         solutions_found=count,
         pairs_indexed=pairs,
         lookups=lookups,

@@ -617,6 +617,21 @@ def test_threshold_above_witness_bound():
     )
 
 
+@pytest.mark.parametrize("bound", [11.0, 12.0, 0, -5])
+def test_classify_refuses_a_bad_witness_bound(bound):
+    # the rule of RunConfig, whatever the threshold and the track: 11.0 and
+    # -5 used to give a verdict with the bound in its reasons, 12.0 raised
+    # from the sieve
+    config = SimpleNamespace(witness_bound=bound)
+    message = "expected an integer" if isinstance(bound, float) else "witness_bound must be positive"
+    for subject in (EquationSpec(9, 2, 1, 1, 8), EquationSpec(1, -1, 1, 2, 2)):
+        with pytest.raises(DegenerateInput, match=message):
+            classify_equation(subject, config=config)
+    for rows in (((1, 2, 1), (3, 5, 1)), ((2, 3, 1),)):
+        with pytest.raises(DegenerateInput, match=message):
+            classify_system(SystemSpec(rows, 2), config=config)
+
+
 def test_threshold_above_bound_leaves_hypothesis_rules():
     # R7 needs no witness: Q is still decided, only the supporting prime goes
     v = classify_equation(

@@ -794,11 +794,131 @@ def test_unit_congruence_leaves_three_classes_to_join(monkeypatch):
     joined = []
     scan = coloring._scan_bucketed
 
-    def spy(vals, params, stop_on_find):
-        joined.append(color_of(vals[0], spec))
-        return scan(vals, params, stop_on_find)
+    def spy(cls, params, stop_on_find):
+        joined.append(color_of(cls[1][0], spec))
+        return scan(cls, params, stop_on_find)
 
     monkeypatch.setattr(coloring, "_scan_bucketed", spy)
     rep = verify_no_mono_solution((2, 3, 1, 1, 1), spec, SearchBox(-30, 30))
     assert sorted(joined) == [2, 3, 5]
     assert _report_fields(rep) == ((-21, -21, -21, 5), 12, 60**3, 308, 308)
+
+
+# ---------------------------------------------------------------------------
+# the per-process cache of color classes behind the bucketed engine
+
+cache_requests = st.lists(
+    st.one_of(
+        st.tuples(st.just("equation"), prune_equations, st.booleans()),
+        st.tuples(
+            st.just("system"),
+            st.lists(
+                st.tuples(
+                    st.integers(-12, 12).filter(bool),
+                    st.integers(-12, 12).filter(bool),
+                    st.integers(-6, 6).filter(bool),
+                ),
+                min_size=1,
+                max_size=3,
+            ),
+            st.integers(1, 3),
+        ),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _report_or_refusal(scan):
+    try:
+        return scan()
+    except DegenerateInput as exc:  # a denominator with no residue mod M
+        return str(exc)
+
+
+@given(color_map_specs, prune_boxes, cache_requests)
+@settings(max_examples=100, deadline=None)
+def test_cached_classes_give_the_reports_of_a_cleared_cache(spec, box_mode, requests):
+    # equations and systems that share one (box, coloring) share its entry
+    box, rational = box_mode
+    coloring._classes.cache_clear()
+    for kind, subject, arg in requests:
+        if kind == "equation":
+
+            def scan(engine=ENGINE_BUCKETED):
+                return verify_no_mono_solution(subject, spec, box, engine=engine, stop_on_find=arg, rational=rational)
+
+        else:
+
+            def scan():
+                return verify_system_no_mono(SystemSpec(tuple(subject), arg), spec, box, rational=rational)
+
+        _report_or_refusal(scan)
+        hits = coloring._classes.cache_info().hits
+        cached = _report_or_refusal(scan)
+        assert isinstance(cached, str) or coloring._classes.cache_info().hits == hits + 1
+        coloring._classes.cache_clear()
+        assert _report_or_refusal(scan) == cached
+        if kind == "equation" and not arg:
+            full = _report_or_refusal(lambda: scan(ENGINE_FULL))
+            if isinstance(cached, str):
+                assert full == cached
+            else:
+                assert _report_fields(full)[:3] == _report_fields(cached)[:3]
+
+
+def test_cache_keeps_apart_specs_that_order_their_classes_apart():
+    # ModColoring(2, (1, 5)) and ModColoring(2, (True, 5)) compare and hash
+    # equal, but repr puts the class of 1 before that of 5 and the class of
+    # True after it, so the first hit of x + y = 2wz differs
+    one, true = ModColoring(2, (1, 5)), ModColoring(2, (True, 5))
+    assert one == true and hash(one) == hash(true)
+    eq, box = (1, 1, 2, 1, 1), SearchBox(1, 12)
+    cold = {}
+    for spec in (one, true):
+        coloring._classes.cache_clear()
+        cold[repr(spec)] = verify_no_mono_solution(eq, spec, box, stop_on_find=True)
+    assert cold[repr(one)].found == (2, 2, 6, 2) and cold[repr(true)].found == (1, 1, 1, 1)
+    for order in ((one, true), (true, one)):
+        coloring._classes.cache_clear()
+        for spec in order + order:
+            assert verify_no_mono_solution(eq, spec, box, stop_on_find=True) == cold[repr(spec)]
+
+
+def test_cache_holds_only_boxes_within_its_cap():
+    # the cap counts hi - lo + 1 integers, and its square for a rational box
+    spec, eq = ValuationColoring(4099), (1, 1, 1, 1, 1)
+    coloring._classes.cache_clear()
+    for box, rational, cached in (
+        (SearchBox(1, 4097), False, False),
+        (SearchBox(1, 65), True, False),
+        (SearchBox(1, 4096), False, True),
+        (SearchBox(1, 64), True, True),
+    ):
+        size = coloring._classes.cache_info().currsize
+        rep = verify_no_mono_solution(eq, spec, box, rational=rational)
+        assert coloring._classes.cache_info().currsize == size + cached
+        assert rep.candidates_scanned == len(_box(box, rational)[0]) ** 3
+    # the full engine, the reference walk, never reads the cache
+    small = SearchBox(-6, 9)
+    verify_no_mono_solution(eq, ValuationColoring(5), small, rational=True)
+    info = coloring._classes.cache_info()
+    verify_no_mono_solution(eq, ValuationColoring(5), small, engine=ENGINE_FULL, rational=True)
+    assert coloring._classes.cache_info() == info
+
+
+def test_list_palette_scans_as_its_tuple():
+    listed, tupled = ModColoring(3, [0, 1, 2]), ModColoring(3, (0, 1, 2))
+    assert listed == tupled and hash(listed) == hash(tupled) and listed.palette == (0, 1, 2)
+    box, system = SearchBox(-9, 15), SystemSpec(((1, 1, 1), (2, -1, 1)), 1)
+    scans = [
+        lambda spec: verify_no_mono_solution((1, 1, 1, 1, 1), spec, box),
+        lambda spec: verify_no_mono_solution((1, 1, 1, 1, 1), spec, box, stop_on_find=True),
+        lambda spec: verify_system_no_mono(system, spec, box),
+    ]
+    for scan in scans:
+        coloring._classes.cache_clear()
+        want = scan(tupled)
+        assert scan(listed) == want  # from the tuple palette's entry
+        coloring._classes.cache_clear()
+        assert scan(listed) == want

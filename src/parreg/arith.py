@@ -220,12 +220,15 @@ def _factor_int(m: int, budget: int, out: dict[int, int], mult: int) -> None:
 def factor(q, budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
     """Exact signed factorization of a nonzero rational.
 
-    Trial division to 1e6, then Pollard rho under `budget`; a blown budget
-    raises FactorizationBudgetExceeded rather than approximating.
+    Trial division to 1e6, then Pollard rho under `budget`, an integer of
+    at least 1; a blown budget raises FactorizationBudgetExceeded rather
+    than approximating.
     """
     q = _as_rat(q)
     if q == 0:
         raise DegenerateInput("cannot factor 0")
+    if _as_int(budget) < 1:
+        raise DegenerateInput("factor budget must be positive")
     exps: dict[int, int] = {}
     _factor_int(abs(q.numerator), budget, exps, +1)
     _factor_int(q.denominator, budget, exps, -1)

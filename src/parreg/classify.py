@@ -225,17 +225,13 @@ def _verdict(subject, certs, pending) -> Verdict:
     )
 
 
-def _config_get(config, name: str, default):
-    return default if config is None else getattr(config, name, default)
-
-
-def _witness_bound(config) -> int:
-    """config's witness_bound, refused as `cli.RunConfig` refuses it: an
-    exact integer of at least 1."""
-    bound = _as_int(_config_get(config, "witness_bound", DEFAULT_SEARCH_BOUND))
-    if bound < 1:
-        raise DegenerateInput("witness_bound must be positive")
-    return bound
+def _config_int(config, name: str, default: int) -> int:
+    """config's field name (default when config or the field is absent),
+    refused as `cli.RunConfig` refuses it: an exact integer of at least 1."""
+    value = _as_int(default if config is None else getattr(config, name, default))
+    if value < 1:
+        raise DegenerateInput(f"{name} must be positive")
+    return value
 
 
 def _sign_infeasible(a: int, b: int, c: int) -> bool:
@@ -330,7 +326,7 @@ def _q_obstruction(targets, k, threshold, bad, lemma, rule, tag, bound):
     certs = [] if lemma is None else [lemma]
     if threshold >= bound:
         return certs, None
-    witness, decided = _search(targets, bad, k, threshold, bound, 1, lemma is None)
+    witness, decided = _search(targets, bad, k, threshold, bound, lemma is None)
     if witness is not None:
         data = {"witness": witness, **tag}
         if lemma is not None:
@@ -339,7 +335,9 @@ def _q_obstruction(targets, k, threshold, bad, lemma, rule, tag, bound):
     return certs, decided
 
 
-def _m1_track(eq: EquationSpec, config, witness_bound: int) -> tuple[list, list]:
+def _m1_track(
+    eq: EquationSpec, witness_bound: int, factor_budget: int
+) -> tuple[list, list]:
     """The certificates and pending reasons when m = 1 and a + b != 0: R4 on
     a rational root; else the first lemma of R5 to R7 that holds, with its
     supporting witness; else a witness (R8); else the p-adic rule (R9).
@@ -380,7 +378,6 @@ def _m1_track(eq: EquationSpec, config, witness_bound: int) -> tuple[list, list]
         pending = ["Q:witness:hypotheses-unmet"]
 
     gamma = ratios[2]
-    factor_budget = _config_get(config, "factor_budget", DEFAULT_FACTOR_BUDGET)
     try:
         candidates = _padic_candidates(gamma, factor_budget)
     except FactorizationBudgetExceeded:
@@ -410,12 +407,14 @@ def classify_equation(eq: EquationSpec, config=None) -> Verdict:
     """Decide the equation on one of three tracks: a + b = 0 (R1 when m >= 2,
     R3 when m = 1), else m >= 2 (R2), else the m = 1 track.  Sign feasibility
     (R4') then decides status_N when nothing else did.  Undecided statuses
-    stay UNKNOWN with machine-readable reasons.  A config witness_bound
-    that is not an integer of at least 1 raises DegenerateInput.
+    stay UNKNOWN with machine-readable reasons.  A config witness_bound or
+    factor_budget that is not an integer of at least 1 raises
+    DegenerateInput.
     """
     if not isinstance(eq, EquationSpec):
         eq = EquationSpec(*eq)
-    witness_bound = _witness_bound(config)
+    witness_bound = _config_int(config, "witness_bound", DEFAULT_SEARCH_BOUND)
+    factor_budget = _config_int(config, "factor_budget", DEFAULT_FACTOR_BUDGET)
     a, b, c, m, n = eq.a, eq.b, eq.c, eq.m, eq.n
     if a + b == 0:
         if m >= 2:
@@ -427,7 +426,7 @@ def classify_equation(eq: EquationSpec, config=None) -> Verdict:
         certs = [_cert(KIND_RULE, "R2", {"a": a, "b": b, "m": m, "n": n})]
         pending = ["Q:m-reduction-open"]
     else:
-        certs, pending = _m1_track(eq, config, witness_bound)
+        certs, pending = _m1_track(eq, witness_bound, factor_budget)
 
     # sign feasibility decides status_N when nothing else did
     if _statuses(certs)[DOMAIN_N] == UNKNOWN:
@@ -444,14 +443,16 @@ def classify_system(sys_spec: SystemSpec, config=None) -> Verdict:
     not partition regular over Z\\{0}; applied only when |I| <= 2 and no row
     has a + b = 0, where the supporting prime always exists.  S4: a directly
     verified witness prime.  Single rows delegate to classify_equation.  A
-    config witness_bound that is not an integer of at least 1 raises
-    DegenerateInput.
+    config witness_bound or factor_budget that is not an integer of at least
+    1 raises DegenerateInput.
     """
     if not isinstance(sys_spec, SystemSpec):
         rows, n = sys_spec
         sys_spec = SystemSpec(tuple(tuple(r) for r in rows), n)
     n = sys_spec.n
-    witness_bound = _witness_bound(config)
+    witness_bound = _config_int(config, "witness_bound", DEFAULT_SEARCH_BOUND)
+    # only a one-row system factors, but a bad budget is refused on every track
+    _config_int(config, "factor_budget", DEFAULT_FACTOR_BUDGET)
     if len(sys_spec.rows) == 1:
         a, b, c = sys_spec.rows[0]
         v = classify_equation(EquationSpec(a, b, c, 1, n), config=config)

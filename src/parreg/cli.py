@@ -467,7 +467,6 @@ def cmd_witness(args, out) -> int:
         args.n,
         min_exclusive=args.min_exclusive,
         search_bound=config.witness_bound,
-        workers=config.threads,
     )
     if w is None:
         lines = [f"no witness prime <= {config.witness_bound}"]
@@ -699,7 +698,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bound", type=int, default=None, help="witness/prime search bound")
     p.add_argument("--box", type=int, default=None, help="box half-width for scans")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
-    p.add_argument("--threads", type=int, default=None, help="worker processes")
+    p.add_argument("--threads", type=int, default=None, help="worker processes of verify --engine full")
     p.add_argument("--sieve-cache", default=None, help="prime sieve cache file")
 
 

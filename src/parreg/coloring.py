@@ -54,7 +54,9 @@ class ModColoring:
 
 
 def color_of(x, spec):
-    num, den = (x.numerator, x.denominator) if isinstance(x, Fraction) else (int(x), 1)
+    """The colour of a nonzero int or Fraction x; any other x, such as a
+    float or a numeric string, is refused rather than rounded."""
+    num, den = (x.numerator, x.denominator) if isinstance(x, Fraction) else (_as_int(x), 1)
     if num == 0:
         raise DegenerateInput("0 has no color")
     if isinstance(spec, ValuationColoring):

@@ -8,7 +8,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import islice
 from math import gcd, isqrt, lcm, prod
 
 from .arith import (
@@ -29,8 +29,6 @@ MODE_ODD_N = "ODD_N"
 MODE_EVEN_N = "EVEN_N"
 MODE_SQUARES = "SQUARES"
 MODE_TWO_VAR = "TWO_VAR"
-
-_PARALLEL_BLOCK = 4096
 
 # Candidate primes a prefix-first search scans before it asks whether a
 # witness exists at all.  A witness, when there is one, nearly always lies
@@ -233,7 +231,7 @@ def _no_witness_exists(targets, n: int) -> bool:
     return nonresidue_pattern_occurs(targets, n) is False
 
 
-def _search(ts, bad, n, min_exclusive, search_bound, workers, decide_first=False):
+def _search(ts, bad, n, min_exclusive, search_bound, decide_first=False):
     """(the smallest prime p with min_exclusive < p <= search_bound that
     `_first_witness` accepts for the targets ts, as a WitnessPrime or None;
     whether the decision cut the search short).
@@ -245,9 +243,8 @@ def _search(ts, bad, n, min_exclusive, search_bound, workers, decide_first=False
     witness exists, the rest of the range is not scanned: only the
     untested candidates dividing 2n, which the decision does not cover,
     are tested, and with none of them a witness the result is None and
-    the second item is True.  Otherwise the rest of the range is scanned,
-    sharded over `workers` processes if asked; sharded scans still return
-    the global minimum.
+    the second item is True.  Otherwise the rest of the range is scanned in
+    this process, in order.
 
     This is the one witness search: the public finders reach it through
     `_witness_search` and `_system_search`, and `classify` calls it
@@ -270,20 +267,8 @@ def _search(ts, bad, n, min_exclusive, search_bound, workers, decide_first=False
         untested = primes[cut : bisect_right(primes, 2 * n)]
         divisors = [p for p in untested if 2 * n % p == 0]
         found = _first_witness(divisors, pairs, n, bad)
-    elif more and workers <= 1:
-        found = _first_witness(islice(primes, cut, None), pairs, n, bad)
     elif more:
-        blocks = [
-            primes[i : i + _PARALLEL_BLOCK]
-            for i in range(cut, len(primes), _PARALLEL_BLOCK)
-        ]
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            hits = pool.map(
-                _first_witness, blocks, repeat(pairs), repeat(n), repeat(bad)
-            )
-            found = next((hit for hit in hits if hit is not None), None)
+        found = _first_witness(islice(primes, cut, None), pairs, n, bad)
     if found is None:
         return None, decided
     return WitnessPrime(
@@ -294,9 +279,7 @@ def _search(ts, bad, n, min_exclusive, search_bound, workers, decide_first=False
     ), False
 
 
-def _witness_search(
-    targets, n, min_exclusive, search_bound, workers=1, decide_first=False
-):
+def _witness_search(targets, n, min_exclusive, search_bound, decide_first=False):
     """`_search` over validated targets: `find_witness_prime` takes its
     witness, and the tests also its decision flag and decide-first order."""
     ts = _normalize_targets(targets)
@@ -306,7 +289,7 @@ def _witness_search(
     if search_bound < min_exclusive:
         raise DegenerateInput("search_bound must be >= min_exclusive")
     bad = prod(t.numerator * t.denominator for t in ts)
-    return _search(ts, bad, n, min_exclusive, search_bound, _as_int(workers), decide_first)
+    return _search(ts, bad, n, min_exclusive, search_bound, decide_first)
 
 
 def find_witness_prime(
@@ -322,10 +305,14 @@ def find_witness_prime(
     two apart by the flag `_search` returns with the witness.
 
     Primes dividing any target's numerator or denominator are skipped (no
-    residue to test).  The search, its early decision and its `workers`
-    shards are those of `_search`.
+    residue to test).  The search and its early decision are those of
+    `_search`, which scans serially: `workers` must be an integer but is
+    not read further.  It stays for `bench/workloads.py`, whose
+    `parallel_paths` still passes workers=2; the next change to the
+    benchmark drops it.
     """
-    return _witness_search(targets, n, min_exclusive, search_bound, workers)[0]
+    _as_int(workers)
+    return _witness_search(targets, n, min_exclusive, search_bound)[0]
 
 
 def _euler_exponent(n: int, p: int) -> int:
@@ -459,7 +446,7 @@ def _system_search(rows, n, search_bound, decide_first=False):
         raise DegenerateInput("n must be >= 1")
     union, inter = _union_intersection(rows)
     bad = _reduce_system(rows, union)
-    return _search(inter, bad, n, 0, search_bound, 1, decide_first)[0]
+    return _search(inter, bad, n, 0, search_bound, decide_first)[0]
 
 
 def verify_system_witness(w: WitnessPrime, rows, n: int) -> bool:

@@ -176,6 +176,16 @@ def test_factor_budget_exceeded():
         factor(m61 * (2**89 - 1), budget=4)
 
 
+@pytest.mark.parametrize("budget", ["x", None, 1.5, 0, -3])
+def test_factor_refuses_a_bad_budget(budget):
+    # "x" raised TypeError from Pollard rho; a budget is refused whether or
+    # not trial division leaves rho any work
+    semiprime = (10**12 + 39) * (10**12 + 61)
+    for q in (semiprime, 12):
+        with pytest.raises(DegenerateInput):
+            factor(q, budget=budget)
+
+
 def test_factor_zero_rejected():
     with pytest.raises(DegenerateInput):
         factor(0)

@@ -632,6 +632,23 @@ def test_classify_refuses_a_bad_witness_bound(bound):
             classify_system(SystemSpec(rows, 2), config=config)
 
 
+@pytest.mark.parametrize("budget", ["x", None, 0, -3, 1.5])
+def test_classify_refuses_a_bad_factor_budget(budget):
+    # the rule of RunConfig, as for witness_bound: with (a+b)/c a semiprime
+    # past trial division, "x" and None raised TypeError from Pollard rho
+    # and 0, -3 and 1.5 gave Z:padic:budget-exceeded; where trial division
+    # factors (a+b)/c the budget went unread
+    big = (10**12 + 39) * (10**12 + 61)
+    config = SimpleNamespace(factor_budget=budget)
+    message = "factor_budget must be positive" if isinstance(budget, int) else "expected an integer"
+    for subject in (EquationSpec(16, big - 16, 1, 1, 8), EquationSpec(3, 13, 1, 1, 8)):
+        with pytest.raises(DegenerateInput, match=message):
+            classify_equation(subject, config=config)
+    for rows in (((1, 2, 1), (3, 5, 1)), ((3, 13, 1),)):
+        with pytest.raises(DegenerateInput, match=message):
+            classify_system(SystemSpec(rows, 8), config=config)
+
+
 def test_threshold_above_bound_leaves_hypothesis_rules():
     # R7 needs no witness: Q is still decided, only the supporting prime goes
     v = classify_equation(

@@ -100,6 +100,14 @@ def test_color_of_pinned():
     assert color_of(-1, chi7) == 6
 
 
+def test_color_of_refuses_what_int_would_round():
+    # 1.5 was coloured as 1 and "6" as 6
+    for spec in (ValuationColoring(3), ModColoring(3, (0, 1, 2))):
+        for x in (1.5, "6", 6.0, None):
+            with pytest.raises(DegenerateInput):
+                color_of(x, spec)
+
+
 def test_color_rejects_zero_and_nonprime():
     with pytest.raises(DegenerateInput):
         color_of(0, ValuationColoring(7))

@@ -4,6 +4,7 @@ Brute-force residue oracles live in this file; frozen values below were
 produced by those oracles, not by the code under test.
 """
 
+import concurrent.futures
 from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, prod
@@ -207,13 +208,17 @@ def test_rational_targets():
     assert brute_is_witness(w.p, [Fraction(2, 3), 5], 2)
 
 
-def test_workers_agree_with_serial():
-    for targets, n in ([2, 3, 5], 2), ([2, 5], 3), ([7, 10, 17], 4):
-        a = find_witness_prime(targets, n, search_bound=10**4)
-        b = find_witness_prime(targets, n, search_bound=10**4, workers=2)
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert a == b
+def test_workers_start_no_process(monkeypatch):
+    # at n = 32 the decision gives no answer, so this search scans every
+    # prime to the bound: the case a process pool would shard
+    def refused(*args, **kwargs):
+        raise AssertionError("the witness search started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refused)
+    targets, n = [65536, 65537, 131073], 32
+    assert density.nonresidue_pattern_occurs(targets, n) is None
+    serial = find_witness_prime(targets, n, search_bound=10**5, workers=1)
+    assert find_witness_prime(targets, n, search_bound=10**5, workers=2) == serial
 
 
 def test_explicit_sieve_reuse(tmp_path, monkeypatch):

@@ -81,7 +81,9 @@ def _as_rat(q) -> Fraction:
 
 
 def _as_int(v) -> int:
-    if isinstance(v, int):
+    """v itself when it is an int; a bool, a float or anything else that
+    int() would take is refused (bool has no subclasses)."""
+    if isinstance(v, int) and v.__class__ is not bool:
         return v
     raise DegenerateInput(f"expected an integer, got {type(v).__name__}")
 

@@ -7,7 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, prod
+from functools import cached_property
+from math import gcd
 
 from .arith import (
     DEFAULT_FACTOR_BUDGET,
@@ -25,15 +26,14 @@ from .arith import (
 )
 from .witness import (
     DEFAULT_SEARCH_BOUND,
-    WitnessPrime,
-    _ordered,
+    _equation_obstruction,
     _ratio_pairs,
-    _reduce_system,
     _search,
+    _system_obstruction,
     _union_intersection,
+    _witness_holds,
     check_hypotheses,
     verify_system_witness,
-    verify_witness,
 )
 
 PR = "PR"
@@ -77,19 +77,21 @@ class EquationSpec:
     def __post_init__(self):
         for name in ("a", "b", "c"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v == 0:
+            if isinstance(v, bool) or not isinstance(v, int) or v == 0:
                 raise DegenerateInput(f"{name} must be a nonzero integer")
         for name in ("m", "n"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise DegenerateInput(f"{name} must be a positive integer")
         if self.m > self.n:
             m, n = self.m, self.n
             object.__setattr__(self, "m", n)
             object.__setattr__(self, "n", m)
 
-    @property
+    @cached_property
     def ratios(self) -> tuple[Fraction, Fraction, Fraction]:
+        """a/c, b/c and (a+b)/c, made once per spec: classify and reverify
+        read the same Fractions."""
         return (
             Fraction(self.a, self.c),
             Fraction(self.b, self.c),
@@ -110,7 +112,7 @@ class SystemSpec:
             raise DegenerateInput("need at least one row")
         if any(a == 0 or b == 0 or c == 0 for a, b, c in self.rows):
             raise DegenerateInput("row coefficients must be nonzero")
-        if not isinstance(self.n, int) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise DegenerateInput("n must be a positive integer")
 
 
@@ -241,13 +243,6 @@ def _sign_infeasible(a: int, b: int, c: int) -> bool:
     return (a > 0 and b > 0 and c < 0) or (a < 0 and b < 0 and c > 0)
 
 
-def _witness_targets(ratios) -> list[Fraction]:
-    """sorted(set(ratios)), deduped and ordered as (num, den) pairs
-    (`_ordered`), so no Fraction is hashed or compared."""
-    by_pair = {(q.numerator, q.denominator): q for q in ratios}
-    return [by_pair[t] for t in _ordered(by_pair)]
-
-
 def _power_checks(ratios, k: int) -> tuple:
     return tuple(
         (label, q, nth_power_in_Q(q, k) is None)
@@ -307,13 +302,13 @@ def _lemma_certificate(ratios, n: int, checks_n) -> Certificate | None:
     return _cert(KIND_SQUARE, "R7", {"n": n, "checks": sq + (("product", product, True),)})
 
 
-def _q_obstruction(targets, k, threshold, bad, lemma, rule, tag, bound):
-    """The unit-colouring obstruction over Q: the smallest prime p with
-    threshold < p <= bound, not dividing bad, modulo which no target is a
-    k-th power residue (`witness._search`; bad is divisible by every prime
-    dividing a target's numerator or denominator).  Colouring each
-    rational by its unit mod p after stripping p then leaves no
-    monochromatic solution.
+def _q_obstruction(obstruction, k, lemma, rule, tag, bound):
+    """The unit-colouring obstruction over Q: for the subject's (targets,
+    threshold, bad) (`witness._equation_obstruction`,
+    `witness._system_obstruction`), the smallest prime p with threshold <
+    p <= bound, not dividing bad, modulo which no target is a k-th power
+    residue (`witness._search`).  Colouring each rational by its unit mod
+    p after stripping p then leaves no monochromatic solution.
 
     A lemma certificate promises such a prime, which the search's prefix
     nearly always holds, so that search scans first; without one the
@@ -323,6 +318,7 @@ def _q_obstruction(targets, k, threshold, bad, lemma, rule, tag, bound):
     certificates, lemma first, and whether the decision cut the search
     short: None when threshold >= bound leaves no prime to scan.
     """
+    targets, threshold, bad = obstruction
     certs = [] if lemma is None else [lemma]
     if threshold >= bound:
         return certs, None
@@ -359,13 +355,10 @@ def _m1_track(
         (label, q, root is None) for label, q, root in zip(RATIO_LABELS, ratios, roots)
     )
     lemma = _lemma_certificate(ratios, n, checks_n)
-    min_exclusive = max(abs(a) + abs(b), abs(c))
-    targets = _witness_targets(ratios)
-    bad = prod(t.numerator * t.denominator for t in targets)
+    obstruction = _equation_obstruction(a, b, c, ratios)
+    targets, min_exclusive, _ = obstruction
     tag = {"min_exclusive": min_exclusive}
-    certs, decided = _q_obstruction(
-        targets, n, min_exclusive, bad, lemma, "R8", tag, witness_bound
-    )
+    certs, decided = _q_obstruction(obstruction, n, lemma, "R8", tag, witness_bound)
     if certs:
         return certs, []
     if decided is None:
@@ -458,7 +451,8 @@ def classify_system(sys_spec: SystemSpec, config=None) -> Verdict:
         v = classify_equation(EquationSpec(a, b, c, 1, n), config=config)
         return replace(v, subject=sys_spec)
 
-    union, inter = _union_intersection(sys_spec.rows)
+    obstruction = _system_obstruction(sys_spec.rows)
+    inter = obstruction[0]
     no_zero_rows = all(a + b != 0 for a, b, _ in sys_spec.rows)
 
     for q in inter:
@@ -478,10 +472,9 @@ def classify_system(sys_spec: SystemSpec, config=None) -> Verdict:
         if all(ok for _, ok in checks):
             data = {"intersection": inter, "n": n, "exponent": exponent, "checks": checks}
             lemma = _cert(KIND_SYSTEM_INTERSECTION, "S2" if n % 4 else "S3", data)
-    # a row with a + b = 0 makes the product B of `_reduce_system` 0, so no
-    # prime qualifies
-    bad = _reduce_system(sys_spec.rows, union)
-    certs, _ = _q_obstruction(inter, n, 0, bad, lemma, "S4", {"system": True}, witness_bound)
+    # a row with a + b = 0 makes the product B of `witness._reduce_system`
+    # 0, so no prime qualifies
+    certs, _ = _q_obstruction(obstruction, n, lemma, "S4", {"system": True}, witness_bound)
     if lemma is not None:
         pending = ["Q:system:scope-Z-only"]
     elif certs:
@@ -564,22 +557,14 @@ def _reverify_cert(subject, cert: Certificate, pairs) -> bool:
                 return False
         return True
     if cert.kind == KIND_WITNESS:
-        w: WitnessPrime = data["witness"]
+        # a system's witness is checked by `witness.verify_system_witness`,
+        # which makes the same `_witness_holds` check on its obstruction
         if data.get("system"):
-            return verify_system_witness(w, subject.rows, subject.n)
-        if not verify_witness(w):
-            return False
-        if any(flag for _, flag in w.targets):
-            return False
-        stored = [(q.numerator, q.denominator) for q, _ in w.targets]
-        if stored != _ordered(pairs):
-            return False
-        if w.n != subject.n:
-            return False
-        need = max(abs(subject.a) + abs(subject.b), abs(subject.c))
-        if data["min_exclusive"] != need:
-            return False
-        return w.p > need and w.lower_bound_satisfied
+            return verify_system_witness(data["witness"], subject.rows, subject.n)
+        obstruction = _equation_obstruction(subject.a, subject.b, subject.c, subject.ratios)
+        return data["min_exclusive"] == obstruction[1] and _witness_holds(
+            data["witness"], subject.n, *obstruction
+        )
     if cert.kind == KIND_PADIC:
         p, n = data["p"], data["n"]
         if n != subject.n:

@@ -105,16 +105,11 @@ class SearchBox:
         return vs
 
 
-def rational_box_values(box: SearchBox) -> list[Fraction]:
-    """All fractions num/den with num, den drawn from the box (den != 0),
-    deduplicated and sorted.  Small boxes only."""
-    return _box(box, True)[0]
-
-
 def _box(box: SearchBox, rational: bool) -> tuple[list, list | None]:
     """The values a scan walks and, for a rational box, the reduced integer
     pairs (num, den) with den > 0 they are made from (None for an integer
-    box).
+    box).  A rational box's values are every fraction num/den with num and
+    den drawn from the box (den != 0), deduplicated and sorted.
 
     Each rational value is hashed and sorted as a pair, and its Fraction is
     made once.  The sort key num / den is exact while every
@@ -519,7 +514,7 @@ def verify_system_no_mono(system, spec, box: SearchBox, rational: bool = False) 
     (rows have disjoint variables), and a class stops at its first row
     without a solution; a row whose unit congruence (_live_test) rules the
     class out is not joined and counts as a join without a hit.  rational
-    scans the values of rational_box_values in place of the integers.
+    scans the rational values of `_box` in place of the integers.
     candidates_scanned stays the closed form rows * |values|^3;
     pairs_indexed and lookups count each row's full pair and probe space
     per class reached.  The classes come from the same per-process cache

@@ -98,25 +98,11 @@ def _hits_outside(counts: Counter, i: int, classes) -> bool:
     return not any(key[1 + i] == (1 if key[0] in classes else 2) for key in counts)
 
 
-def _span(gens, g: int, k: int) -> set:
-    """The subgroup of (Z/g)^k generated by `gens`."""
-    span = {(0,) * k}
-    for v in gens:
-        v = tuple(x % g for x in v)
-        if v in span:
-            continue
-        # H + <v> is the union of H + j*v up to the first j*v already in H
-        steps, m = [(0,) * k], v
-        while m not in span:
-            steps.append(m)
-            m = tuple((x + y) % g for x, y in zip(m, v))
-        span = {tuple(map(mod, map(add, h, s), repeat(g))) for h in span for s in steps}
-    return span
-
-
 def _span_walk(gens, g: int, k: int):
-    """The elements of `_span(gens, g, k)`, each yielded once, as it is
-    added: the new cosets H + j*v of each generator v in turn."""
+    """The elements of the subgroup of (Z/g)^k generated by `gens`, each
+    yielded once, as it is added: H + <v> is the union of the cosets
+    H + j*v up to the first j*v already in H, and the new ones are walked
+    for each generator v in turn."""
     zero = (0,) * k
     span, seen = [zero], {zero}
     yield zero
@@ -247,9 +233,9 @@ def residue_pattern_densities(targets, n: int) -> dict | None:
     """Exact density among all primes of each residue pattern of the targets,
     as {flags: Fraction} over the patterns that occur; flags[i] says whether
     targets[i] is an n-th power residue, as in the surveys.  The model is
-    that of `_residue_model`, with each g's subgroup built once by `_span`;
-    the counts stay integers over one common denominator until each
-    pattern's density is taken.
+    that of `_residue_model`, with each g's subgroup walked once by
+    `_span_walk`; the counts stay integers over one common denominator
+    until each pattern's density is taken.
 
     None when n > MAX_PREDICTED_N or with more than MAX_PREDICTED_TARGETS
     targets.
@@ -261,7 +247,7 @@ def residue_pattern_densities(targets, n: int) -> dict | None:
     spans = {}
     for g, target in cosets:
         if g not in spans:
-            spans[g] = _span(gens[g], g, len(target))
+            spans[g] = list(_span_walk(gens[g], g, len(target)))
     sizes = {g: len(span) for g, span in spans.items()}
     whole = lcm(*sizes.values())
     tallies = Counter()

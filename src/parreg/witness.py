@@ -338,8 +338,26 @@ def verify_witness(w: WitnessPrime) -> bool:
     return True
 
 
+def _witness_holds(w: WitnessPrime, k: int, targets, threshold: int, bad: int) -> bool:
+    """Whether w proves the unit-colouring obstruction (targets, k,
+    threshold, bad): its prime p exceeds threshold, with the lower bound
+    marked met, and does not divide bad; it stores exactly the targets,
+    each flagged False, at exponent k; and `verify_witness` recomputes
+    those flags and tests p.  This is the one check of every witness
+    certificate, for equations and systems alike."""
+    p = _as_int(w.p)
+    return (
+        w.n == k
+        and w.targets == tuple((t, False) for t in targets)
+        and threshold < p
+        and w.lower_bound_satisfied is True
+        and bad % p != 0
+        and verify_witness(w)
+    )
+
+
 # ---------------------------------------------------------------------------
-# Systems
+# The obstruction's inputs for equations and systems
 
 
 def _ratio_pairs(a: int, b: int, c: int) -> tuple[tuple[int, int], ...]:
@@ -362,6 +380,19 @@ def _ordered(pairs) -> list[tuple[int, int]]:
     return sorted(pairs, key=lambda t: t[0] * (common // t[1]))
 
 
+def _equation_obstruction(a: int, b: int, c: int, ratios) -> tuple[tuple, int, int]:
+    """The obstruction's (targets, threshold, bad) for a*x + b*y =
+    c*w^m*z^n, given its ratios a/c, b/c and (a+b)/c as Fractions: the
+    distinct ratios in increasing order, max(|a| + |b|, |c|), which a
+    witness prime must exceed, and the product of the targets' numerators
+    and denominators.  The ratios are deduped and ordered as (num, den)
+    pairs (`_ordered`), so no Fraction is made, hashed or compared."""
+    by_pair = {(q.numerator, q.denominator): q for q in ratios}
+    pairs = _ordered(by_pair)
+    targets = tuple(map(by_pair.__getitem__, pairs))
+    return targets, max(abs(a) + abs(b), abs(c)), prod(map(prod, pairs))
+
+
 def _union_intersection(rows) -> tuple[list[tuple[int, int]], tuple[Fraction, ...]]:
     """The union of the rows' ratio sets as reduced (num, den) pairs, and
     their intersection as Fractions, both in increasing order.
@@ -373,32 +404,6 @@ def _union_intersection(rows) -> tuple[list[tuple[int, int]], tuple[Fraction, ..
     inter = sets[0].intersection(*sets[1:])
     union = _ordered(set().union(*sets))
     return union, tuple(Fraction(*t) for t in union if t in inter)
-
-
-def _system_conditions(p: int, rows, union, inter, n: int) -> tuple[bool, bool, bool]:
-    """The three prime conditions of the system obstruction theorem.
-
-    (i)  no a_i, b_i, c_i, a_i+b_i vanishes mod p;
-    (ii) distinct members of the row-ratio union stay distinct mod p;
-    (iii) no member of the intersection is an n-th power residue mod p.
-
-    union holds (num, den) pairs and inter rationals, as
-    `_union_intersection` returns them.
-    """
-    for a, b, c in rows:
-        for v in (a, b, c, a + b):
-            if v % p == 0:
-                return (False, True, True)
-    residues = set()
-    for num, den in union:
-        residues.add(num * pow(den, p - 2, p) % p)
-    if len(residues) != len(union):
-        return (True, False, True)
-    e = _euler_exponent(n, p)
-    for v in inter:
-        if _is_residue(v.numerator, v.denominator, e, p):
-            return (True, True, False)
-    return (True, True, True)
 
 
 def _reduce_system(rows, union) -> int:
@@ -419,6 +424,21 @@ def _reduce_system(rows, union) -> int:
         for nv, dv in union[i + 1 :]:
             bad *= nu * dv - nv * du
     return bad
+
+
+def _system_obstruction(rows) -> tuple[tuple, int, int]:
+    """The obstruction's (targets, threshold, bad) for a system of int rows:
+    the row-ratio intersection I, 0, and the product B of `_reduce_system`.
+    A prime p then meets the three conditions of the system obstruction
+    theorem when it does not divide B and no member of I is an n-th power
+    residue mod p:
+
+    (i)  no a_i, b_i, c_i, a_i+b_i vanishes mod p;
+    (ii) distinct members of the row-ratio union stay distinct mod p;
+    (iii) no member of I is an n-th power residue mod p.
+    """
+    union, inter = _union_intersection(rows)
+    return inter, 0, _reduce_system(rows, union)
 
 
 def find_system_witness(
@@ -444,19 +464,11 @@ def _system_search(rows, n, search_bound, decide_first=False):
         raise DegenerateInput("need at least one row")
     if _as_int(n) < 1:
         raise DegenerateInput("n must be >= 1")
-    union, inter = _union_intersection(rows)
-    bad = _reduce_system(rows, union)
-    return _search(inter, bad, n, 0, search_bound, decide_first)[0]
+    targets, threshold, bad = _system_obstruction(rows)
+    return _search(targets, bad, n, threshold, search_bound, decide_first)[0]
 
 
 def verify_system_witness(w: WitnessPrime, rows, n: int) -> bool:
-    """Recompute the three system conditions for the stored prime."""
-    if not is_probable_prime(w.p) or w.n != n:
-        return False
-    rows = _int_rows(rows)
-    union, inter = _union_intersection(rows)
-    if tuple(v for v, _ in w.targets) != inter:
-        return False
-    if any(flag for _, flag in w.targets):
-        return False
-    return all(_system_conditions(w.p, rows, union, inter, n))
+    """Recompute the three system conditions for the stored prime:
+    `_witness_holds` on the system's obstruction at exponent n."""
+    return _witness_holds(w, n, *_system_obstruction(_int_rows(rows)))

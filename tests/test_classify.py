@@ -14,6 +14,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 import parreg
 import parreg.classify as classify_module
-from parreg import arith, witness
+from parreg import arith, coloring, witness
 from parreg.arith import DegenerateInput, nth_power_in_Q
 from parreg.classify import (
     NOT_PR,
@@ -92,6 +93,23 @@ def test_system_spec_refuses_inexact_coefficients():
     for row in ((2.5, 3, 1), (Fraction(5, 2), 3, 1)):
         with pytest.raises(DegenerateInput):
             SystemSpec((row, (4, 1, 1)), 2)
+
+
+def test_bool_is_not_an_integer():
+    # True passed every integer check as 1: it coloured as 1, served as a
+    # factoring budget, a witness bound, a coefficient and an exponent
+    for fn in (
+        lambda: arith._as_int(True),
+        lambda: coloring.color_of(True, coloring.ValuationColoring(3)),
+        lambda: arith.factor(12, budget=True),
+        lambda: RunConfig(witness_bound=True),
+        lambda: EquationSpec(True, 3, 1, 1, 2),
+        lambda: EquationSpec(2, 3, 1, 1, True),
+        lambda: SystemSpec(((True, 2, 1), (1, 2, 1)), 2),
+        lambda: SystemSpec(((1, 2, 1), (1, 3, 1)), True),
+    ):
+        with pytest.raises(DegenerateInput):
+            fn()
 
 
 def test_system_spec_refuses_rows_that_are_not_triples():
@@ -579,6 +597,20 @@ def test_reverify_rejects_tampered_shared_power():
     assert not reverify(v)
 
 
+@pytest.mark.parametrize(
+    "subject",
+    [EquationSpec(2, 3, 1, 1, 2), SystemSpec(((4, 1, 1), (4, 3, 1)), 4)],
+)
+def test_reverify_rejects_a_witness_marked_below_its_threshold(subject):
+    # the system witness (S4, p = 13) was accepted with its lower bound
+    # marked unmet, which the equation witness (R7's, p = 43) was not
+    v = (classify_equation if isinstance(subject, EquationSpec) else classify_system)(subject)
+    assert reverify(v)
+    cert = witness_cert(v)
+    cert.data["witness"] = replace(cert.data["witness"], lower_bound_satisfied=False)
+    assert not reverify(v)
+
+
 def test_reverify_rejects_wrong_system_witness():
     v = classify_system(SystemSpec(((2, 3, 1), (2, 3, 1)), 2))
     w = witness_cert(v).data["witness"]
@@ -692,8 +724,12 @@ def test_every_equation_gets_a_checkable_verdict(a, b, c, m, n):
 )
 @settings(max_examples=300, deadline=None)
 def test_witness_targets_match_the_sorted_set(ratios):
-    # the oracle: Fractions hashed into a set and sorted by their compares
-    assert classify_module._witness_targets(ratios) == sorted(set(ratios))
+    # the oracle: Fractions hashed into a set and sorted by their compares;
+    # the coefficients set only the threshold
+    targets, threshold, bad = witness._equation_obstruction(2, -7, 3, ratios)
+    assert list(targets) == sorted(set(ratios))
+    assert threshold == 9
+    assert bad == prod(q.numerator * q.denominator for q in set(ratios))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from parreg.coloring import (
     _live_test,
     _scan_full_shard,
     color_of,
-    rational_box_values,
     verify_no_mono_solution,
     verify_system_no_mono,
 )
@@ -182,7 +181,7 @@ def test_box_values():
 
 
 def test_rational_box_values():
-    vals = rational_box_values(SearchBox(1, 3))
+    vals = _box(SearchBox(1, 3), True)[0]
     assert Fraction(1, 2) in vals and Fraction(3, 2) in vals
     assert len(vals) == len(set(vals))
     assert vals == sorted(vals)
@@ -234,7 +233,6 @@ def test_color_map_matches_color_of(spec, box_mode):
     got, pairs = _box(box, rational)
     assert got == values
     if rational:
-        assert rational_box_values(box) == values
         assert pairs == [(v.numerator, v.denominator) for v in values]
     literal = _color_outcome(lambda: [color_of(v, spec) for v in values])
     assert _color_outcome(lambda: _colors(values, spec, pairs)) == literal
@@ -384,7 +382,7 @@ def test_rational_mode():
     eq = EquationSpec(1, 1, 1, 1, 1)
     box = SearchBox(1, 3)
     rep = verify_no_mono_solution(eq, ValuationColoring(7), box, rational=True)
-    vals = rational_box_values(box)
+    vals = _box(box, True)[0]
     hits = oracle_scan(1, 1, 1, 1, 1, 7, vals)
     assert rep.solutions_found == len(hits)
     assert rep.found == (min(hits) if hits else None)

@@ -31,7 +31,6 @@ from parreg.density import (
     _joint_survey,
     _pass,
     _residue_model,
-    _span,
     _span_walk,
     _survey,
     _unit_table,
@@ -529,6 +528,23 @@ def test_nonresidue_decision_coordinate_branches():
     for qs in ([5, 40463, 40468], [Fraction(-1387, 8), Fraction(-1365, 8), Fraction(11, 4)]):
         assert (False,) * 3 in _factored_densities(qs, 11)
         assert nonresidue_pattern_occurs(qs, 11) is True, qs
+
+
+def _span(gens, g: int, k: int) -> set:
+    """The subgroup of (Z/g)^k generated by `gens`, as a set: the oracle of
+    `_span_walk`."""
+    span = {(0,) * k}
+    for v in gens:
+        v = tuple(x % g for x in v)
+        if v in span:
+            continue
+        # H + <v> is the union of H + j*v up to the first j*v already in H
+        steps, m = [(0,) * k], v
+        while m not in span:
+            steps.append(m)
+            m = tuple((x + y) % g for x, y in zip(m, v))
+        span = {tuple((x + y) % g for x, y in zip(h, s)) for h in span for s in steps}
+    return span
 
 
 @given(st.integers(1, 24), st.integers(1, 3), st.data())

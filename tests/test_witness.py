@@ -35,7 +35,6 @@ from parreg.witness import (
     _first_witness,
     _ratio_pairs,
     _reduce_system,
-    _system_conditions,
     _union_intersection,
     check_hypotheses,
     find_system_witness,
@@ -301,6 +300,31 @@ def test_union_intersection_matches_the_ratio_sets(rows):
     assert system_intersection(rows) == frozenset(inter)
 
 
+def _system_conditions(p, rows, union, inter, n):
+    """The three prime conditions of the system obstruction theorem, as
+    written, with Euler's criterion for (iii):
+
+    (i)  no a_i, b_i, c_i, a_i+b_i vanishes mod p;
+    (ii) distinct members of the row-ratio union stay distinct mod p;
+    (iii) no member of the intersection is an n-th power residue mod p.
+
+    union holds (num, den) pairs and inter rationals, as
+    `_union_intersection` returns them.
+    """
+    for a, b, c in rows:
+        for v in (a, b, c, a + b):
+            if v % p == 0:
+                return (False, True, True)
+    residues = {num * pow(den, p - 2, p) % p for num, den in union}
+    if len(residues) != len(union):
+        return (True, False, True)
+    e = (p - 1) // gcd(n, p - 1)
+    for v in inter:
+        if pow(v.numerator * pow(v.denominator, p - 2, p), e, p) == 1:
+            return (True, True, False)
+    return (True, True, True)
+
+
 def brute_system_witness(p, rows, n):
     union = set()
     for a, b, c in rows:
@@ -434,6 +458,19 @@ def test_integer_system_test_matches_literal_conditions(system):
     pairs = tuple((v.numerator, v.denominator) for v in inter)
     for p in sieve(2000).primes:
         assert (_first_witness([p], pairs, n, bad) == p) == all(
+            _system_conditions(p, rows, union, inter, n)
+        ), (p, rows, n)
+
+
+@given(systems())
+@settings(max_examples=60, deadline=None)
+def test_verify_system_witness_matches_literal_conditions(system):
+    # an all-False witness at p verifies exactly where (i)-(iii) hold
+    rows, n = system
+    union, inter = _union_intersection(rows)
+    targets = tuple((q, False) for q in inter)
+    for p in sieve(2000).primes:
+        assert verify_system_witness(WitnessPrime(p, n, targets, True), rows, n) == all(
             _system_conditions(p, rows, union, inter, n)
         ), (p, rows, n)
 

@@ -22,11 +22,12 @@ import struct
 from array import array
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, cycle, islice, repeat
+from functools import cached_property
+from itertools import chain, compress, cycle, repeat
 from math import gcd, isqrt, lcm, log2
-from operator import and_, floordiv, itemgetter, lt, mod, mul, not_, rshift, sub
+from operator import and_, floordiv, itemgetter, mod, mul, not_, rshift, sub
 
 TRIAL_DIVISION_BOUND = 10**6
 DEFAULT_FACTOR_BUDGET = 2**20
@@ -73,9 +74,11 @@ class BadReduction(ParregError):
 
 
 def _as_rat(q) -> Fraction:
+    """q itself when it is a Fraction, an int as a Fraction; a bool, as in
+    `_as_int`, and anything else is refused."""
     if isinstance(q, Fraction):
         return q
-    if isinstance(q, int):
+    if isinstance(q, int) and q.__class__ is not bool:
         return Fraction(q)
     raise DegenerateInput(f"expected an exact rational, got {type(q).__name__}")
 
@@ -503,12 +506,11 @@ def _quadratic_tables(elements, terms, n: int, modulus: int) -> list[bytearray]:
     return tables
 
 
-def _dividing_states(signed, n: int, modulus: int, primes):
-    """(k, states of the targets) at each primes[k] dividing `modulus`, which
-    the tables leave out: all of them <= `modulus`, and among them every
-    prime dividing a target, which takes state 0.  The others take the
-    scalar Euler criterion."""
-    few = primes[: bisect_right(primes, modulus)]
+def _dividing_states(signed, n: int, modulus: int, few):
+    """(k, states of the targets) at each few[k] dividing `modulus`, which
+    the tables leave out, for `few` the primes <= `modulus` that are
+    counted: among them every prime dividing a target, which takes state 0.
+    The others take the scalar Euler criterion."""
     for k in compress(range(len(few)), map(not_, map(mod, repeat(modulus), few))):
         p = few[k]
         e = (p - 1) // gcd(n, p - 1)
@@ -521,7 +523,8 @@ def _table_columns(tables, signed, n: int, modulus: int, primes) -> list[bytes]:
     # the cutoff leaves at least 4 primes, so `pick` gives a tuple
     pick = itemgetter(*map(mod, primes, repeat(modulus)))
     cols = [bytearray(pick(table)) for table in tables]
-    for k, states in _dividing_states(signed, n, modulus, primes):
+    few = primes[: bisect_right(primes, modulus)]
+    for k, states in _dividing_states(signed, n, modulus, few):
         for col, state in zip(cols, states):
             col[k] = state
     return list(map(bytes, cols))
@@ -545,8 +548,9 @@ def _table_counts(tables, signed, n: int, modulus: int, s: PrimeSieve) -> Counte
     for key, count in zip(keys, s.class_counts(units, classes)):
         if count:
             counts[key] += count
-    for k, states in _dividing_states(signed, n, modulus, s.primes):
-        counts[(s.primes[k] % 24, *states)] += 1
+    few = tuple(s.primes_in(0, modulus))
+    for k, states in _dividing_states(signed, n, modulus, few):
+        counts[(few[k] % 24, *states)] += 1
     return counts
 
 
@@ -597,12 +601,13 @@ def _power_columns(elements, terms, n: int, primes) -> list[bytes]:
     return out
 
 
-def _residue_plan(qs, n: int, primes):
+def _residue_plan(qs, n: int, count: int):
     """The T values of qs, the elements and terms of `_residue_base`, and
-    the `_table_modulus`, which is 0 off the quadratic table."""
+    the `_table_modulus`, which is 0 off the quadratic table, for a survey
+    over `count` primes."""
     signed = [q.numerator * q.denominator ** max(n - 1, 1) for q in qs]
-    elements, terms = _residue_base(signed, n, len(primes))
-    return signed, elements, terms, _table_modulus(elements, n, len(primes))
+    elements, terms = _residue_base(signed, n, count)
+    return signed, elements, terms, _table_modulus(elements, n, count)
 
 
 def _residue_columns(qs, n: int, primes) -> list[bytes]:
@@ -624,7 +629,7 @@ def _residue_columns(qs, n: int, primes) -> list[bytes]:
     1, so the primes dividing s are set to 0 afterwards.  Every step maps a
     C function over the primes, so no bytecode runs per prime.
     """
-    signed, elements, terms, modulus = _residue_plan(qs, n, primes)
+    signed, elements, terms, modulus = _residue_plan(qs, n, len(primes))
     if not modulus:
         return _power_columns(elements, terms, n, primes)
     tables = _quadratic_tables(elements, terms, n, modulus)
@@ -641,7 +646,7 @@ def _residue_counts(qs, n: int, s: PrimeSieve) -> Counter:
     (`_table_counts`), with no column and no bytecode per prime.  Off the
     table the columns are zipped and counted.
     """
-    signed, elements, terms, modulus = _residue_plan(qs, n, s.primes)
+    signed, elements, terms, modulus = _residue_plan(qs, n, s.count)
     if not modulus:
         cols = _power_columns(elements, terms, n, s.primes)
     else:
@@ -653,7 +658,7 @@ def _residue_counts(qs, n: int, s: PrimeSieve) -> Counter:
         # at 1.5 (bounds 10^4 to 10^6; three targets 0.05-0.2 less), so it
         # takes the table's own cutoff, on lcm(L, 24), and past it the
         # columns are zipped.
-        if lcm(modulus, 24) * _PRIMES_PER_CLASS <= len(s.primes):
+        if lcm(modulus, 24) * _PRIMES_PER_CLASS <= s.count:
             return _table_counts(tables, signed, n, modulus, s)
         cols = _table_columns(tables, signed, n, modulus, s.primes)
     return Counter(zip(map(mod, s.primes, repeat(24)), *cols))
@@ -717,28 +722,52 @@ def _is_qp_power(v: int, num: int, den: int, p: int, n: int) -> bool:
 # Prime sieve and its disk cache
 
 
-@dataclass(frozen=True)
 class PrimeSieve:
-    """All primes <= bound, ascending, and the odd-only flags of the sieve
-    that found them: flags[k] is 1 when 2k+1 is a prime, for 2k+1 <= bound.
-    A sieve cut from a larger one shares its flags, which then run past
-    bound.  The flags let `_table_counts` count the primes in a residue
-    class with one C-level slice; a sieve made without them (a loaded
-    file) rebuilds them from its primes, so every sieve carries them.
-    They stay out of equality and repr."""
+    """The primes <= bound, held as the odd-only flags of the sieve that
+    found them: flags[k] is 1 when 2k+1 is a prime, for 2k+1 <= bound.  A
+    sieve cut from a larger one shares its flags, which then run past
+    bound.  Every reader walks the flags: `primes_in` for a range of
+    primes, `count` for how many there are, `class_counts` for how many lie
+    in a residue class.  The tuple `primes` is built from them only when a
+    caller asks for it, and then kept.  Two sieves are equal when they hold
+    the same bound and primes; the flags past bound stay out of equality
+    and repr."""
 
-    bound: int
-    primes: tuple[int, ...]
-    flags: bytearray = field(default=None, compare=False, repr=False)
+    def __init__(self, bound: int, flags: bytearray):
+        self.bound = bound
+        self.flags = flags
+        self._cuts: dict[int, PrimeSieve] = {}
 
-    def __post_init__(self):
-        if self.flags is None:
-            # a plain loop: mapping flags.__setitem__ over the primes in C
-            # took 11.6 ms at 10^6, this loop 3.3 ms
-            flags = bytearray((self.bound + 1) // 2)
-            for p in islice(self.primes, 1, None):
-                flags[p >> 1] = 1
-            object.__setattr__(self, "flags", flags)
+    def __eq__(self, other):
+        if not isinstance(other, PrimeSieve):
+            return NotImplemented
+        # the flags up to bound are the primes
+        half = (self.bound + 1) // 2
+        return self.bound == other.bound and self.flags[:half] == other.flags[:half]
+
+    def __repr__(self):
+        return f"PrimeSieve(bound={self.bound!r}, primes={self.primes!r})"
+
+    @cached_property
+    def primes(self) -> tuple[int, ...]:
+        return _eratosthenes(self.bound, self.flags)
+
+    @cached_property
+    def count(self) -> int:
+        """The number of primes <= bound: 2 and the flags set up to bound."""
+        return (self.bound >= 2) + self.flags.count(1, 0, (self.bound + 1) // 2)
+
+    def primes_in(self, low: int, high: int):
+        """The primes p with low < p <= high, ascending, for high <= bound:
+        2, then the odd numbers whose flags are set, which `compress` picks
+        in C from a view of the flags, so nothing is copied and no bytecode
+        runs per candidate."""
+        if high > self.bound:
+            raise DegenerateInput(f"sieve bound {self.bound} < requested {high}")
+        first = max(low + 1, 3) | 1
+        view = memoryview(self.flags)[first >> 1 : (high + 1) >> 1]
+        odd = compress(range(first, high + 1, 2), view)
+        return chain((2,), odd) if low < 2 <= high else odd
 
     def class_counts(self, classes, modulus: int):
         """The number of primes <= bound in each odd class c of `classes`
@@ -750,11 +779,25 @@ class PrimeSieve:
         runs = map(self.flags.__getitem__, map(slice, starts, repeat(stop), repeat(step)))
         return map(bytearray.count, runs, repeat(1))
 
-    def primes_upto(self, b: int) -> tuple[int, ...]:
-        if b > self.bound:
-            raise DegenerateInput(f"sieve bound {self.bound} < requested {b}")
-        return self.primes[: bisect_right(self.primes, b)]
+    def cut(self, bound: int) -> PrimeSieve:
+        """The sieve of the primes <= bound, for bound <= self.bound, sharing
+        these flags.  Each bound is cut once, so its count and tuple are
+        made at most once; past _MAX_CUTS bounds the oldest cut is dropped."""
+        if bound == self.bound:
+            return self
+        cut = self._cuts.get(bound)
+        if cut is None:
+            if len(self._cuts) >= _MAX_CUTS:
+                del self._cuts[next(iter(self._cuts))]
+            cut = self._cuts[bound] = PrimeSieve(bound, self.flags)
+        return cut
 
+
+# A process cuts few bounds: the witness and survey bounds, 2n for the fixed
+# primes of a density model, and the bit lengths `_perfect_power` roots by
+# (11 in `reproduce` after three seeds of `corpus`, held at 10^6).  The cap
+# bounds what a sweep over many bounds would keep, each cut with its tuple.
+_MAX_CUTS = 64
 
 _sieve_cache: PrimeSieve | None = None
 
@@ -775,8 +818,8 @@ def _odd_flags(bound: int) -> bytearray:
 
 def _eratosthenes(bound: int, flags: bytearray | None = None) -> tuple[int, ...]:
     """Primes <= bound: 2 and the odd numbers that `_odd_flags(bound)` keeps,
-    which `compress` picks in C, so no bytecode runs per candidate.  `sieve`
-    passes the flags it keeps on the PrimeSieve; without them they are
+    which `compress` picks in C, so no bytecode runs per candidate.
+    `PrimeSieve.primes` passes the flags it holds; without them they are
     built here."""
     if bound < 2:
         return ()
@@ -788,16 +831,13 @@ def _eratosthenes(bound: int, flags: bytearray | None = None) -> tuple[int, ...]
 def sieve(bound: int) -> PrimeSieve:
     """Primes up to `bound`: the one source of primes for every search and
     survey.  The largest sieve built or loaded so far is kept in memory, and
-    a smaller one shares its primes and flags."""
+    a smaller one is its `cut`."""
     global _sieve_cache
     if _as_int(bound) < 0:
         raise DegenerateInput("bound must be >= 0")
     if _sieve_cache is None or _sieve_cache.bound < bound:
-        flags = _odd_flags(bound)
-        _sieve_cache = PrimeSieve(bound, _eratosthenes(bound, flags), flags)
-    if _sieve_cache.bound == bound:
-        return _sieve_cache
-    return PrimeSieve(bound, _sieve_cache.primes_upto(bound), _sieve_cache.flags)
+        _sieve_cache = PrimeSieve(bound, _odd_flags(bound))
+    return _sieve_cache.cut(bound)
 
 
 def save_sieve(s: PrimeSieve, path: str) -> None:
@@ -805,13 +845,13 @@ def save_sieve(s: PrimeSieve, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(_SIEVE_MAGIC)
         fh.write(struct.pack("<Q", s.bound))
-        fh.write(array("Q", s.primes).tobytes())
+        fh.write(array("Q", s.primes_in(0, s.bound)).tobytes())
 
 
 def load_sieve(path: str) -> PrimeSieve:
     """Read a `save_sieve` file.  DegenerateInput unless it is well formed:
-    the body whole 8-byte words, strictly ascending from 2 and, as Bertrand's
-    postulate demands of a complete list, ending at a prime in (bound/2, bound].
+    the body whole 8-byte words listing exactly the primes up to the bound,
+    which the flags of `_odd_flags(bound)` give; those flags are the sieve.
     """
     with open(path, "rb") as fh:
         head = fh.read(16)
@@ -821,18 +861,14 @@ def load_sieve(path: str) -> PrimeSieve:
     (bound,) = struct.unpack("<Q", head[8:])
     data = array("Q")
     data.frombytes(body)
-    primes = tuple(data)
-    if bound < 2:
-        whole = not primes
-    else:
-        whole = (
-            primes[:1] == (2,)
-            and bound < 2 * primes[-1] <= 2 * bound
-            and all(map(lt, primes, primes[1:]))
-        )
-    if not whole:
-        raise DegenerateInput(f"{path}: truncated or corrupt sieve cache")
-    return PrimeSieve(bound=bound, primes=primes)
+    # pi(x) > x / ln x from x = 17 on, and ln x < 45 below 2^64, so a whole
+    # list holds more than bound/64 - 1 primes: a bound past that is refused
+    # before any flags are made for it
+    if bound <= 64 * len(data) + 1:
+        s = PrimeSieve(bound, _odd_flags(bound))
+        if data == array("Q", s.primes_in(0, bound)):
+            return s
+    raise DegenerateInput(f"{path}: truncated or corrupt sieve cache")
 
 
 def load_or_build_sieve(path: str, bound: int) -> PrimeSieve:

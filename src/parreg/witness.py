@@ -5,10 +5,9 @@ that guarantee such primes exist.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice, takewhile
 from math import gcd, isqrt, lcm, prod
 
 from .arith import (
@@ -244,31 +243,32 @@ def _search(ts, bad, n, min_exclusive, search_bound, decide_first=False):
     untested candidates dividing 2n, which the decision does not cover,
     are tested, and with none of them a witness the result is None and
     the second item is True.  Otherwise the rest of the range is scanned in
-    this process, in order.
+    this process, in order.  The candidates are read from the sieve's flags
+    as they are tested (`PrimeSieve.primes_in`): no tuple of primes is built.
 
     This is the one witness search: the public finders reach it through
     `_witness_search` and `_system_search`, and `classify` calls it
     directly, for equations and systems alike (`classify._q_obstruction`).
     """
-    primes = sieve(search_bound).primes
-    start = bisect_right(primes, min_exclusive)
+    # the candidates, in (min_exclusive, search_bound], read from the flags
+    candidates = sieve(search_bound).primes_in(min_exclusive, search_bound)
     pairs = tuple((t.numerator, t.denominator) for t in ts)
     # bad == 0 (a system row with a + b = 0) leaves no prime to qualify, and
     # with no targets every prime not dividing bad does: neither is decided
     decidable = bool(ts) and bad != 0
-    if decide_first and decidable:
-        cut, found = start, None
-    else:
-        cut = start + _DECIDE_AFTER
-        found = _first_witness(primes[start:cut], pairs, n, bad)
-    more = found is None and cut < len(primes) and bad != 0
+    found = None
+    if not (decide_first and decidable):
+        found = _first_witness(islice(candidates, _DECIDE_AFTER), pairs, n, bad)
+    # the first candidate the prefix left untested, if any
+    after = next(candidates, None) if found is None else None
+    more = after is not None and bad != 0
     decided = more and decidable and _no_witness_exists(ts, n)
+    untested = chain((after,), candidates) if more else ()
     if decided:
-        untested = primes[cut : bisect_right(primes, 2 * n)]
-        divisors = [p for p in untested if 2 * n % p == 0]
-        found = _first_witness(divisors, pairs, n, bad)
+        upto = takewhile((2 * n).__ge__, untested)
+        found = _first_witness([p for p in upto if 2 * n % p == 0], pairs, n, bad)
     elif more:
-        found = _first_witness(islice(primes, cut, None), pairs, n, bad)
+        found = _first_witness(untested, pairs, n, bad)
     if found is None:
         return None, decided
     return WitnessPrime(

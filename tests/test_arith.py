@@ -5,12 +5,15 @@ file (naive primality, residue-set enumeration, Hensel-precision power sets),
 never from the functions under test.
 """
 
+import struct
+from array import array
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm, prod
 from operator import lt, mod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +44,7 @@ from parreg.arith import (
     save_sieve,
     sieve,
 )
-from parreg.classify import _padic_case
+from parreg.classify import EquationSpec, _padic_case, classify_equation, reverify
 from parreg.density import _pass
 
 # ---------------------------------------------------------------------------
@@ -541,7 +544,7 @@ def test_sieve_matches_naive():
     assert list(s.primes) == naive_primes(1000)
     for k in (997, 1000):
         assert (k in s.primes) == naive_is_prime(k)
-    assert s.primes_upto(100) == tuple(naive_primes(100))
+    assert tuple(s.primes_in(0, 100)) == tuple(naive_primes(100))
 
 
 def test_eratosthenes_matches_trial_division():
@@ -579,6 +582,83 @@ def test_sieve_bad_file(tmp_path):
         load_sieve(str(path))
 
 
+def _write_sieve(path, bound, primes):
+    with open(path, "wb") as fh:
+        fh.write(arith._SIEVE_MAGIC + struct.pack("<Q", bound) + array("Q", primes).tobytes())
+
+
+@pytest.mark.parametrize("damage", ["composites-added", "prime-removed"])
+def test_load_refuses_a_list_that_is_not_the_primes(tmp_path, monkeypatch, damage):
+    # a list ascending from 2 to a prime in (bound/2, bound] loaded with
+    # composites inserted or a prime left out, and a witness search then
+    # certified 9 as a prime
+    want = naive_primes(10**4)
+    if damage == "composites-added":
+        primes = sorted(want + [9, 15, 21, 25, 27, 33, 35, 39])
+    else:
+        primes = [p for p in want if p != 97]
+    path = str(tmp_path / "bad.sieve")
+    _write_sieve(path, 10**4, primes)
+    with pytest.raises(DegenerateInput):
+        load_sieve(path)
+    # named as a cache, the file is rebuilt and no certificate rests on it
+    monkeypatch.setattr(arith, "_sieve_cache", None)
+    assert load_or_build_sieve(path, 10**4).primes == tuple(want)
+    assert load_sieve(path).primes == tuple(want)
+    v = classify_equation(EquationSpec(2, 4, 1, 1, 4), config=SimpleNamespace(witness_bound=10**4))
+    assert reverify(v)
+    assert all(naive_is_prime(c.data["witness"].p) for c in v.certificates if c.kind == "witness")
+
+
+def test_load_refuses_a_bound_the_list_cannot_reach(tmp_path):
+    # a whole list holds more than bound/64 - 1 primes: a header bound past
+    # that is refused before flags for it are made
+    path = str(tmp_path / "big.sieve")
+    _write_sieve(path, 2**62, [2, 3])
+    with pytest.raises(DegenerateInput):
+        load_sieve(path)
+    for bound in (0, 1, 2, 17, 1000):
+        _write_sieve(path, bound, naive_primes(bound))
+        assert load_sieve(path) == PrimeSieve(bound, arith._odd_flags(bound))
+
+
+_NAIVE = naive_primes(5000)
+
+
+@given(st.integers(0, 5000), st.data())
+@settings(max_examples=80, deadline=None)
+def test_primes_read_from_the_flags_match_naive(bound, data):
+    # a sieve's tuple, count and ranges, and those of a cut sharing its
+    # flags, against trial division
+    s = PrimeSieve(bound, arith._odd_flags(bound))
+    b = data.draw(st.integers(0, bound), label="cut")
+    high = data.draw(st.integers(0, b), label="high")
+    low = data.draw(st.integers(-3, high + 3), label="low")
+    cut = s.cut(b)
+    assert s.cut(b) is cut and cut.flags is s.flags
+    for t in (s, cut):
+        want = _NAIVE[: bisect_right(_NAIVE, t.bound)]
+        assert t.primes == tuple(want) and t.count == len(want)
+        assert list(t.primes_in(low, t.bound)) == [p for p in want if p > low]
+        assert list(t.primes_in(low, high)) == [p for p in want if low < p <= high]
+
+
+def test_cuts_are_made_once_per_bound(monkeypatch):
+    # a smaller sieve is a cut of the held one, made once per bound with its
+    # count; past _MAX_CUTS bounds the oldest cut is dropped
+    monkeypatch.setattr(arith, "_sieve_cache", None)
+    held = sieve(10**4)
+    cut = sieve(500)
+    assert sieve(500) is cut and cut.flags is held.flags and sieve(10**4) is held
+    assert cut.count == 95 and "primes" not in vars(held)
+    for b in range(1, arith._MAX_CUTS + 1):
+        sieve(b)
+    assert len(held._cuts) == arith._MAX_CUTS and 500 not in held._cuts
+    # a larger bound replaces the held sieve, and its cuts with it
+    bigger = sieve(2 * 10**4)
+    assert sieve(500) is bigger.cut(500) and sieve(500) is not cut and sieve(500) == cut
+
+
 def test_load_or_build_upgrades(tmp_path):
     path = str(tmp_path / "cache.sieve")
     small = load_or_build_sieve(path, 100)
@@ -591,9 +671,9 @@ def test_load_or_build_upgrades(tmp_path):
 
 
 def test_sieve_bound_errors():
-    s = PrimeSieve(bound=10, primes=(2, 3, 5, 7))
+    s = PrimeSieve(10, arith._odd_flags(10))
     with pytest.raises(DegenerateInput):
-        s.primes_upto(100)
+        s.primes_in(0, 100)
     with pytest.raises(DegenerateInput):
         sieve(50.0)
 
@@ -824,7 +904,7 @@ def test_class_counts_from_flags_match_the_primes(flag_sieves, case):
     # one, and 24 and 48, on sieves built, loaded and cut from a larger one,
     # against the primes themselves
     qs, n, bound = case
-    table = arith._residue_plan(qs, n, sieve(bound).primes)[3]
+    table = arith._residue_plan(qs, n, sieve(bound).count)[3]
     moduli = {lcm(table or 1, 24), 24, 48}
     for b, (built, loaded, cut) in flag_sieves.items():
         assert built.primes == tuple(naive_primes(b))
@@ -838,14 +918,18 @@ def test_class_counts_from_flags_match_the_primes(flag_sieves, case):
 
 
 def test_every_sieve_carries_its_flags():
-    # a sieve made from its primes alone scatters them into flags, which
-    # stay out of equality and repr
-    s = PrimeSieve(bound=10, primes=(2, 3, 5, 7))
-    assert s.flags == bytearray((0, 1, 1, 1, 0))
-    assert s == PrimeSieve(10, (2, 3, 5, 7), bytearray(5)) and "flags" not in repr(s)
+    # a sieve is its flags: its primes, their count and every range of them
+    # are read from the flags, and the flags past its bound stay out of
+    # equality and repr
+    s = PrimeSieve(10, bytearray((0, 1, 1, 1, 0)))
+    assert s.primes == (2, 3, 5, 7) and s.count == 4
+    assert tuple(s.primes_in(2, 7)) == (3, 5, 7)
+    assert s == PrimeSieve(10, arith._odd_flags(30)) and "flags" not in repr(s)
+    assert repr(s) == "PrimeSieve(bound=10, primes=(2, 3, 5, 7))"
+    assert s != PrimeSieve(10, bytearray((0, 1, 1, 0, 0))) and s != PrimeSieve(9, s.flags)
     flags = arith._odd_flags(10**4)
     assert _eratosthenes(10**4, flags) == _eratosthenes(10**4)
-    assert PrimeSieve(10**4, _eratosthenes(10**4)).flags == flags
+    assert PrimeSieve(10**4, flags).primes == _eratosthenes(10**4)
 
 
 def test_lone_negative_target_takes_the_quadratic_table(monkeypatch, folds):

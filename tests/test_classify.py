@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import parreg
 import parreg.classify as classify_module
-from parreg import arith, coloring, witness
+from parreg import arith, coloring, radolinear, witness
 from parreg.arith import DegenerateInput, nth_power_in_Q
 from parreg.classify import (
     NOT_PR,
@@ -107,6 +107,11 @@ def test_bool_is_not_an_integer():
         lambda: EquationSpec(2, 3, 1, 1, True),
         lambda: SystemSpec(((True, 2, 1), (1, 2, 1)), 2),
         lambda: SystemSpec(((1, 2, 1), (1, 3, 1)), True),
+        # and every rational check took it as the rational 1
+        lambda: arith._as_rat(True),
+        lambda: nth_power_in_Q(True, 2),
+        lambda: witness.find_witness_prime([True, 2], 2, search_bound=100),
+        lambda: radolinear.QMatrix.from_rows([[True, 2]]),
     ):
         with pytest.raises(DegenerateInput):
             fn()
@@ -841,6 +846,33 @@ def test_corpus_reports_are_pinned():
         h.update(canonical_json(report(command, config, v)).encode())
     assert {"R2", "R4", "R5", "R6", "R7", "R8", "S2", "S3"} <= rules
     assert h.hexdigest() == "8f7b3834b5453e984c9a04bd11f00dfdd48f998d3493509f3c96929b7b4f5e88"
+
+
+# the seven equations of the reproduction table
+FIXTURE_EQUATIONS = [
+    EquationSpec(3, 13, 1, 1, 8),
+    EquationSpec(16, 16, 1, 1, 8),
+    EquationSpec(60, 90, 1, 1, 2),
+    EquationSpec(81, 729, 1, 1, 12),
+    EquationSpec(32400, 57600, 1, 1, 4),
+    EquationSpec(16, 17, 1, 1, 8),
+    EquationSpec(33, 4063, 1, 1, 8),
+]
+
+
+def test_classify_reads_the_sieve_flags_not_a_prime_tuple(monkeypatch):
+    # the witness searches and the residue counts walk the flags of the
+    # 10^6 sieve, so classifying and re-verifying never builds its tuple of
+    # 78,498 primes
+    monkeypatch.setattr(arith, "_sieve_cache", None)
+    held = arith.sieve(10**6)
+    config = RunConfig(output="json")
+    subjects = [("classify", eq) for eq in FIXTURE_EQUATIONS]
+    subjects += corpus_subjects(1, 200)
+    for command, subject in subjects:
+        classify = classify_equation if command == "classify" else classify_system
+        assert reverify(classify(subject, config=config))
+    assert arith._sieve_cache is held and "primes" not in vars(held)
 
 
 def counting_roots(monkeypatch, modules):

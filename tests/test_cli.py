@@ -675,21 +675,27 @@ def test_sieve_cache_env(tmp_path, monkeypatch):
 
 
 def test_sieve_cache_serves_every_search(tmp_path, monkeypatch):
+    # the file holds primes to 6000, past the 5000 and 4000 asked for, so a
+    # run that reads it sieves to 6000, to check it, and no further
     cache = str(tmp_path / "primes.bin")
-    witness = ["witness", "2", "2", "3", "5", "--bound", "5000", "--sieve-cache", cache]
-    assert run(witness)[0] == EXIT_OK
+    save_sieve(arith.sieve(6000), cache)
+    sieved = []
+    odd_flags = arith._odd_flags
 
-    def unavailable(bound):
-        raise AssertionError("a search built primes instead of reading the cache")
+    def counted(bound):
+        sieved.append(bound)
+        return odd_flags(bound)
 
+    monkeypatch.setattr(arith, "_odd_flags", counted)
     # the process-wide sieve outlives tests: start each run without one
-    monkeypatch.setattr(arith, "_eratosthenes", unavailable)
     monkeypatch.setattr(arith, "_sieve_cache", None)
-    code, text = run(witness)
+    code, text = run(["witness", "2", "2", "3", "5", "--bound", "5000", "--sieve-cache", cache])
     assert code == EXIT_OK and "witness prime 43" in text
+    assert sieved == [6000] and arith._sieve_cache.bound == 6000
     monkeypatch.setattr(arith, "_sieve_cache", None)
     code, text = run(["density", "2", "2", "--bound", "4000", "--sieve-cache", cache])
     assert code == EXIT_OK and "admissible=549" in text
+    assert sieved == [6000, 6000] and arith._sieve_cache.bound == 6000
 
 
 def _cut_by_3(path):

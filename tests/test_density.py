@@ -214,12 +214,13 @@ def test_explicit_sieve_gives_same_answer(tmp_path, monkeypatch):
     save_sieve(sieve(2000), path)
 
     def unavailable(bound):
-        raise AssertionError("the survey built primes instead of reading the file")
+        raise AssertionError("the survey built a sieve instead of reading the file")
 
-    # the process-wide sieve outlives tests: start from the file alone
-    monkeypatch.setattr(arith, "_eratosthenes", unavailable)
+    # the process-wide sieve outlives tests: start from the file alone, whose
+    # load sieves once to check it; no sieve is built after that
     monkeypatch.setattr(arith, "_sieve_cache", None)
     load_or_build_sieve(path, 2000)
+    monkeypatch.setattr(arith, "_odd_flags", unavailable)
     assert survey(2, 3, 2000) == expected
 
 

@@ -7,6 +7,7 @@ produced by those oracles, not by the code under test.
 import concurrent.futures
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import islice
 from math import gcd, prod
 from types import SimpleNamespace
 
@@ -225,12 +226,13 @@ def test_explicit_sieve_reuse(tmp_path, monkeypatch):
     save_sieve(sieve(10**4), path)
 
     def unavailable(bound):
-        raise AssertionError("the search built primes instead of reading the file")
+        raise AssertionError("the search built a sieve instead of reading the file")
 
-    # the process-wide sieve outlives tests: start from the file alone
-    monkeypatch.setattr(arith, "_eratosthenes", unavailable)
+    # the process-wide sieve outlives tests: start from the file alone, whose
+    # load sieves once to check it; no sieve is built after that
     monkeypatch.setattr(arith, "_sieve_cache", None)
     load_or_build_sieve(path, 10**4)
+    monkeypatch.setattr(arith, "_odd_flags", unavailable)
     w = find_witness_prime([2, 3, 5], 2, search_bound=10**4)
     assert w is not None and w.p == 43
 
@@ -659,6 +661,79 @@ def test_decision_prefix_holds_every_prime_dividing_2n():
             assert {p for p in small if p > lo} <= prefix, (n, lo)
         # systems scan from p = 2
         assert set(small) <= set(primes[:_DECIDE_AFTER]), n
+
+
+# ---------------------------------------------------------------------------
+# the flag-driven search against the index-based reference
+
+_REFERENCE_PRIMES = arith._eratosthenes(10**5)
+
+
+def reference_search(ts, bad, n, min_exclusive, search_bound, decide_first=False):
+    """The witness search as it read a tuple of primes by index (bisect,
+    slices, len(primes)): the literal reference for `witness._search`."""
+    primes = _REFERENCE_PRIMES[: bisect_right(_REFERENCE_PRIMES, search_bound)]
+    start = bisect_right(primes, min_exclusive)
+    pairs = tuple((t.numerator, t.denominator) for t in ts)
+    decidable = bool(ts) and bad != 0
+    if decide_first and decidable:
+        cut, found = start, None
+    else:
+        cut = start + _DECIDE_AFTER
+        found = _first_witness(primes[start:cut], pairs, n, bad)
+    more = found is None and cut < len(primes) and bad != 0
+    decided = more and decidable and witness._no_witness_exists(ts, n)
+    if decided:
+        untested = primes[cut : bisect_right(primes, 2 * n)]
+        divisors = [p for p in untested if 2 * n % p == 0]
+        found = _first_witness(divisors, pairs, n, bad)
+    elif more:
+        found = _first_witness(islice(primes, cut, None), pairs, n, bad)
+    if found is None:
+        return None, decided
+    return WitnessPrime(
+        p=found,
+        n=n,
+        targets=tuple((t, False) for t in ts),
+        lower_bound_satisfied=found > min_exclusive,
+    ), False
+
+
+_nonzero = st.integers(-3000, 3000).filter(bool)
+_search_targets = st.lists(
+    st.builds(Fraction, _nonzero, st.integers(1, 60)), max_size=3, unique=True
+)
+
+
+@given(
+    _search_targets,
+    st.integers(1, 30),
+    st.integers(2, 10**5),
+    st.integers(-2, 300),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([1, 7, 0]),
+    st.sampled_from([None, True, False]),
+)
+@settings(max_examples=150, deadline=None)
+@example([Fraction(prod(_REFERENCE_PRIMES[:_DECIDE_AFTER]))], 274, 10**4, 1, False, False, 1, True)
+@example([Fraction(2), Fraction(3)], 2, 100, 20, True, False, 1, None)
+def test_search_matches_the_index_based_reference(
+    ts, n, bound, offset, from_top, decide_first, k, decision
+):
+    # the same (witness, decided) over random targets, n and ranges, among
+    # them ranges (from_top) with fewer than _DECIDE_AFTER candidates, both
+    # orders, and bad times k, k = 0 among them; the decision is the real
+    # one or forced either way, so the tests of the primes dividing 2n
+    # after it run too
+    ts = tuple(ts)
+    low = bound - offset if from_top else offset
+    bad = k * prod(t.numerator * t.denominator for t in ts)
+    with pytest.MonkeyPatch.context() as mp:
+        if decision is not None:
+            mp.setattr(witness, "_no_witness_exists", lambda targets, n: decision)
+        want = reference_search(ts, bad, n, low, bound, decide_first)
+        assert witness._search(ts, bad, n, low, bound, decide_first) == want
 
 
 @pytest.fixture

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
@@ -59,7 +58,7 @@ from .radolinear import (
     columns_condition,
     verify_columns_certificate,
 )
-from .witness import WitnessPrime, find_witness_prime
+from .witness import DEFAULT_SEARCH_BOUND, WitnessPrime, find_witness_prime
 
 SCHEMA = "parreg-report/1"
 
@@ -71,7 +70,7 @@ EXIT_BUDGET = 3
 
 @dataclass(frozen=True)
 class RunConfig:
-    witness_bound: int = 10**6
+    witness_bound: int = DEFAULT_SEARCH_BOUND
     box_half_width: int = 300
     factor_budget: int = DEFAULT_FACTOR_BUDGET
     sieve_bound: int = 10**5
@@ -419,22 +418,17 @@ def read_rows_file(path: str):
 # Commands
 
 
-def _config_from(args, bound_field: str = "witness_bound") -> RunConfig:
-    """The command's `RunConfig`; `--bound` sets `bound_field`."""
-    bound = {} if args.bound is None else {bound_field: args.bound}
-    return RunConfig(
-        box_half_width=args.box if args.box is not None else 300,
-        factor_budget=DEFAULT_FACTOR_BUDGET,
-        output="json" if args.json else "text",
-        threads=args.threads if args.threads is not None else 1,
-        **bound,
-    )
+def _config_from(args) -> RunConfig:
+    """The command's `RunConfig`: the fields its options were given for,
+    and the defaults elsewhere."""
+    given = vars(args)
+    return RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
 
 
 def _load_sieve_cache(args, bound: int) -> None:
-    """With --sieve-cache or PARREG_SIEVE_CACHE, serve every search of the
-    process from that file (see `load_or_build_sieve`)."""
-    path = args.sieve_cache or os.environ.get("PARREG_SIEVE_CACHE")
+    """With --sieve-cache, serve every search of the process from that file
+    (see `load_or_build_sieve`)."""
+    path = getattr(args, "sieve_cache", None)
     if path:
         load_or_build_sieve(path, bound)
 
@@ -548,7 +542,7 @@ def _predicted(d) -> str:
 
 
 def cmd_density(args, out) -> int:
-    config = _config_from(args, "sieve_bound")
+    config = _config_from(args)
     targets = [parse_rational(t) for t in args.targets]
     bound = config.sieve_bound
     _load_sieve_cache(args, bound)
@@ -694,12 +688,24 @@ def cmd_reproduce(args, out) -> int:
 # Parser
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--bound", type=int, default=None, help="witness/prime search bound")
-    p.add_argument("--box", type=int, default=None, help="box half-width for scans")
-    p.add_argument("--json", action="store_true", help="emit a JSON report")
-    p.add_argument("--threads", type=int, default=None, help="worker processes of verify --engine full")
-    p.add_argument("--sieve-cache", default=None, help="prime sieve cache file")
+# The common options.  Each but --sieve-cache has for its dest the RunConfig
+# field it sets, and one not given leaves no attribute on args, so the field
+# keeps its one default (`_config_from`).
+_JSON = "--json", dict(action="store_const", const="json", dest="output", help="emit a JSON report")
+_BOX = "--box", dict(type=int, dest="box_half_width", metavar="BOX", help="box half-width")
+_THREADS = "--threads", dict(type=int, help="worker processes of --engine full")
+
+
+def _search(bound_field: str = "witness_bound") -> tuple:
+    """The common options of a command that walks primes; --bound sets
+    bound_field."""
+    bound = dict(type=int, dest=bound_field, metavar="BOUND", help="witness/prime search bound")
+    return ("--bound", bound), _JSON, ("--sieve-cache", dict(help="prime sieve cache file"))
+
+
+def _add_options(p: argparse.ArgumentParser, options) -> None:
+    for flag, kw in options:
+        p.add_argument(flag, default=argparse.SUPPRESS, **kw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -712,20 +718,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify one equation")
     for name in ("a", "b", "c", "m", "n"):
         p.add_argument(name, type=int)
-    _add_common(p)
+    _add_options(p, _search())
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("system", help="classify a system from a rows file")
     p.add_argument("rows_file")
     p.add_argument("n", type=int)
-    _add_common(p)
+    _add_options(p, _search())
     p.set_defaults(fn=cmd_system)
 
     p = sub.add_parser("witness", help="smallest witness prime for targets")
     p.add_argument("n", type=int)
     p.add_argument("targets", nargs="+")
     p.add_argument("--min-exclusive", type=int, default=1)
-    _add_common(p)
+    _add_options(p, _search())
     p.set_defaults(fn=cmd_witness)
 
     p = sub.add_parser("verify", help="exhaustive monochromatic-solution scan")
@@ -738,24 +744,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hi", type=int, default=None)
     p.add_argument("--engine", choices=("bucketed", "full"), default="bucketed")
     p.add_argument("--stop-on-find", action="store_true")
-    _add_common(p)
+    _add_options(p, [_BOX, _JSON, _THREADS])
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("columns", help="columns condition for a matrix file")
     p.add_argument("matrix_file")
-    _add_common(p)
+    _add_options(p, [_JSON])
     p.set_defaults(fn=cmd_columns)
 
     p = sub.add_parser("density", help="power-residue density survey")
     p.add_argument("n", type=int)
     p.add_argument("targets", nargs="+")
     p.add_argument("--csv", default=None, help="write per-prime rows to a CSV file")
-    _add_common(p)
+    _add_options(p, _search("sieve_bound"))
     p.set_defaults(fn=cmd_density)
 
     p = sub.add_parser("reproduce", help="re-run the regression table and diff")
     p.add_argument("--emit", action="store_true", help="print the current table")
-    _add_common(p)
+    _add_options(p, _search())
     p.set_defaults(fn=cmd_reproduce)
 
     return ap

@@ -368,13 +368,20 @@ def test_rat_decoding_matches_fraction_str(body):
 # config
 
 
-def test_config_validation():
+def _refused_by_config(argv, field, capsys) -> None:
+    """argv exits 2 with RunConfig's refusal of field, not argparse's."""
+    capsys.readouterr()
+    assert run(argv)[0] == EXIT_USAGE, argv
+    assert f"{field} must be positive" in capsys.readouterr().err, argv
+
+
+def test_config_validation(capsys):
     with pytest.raises(cli.DegenerateInput):
         RunConfig(witness_bound=0)
     with pytest.raises(cli.DegenerateInput):
         RunConfig(threads=-1)
-    assert run(["classify", "2", "3", "1", "1", "2", "--bound", "-5"])[0] == EXIT_USAGE
-    assert run(["classify", "2", "3", "1", "1", "2", "--threads", "-1"])[0] == EXIT_USAGE
+    _refused_by_config(["classify", "2", "3", "1", "1", "2", "--bound", "-5"], "witness_bound", capsys)
+    _refused_by_config(["verify", "2", "3", "1", "1", "2", "--p", "43", "--threads", "-1"], "threads", capsys)
     assert RunConfig(output="json").output == "json"
     for bad in ("JSON", "Text", "", "yaml"):
         with pytest.raises(cli.DegenerateInput):
@@ -390,10 +397,55 @@ def test_config_refuses_inexact_numbers():
                 RunConfig(**{name: bad})
 
 
-def test_zero_options_are_rejected():
-    for opt in ("--bound", "--box", "--threads"):
-        assert run(["classify", "2", "3", "1", "1", "2", opt, "0"])[0] == EXIT_USAGE, opt
-    assert run(["density", "2", "3", "--bound", "0"])[0] == EXIT_USAGE
+def test_zero_options_are_rejected(capsys):
+    verify = ["verify", "2", "3", "1", "1", "2", "--p", "43"]
+    _refused_by_config(verify + ["--box", "0"], "box_half_width", capsys)
+    _refused_by_config(verify + ["--threads", "0"], "threads", capsys)
+    _refused_by_config(["classify", "2", "3", "1", "1", "2", "--bound", "0"], "witness_bound", capsys)
+    _refused_by_config(["density", "2", "3", "--bound", "0"], "sieve_bound", capsys)
+
+
+# each subcommand, its positional arguments, and the common options it reads
+COMMANDS = {
+    "classify": (["2", "3", "1", "1", "2"], {"--bound", "--json", "--sieve-cache"}),
+    "system": (["rows.txt", "8"], {"--bound", "--json", "--sieve-cache"}),
+    "witness": (["2", "2", "3"], {"--bound", "--json", "--sieve-cache"}),
+    "verify": (["2", "3", "1", "1", "2", "--p", "43"], {"--box", "--json", "--threads"}),
+    "columns": (["matrix.txt"], {"--json"}),
+    "density": (["2", "3"], {"--bound", "--json", "--sieve-cache"}),
+    "reproduce": ([], {"--bound", "--json", "--sieve-cache"}),
+}
+# each common option, its argument, and what it sets: a RunConfig field
+# (--bound sets density's sieve bound) or, for --sieve-cache, args itself
+COMMON = {
+    "--bound": (["7"], "witness_bound", 7),
+    "--box": (["7"], "box_half_width", 7),
+    "--json": ([], "output", "json"),
+    "--threads": (["7"], "threads", 7),
+    "--sieve-cache": (["primes.bin"], "sieve_cache", "primes.bin"),
+}
+
+
+@pytest.mark.parametrize("option", sorted(COMMON))
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_each_command_takes_only_the_options_it_reads(command, option, capsys):
+    positional, reads = COMMANDS[command]
+    value, field, want = COMMON[option]
+    argv = [command] + positional + [option] + value
+    if option not in reads:
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {option}" in err and "Traceback" not in err
+        return
+    args = cli.build_parser().parse_args(argv)
+    if field == "sieve_cache":
+        assert args.sieve_cache == want
+        return
+    config = cli._config_from(args)
+    if command == "density" and field == "witness_bound":
+        field = "sieve_bound"
+    # the option sets its field and no other; the rest keep their defaults
+    assert asdict(config) == {**asdict(RunConfig()), field: want}
 
 
 def test_coefficients_above_witness_bound():
@@ -662,14 +714,6 @@ def test_sieve_cache_flag(tmp_path):
     code, text = run(
         ["witness", "2", "2", "3", "5", "--bound", "5000", "--sieve-cache", str(cache)]
     )
-    assert code == EXIT_OK and "witness prime 43" in text
-    assert cache.exists()
-
-
-def test_sieve_cache_env(tmp_path, monkeypatch):
-    cache = tmp_path / "env_primes.bin"
-    monkeypatch.setenv("PARREG_SIEVE_CACHE", str(cache))
-    code, text = run(["witness", "2", "2", "3", "5", "--bound", "5000"])
     assert code == EXIT_OK and "witness prime 43" in text
     assert cache.exists()
 

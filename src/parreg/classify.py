@@ -374,8 +374,7 @@ def _m1_track(
     try:
         candidates = _padic_candidates(gamma, factor_budget)
     except FactorizationBudgetExceeded:
-        candidates = []
-        pending.append("Z:padic:budget-exceeded")
+        return [], pending + ["Z:padic:budget-exceeded"]
     for p in candidates:
         a_holds, b_holds, v, unit, unit_ok, qp = _padic_case(gamma, ratios, p, n)
         if a_holds and b_holds:
@@ -387,13 +386,9 @@ def _m1_track(
                 "unit_is_residue": unit_ok,
                 "ratios_qp": qp,
             }
-            certs.append(_cert(KIND_PADIC, "R9", data))
-            pending.append("Q:padic:scope-Z-only")
-            break
-    else:
-        if candidates:
-            pending.append("Z:padic:no-candidate-fired")
-    return certs, pending
+            return [_cert(KIND_PADIC, "R9", data)], pending + ["Q:padic:scope-Z-only"]
+    # also with no candidate at all, as for gamma = -1, which has no prime
+    return [], pending + ["Z:padic:no-candidate-fired"]
 
 
 def classify_equation(eq: EquationSpec, config=None) -> Verdict:

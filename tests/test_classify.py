@@ -654,6 +654,20 @@ def test_threshold_above_witness_bound():
     )
 
 
+@pytest.mark.parametrize("subject", [EquationSpec(-1, 81, -80, 1, 2), EquationSpec(-4, 1, 3, 1, 2)])
+def test_gamma_minus_one_has_a_z_reason(subject):
+    # (a+b)/c = -1 at even n: factor(-1) gives no prime, so there is no
+    # p-adic candidate, and the UNKNOWN Z status had no Z: reason
+    v = classify_equation(subject)
+    assert statuses(v) == (UNKNOWN, UNKNOWN, UNKNOWN)
+    assert v.reasons == (
+        "Q:witness:hypotheses-unmet",
+        "Z:padic:no-candidate-fired",
+        "N:sign-analysis-inconclusive",
+    )
+    assert reverify(v)
+
+
 @pytest.mark.parametrize("bound", [11.0, 12.0, 0, -5])
 def test_classify_refuses_a_bad_witness_bound(bound):
     # the rule of RunConfig, whatever the threshold and the track: 11.0 and
@@ -759,7 +773,7 @@ def box_subjects():
     [
         (
             10**6,
-            "40e85a22deed45b6781b1841dd5f416b4cc4f26f1926f82cbd6acc18cbc34168",
+            "e1023f1bff0ddf96d2bff6d91ae201b5356e34fd6059e4ff80d87ad62a8aebae",
             {
                 (NOT_PR, NOT_PR, NOT_PR): 2781,
                 (NOT_PR, NOT_PR, UNKNOWN): 3784,
@@ -771,7 +785,7 @@ def box_subjects():
         ),
         (
             10,
-            "395e22cbb15ea5e16139ac5f1df4494b73227130645a7b00e66f8659ede6c3e1",
+            "19f6dcba4b912ca20ad19533316f79137db0bf891264f88fb71071d5d0d765dc",
             {
                 (NOT_PR, NOT_PR, NOT_PR): 2649,
                 (NOT_PR, NOT_PR, UNKNOWN): 3874,

@@ -263,9 +263,9 @@ def _classes(box: SearchBox, spec, rational: bool, spec_repr) -> tuple[int, tupl
 
 
 def _live_test(spec, params):
-    """live(color, vals), False only where the unit congruence of the
-    coloring leaves the class vals of that color no monochromatic solution
-    of a*x + b*y = c*w^m*z^n.
+    """live(color), False only where the unit congruence of the coloring
+    leaves the class of that color no monochromatic solution of
+    a*x + b*y = c*w^m*z^n.
 
     Under ValuationColoring(p) write a, b, c as p-powers times units a', b',
     c' (their colors).  If x, y, w, z all have color r, the unit of a*x + b*y
@@ -275,28 +275,29 @@ def _live_test(spec, params):
     live; at p = 2 every unit is 1, so a'+b' is even and this is the case.
     The units are read in Z_(p), so this holds for rational values too.
     Under ModColoring(M) reduce mod M, a ring map from the rationals whose
-    denominators are units mod M (color_of refuses the others): with R the
-    residues of the class, some a*s + b*t, s, t in R, must equal some
-    c*u^m*v^n, u, v in R.  Each valuation class costs one modular power and
-    a residue class about |R|^2 <= k^2 small products.
+    denominators are units mod M (color_of refuses the others): every value
+    of color d reduces into R_d = {r : palette[r] = d}, so some a*s + b*t,
+    s, t in R_d, must equal some c*u^m*v^n, u, v in R_d.  Each valuation
+    class costs one modular power and a residue class about |R_d|^2 small
+    products.
     """
     a, b, c, m, n = params
     if isinstance(spec, ValuationColoring):
         p = spec.p
         ua, ub, uc = (color_of(v, spec) for v in (a, b, c))
         if (ua + ub) % p == 0:
-            return lambda r, vals: True
+            return lambda r: True
         units, e = {ua, ub, (ua + ub) % p}, m + n - 1
-        return lambda r, vals: uc * pow(r, e, p) % p in units
+        return lambda r: uc * pow(r, e, p) % p in units
     if not isinstance(spec, ModColoring):
-        return lambda d, vals: True
-    mod = spec.modulus
+        return lambda d: True
+    mod, residues = spec.modulus, {}
+    # keyed as _classes keys its buckets, so each class's color finds its R_d
+    for r, d in enumerate(spec.palette):
+        residues.setdefault(d, []).append(r)
 
-    def live(d, vals):
-        if isinstance(vals[0], int):
-            rs = {v % mod for v in vals}
-        else:
-            rs = {v.numerator * pow(v.denominator, -1, mod) % mod for v in vals}
+    def live(d):
+        rs = residues[d]
         sums = {(s + t) % mod for s in {a * r % mod for r in rs} for t in {b * r % mod for r in rs}}
         zs = {pow(r, n, mod) for r in rs}
         return any(cw * z % mod in sums for cw in {c * pow(r, m, mod) for r in rs} for z in zs)
@@ -449,7 +450,7 @@ def verify_no_mono_solution(
             d, vals = cls[:2]
             k = len(vals)
             # a ruled-out class counts as a join without a hit
-            rc, rb, rl = _scan_bucketed(cls, params, stop_on_find) if live(d, vals) else (0, None, k * k)
+            rc, rb, rl = _scan_bucketed(cls, params, stop_on_find) if live(d) else (0, None, k * k)
             pairs += k * k
             lookups += rl
             examined += rl * k
@@ -535,7 +536,7 @@ def verify_system_no_mono(system, spec, box: SearchBox, rational: bool = False) 
         prod = 1
         k = len(vals)
         for params, live in zip(row_params, lives):
-            rc, rb, rl = _scan_bucketed(cls, params, False) if live(d, vals) else (0, None, k * k)
+            rc, rb, rl = _scan_bucketed(cls, params, False) if live(d) else (0, None, k * k)
             pairs += k * k
             lookups += rl
             if rc == 0:

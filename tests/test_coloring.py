@@ -729,7 +729,7 @@ def _report_fields(rep):
 
 def _unpruned(scan):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(coloring, "_live_test", lambda spec, params: lambda d, vals: True)
+        patch.setattr(coloring, "_live_test", lambda spec, params: lambda d: True)
         return scan()
 
 
@@ -737,7 +737,7 @@ def _assert_live_where_solved(values, spec, params):
     live = _live_test(spec, params)
     for d, (count, _) in _class_solutions(values, spec, params).items():
         if count:
-            assert live(d, [v for v in values if color_of(v, spec) == d]), (d, count)
+            assert live(d), (d, count)
 
 
 @given(prune_equations, color_map_specs, prune_boxes)

@@ -643,25 +643,22 @@ def _residue_counts(qs, n: int, s: PrimeSieve) -> Counter:
     On the quadratic table the state at a prime not dividing L is a
     function of p mod L, so the primes are counted per class mod
     lcm(L, 24) from the sieve's flags and each class is looked up once
-    (`_table_counts`), with no column and no bytecode per prime.  Off the
-    table the columns are zipped and counted.
+    (`_table_counts`), with no column and no bytecode per prime.  Otherwise
+    the columns of `_residue_columns` are zipped and counted.
     """
     signed, elements, terms, modulus = _residue_plan(qs, n, s.count)
-    if not modulus:
-        cols = _power_columns(elements, terms, n, s.primes)
-    else:
-        tables = _quadratic_tables(elements, terms, n, modulus)
-        # Counting and folding a class that can hold a prime costs about
-        # 1 us, zipping a prime about 0.2 us (2-vCPU host, Python 3.11).  For
-        # one target the fold took 0.19-0.22 of the zip's time at
-        # lcm(L, 24)/N = 0.1, 0.54-0.66 at 0.37, 1.1-1.3 at 0.77 and 1.9-2.4
-        # at 1.5 (bounds 10^4 to 10^6; three targets 0.05-0.2 less), so it
-        # takes the table's own cutoff, on lcm(L, 24), and past it the
-        # columns are zipped.
-        if lcm(modulus, 24) * _PRIMES_PER_CLASS <= s.count:
-            return _table_counts(tables, signed, n, modulus, s)
-        cols = _table_columns(tables, signed, n, modulus, s.primes)
-    return Counter(zip(map(mod, s.primes, repeat(24)), *cols))
+    # Counting and folding a class that can hold a prime costs about 1 us,
+    # zipping a prime about 0.2 us (2-vCPU host, Python 3.11).  For one
+    # target the fold took 0.19-0.22 of the zip's time at lcm(L, 24)/N =
+    # 0.1, 0.54-0.66 at 0.37, 1.1-1.3 at 0.77 and 1.9-2.4 at 1.5 (bounds
+    # 10^4 to 10^6; three targets 0.05-0.2 less), so it takes the table's
+    # own cutoff, on lcm(L, 24), and past it the columns are zipped.
+    if modulus and lcm(modulus, 24) * _PRIMES_PER_CLASS <= s.count:
+        return _table_counts(_quadratic_tables(elements, terms, n, modulus), signed, n, modulus, s)
+    # _residue_columns works the plan out again, for 3-7 us (same host):
+    # a quarter to a third of a column pass at bound 100, 5-7% at 10^3,
+    # about 1% at 10^4 and at most 0.2% from 10^5, the default, up
+    return Counter(zip(map(mod, s.primes, repeat(24)), *_residue_columns(qs, n, s.primes)))
 
 
 def nth_power_mod_p(q, n: int, p: int) -> bool:

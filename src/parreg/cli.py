@@ -696,7 +696,7 @@ _BOX = "--box", dict(type=int, dest="box_half_width", metavar="BOX", help="box h
 _THREADS = "--threads", dict(type=int, help="worker processes of --engine full")
 
 
-def _search(bound_field: str = "witness_bound") -> tuple:
+def _search_options(bound_field: str = "witness_bound") -> tuple:
     """The common options of a command that walks primes; --bound sets
     bound_field."""
     bound = dict(type=int, dest=bound_field, metavar="BOUND", help="witness/prime search bound")
@@ -718,20 +718,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify one equation")
     for name in ("a", "b", "c", "m", "n"):
         p.add_argument(name, type=int)
-    _add_options(p, _search())
+    _add_options(p, _search_options())
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("system", help="classify a system from a rows file")
     p.add_argument("rows_file")
     p.add_argument("n", type=int)
-    _add_options(p, _search())
+    _add_options(p, _search_options())
     p.set_defaults(fn=cmd_system)
 
     p = sub.add_parser("witness", help="smallest witness prime for targets")
     p.add_argument("n", type=int)
     p.add_argument("targets", nargs="+")
     p.add_argument("--min-exclusive", type=int, default=1)
-    _add_options(p, _search())
+    _add_options(p, _search_options())
     p.set_defaults(fn=cmd_witness)
 
     p = sub.add_parser("verify", help="exhaustive monochromatic-solution scan")
@@ -756,12 +756,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("targets", nargs="+")
     p.add_argument("--csv", default=None, help="write per-prime rows to a CSV file")
-    _add_options(p, _search("sieve_bound"))
+    _add_options(p, _search_options("sieve_bound"))
     p.set_defaults(fn=cmd_density)
 
     p = sub.add_parser("reproduce", help="re-run the regression table and diff")
     p.add_argument("--emit", action="store_true", help="print the current table")
-    _add_options(p, _search())
+    _add_options(p, _search_options())
     p.set_defaults(fn=cmd_reproduce)
 
     return ap

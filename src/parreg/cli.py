@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, lru_cache
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
@@ -107,7 +107,7 @@ def canonical_json(v) -> str:
     other type raises ``TypeError``.
     """
     parts = []
-    _write(v, "\n", parts.append)
+    _write(v, 0, parts.append)
     return "".join(parts)
 
 
@@ -116,7 +116,7 @@ def encode_value(v):
     return json.loads(canonical_json(v))
 
 
-def _write(v, nl, put) -> None:
+def _write(v, d, put) -> None:
     # module-level rather than a closure in canonical_json: a recursive
     # closure is a reference cycle per report, which only the cyclic
     # collector frees
@@ -124,7 +124,7 @@ def _write(v, nl, put) -> None:
     if leaf is not None:
         put(leaf(v))
     else:
-        (_WRITERS.get(type(v)) or _subclass_writer(v))(v, nl, put)
+        (_WRITERS.get(type(v)) or _subclass_writer(v))(v, d, put)
 
 
 def _subclass_writer(v):
@@ -143,68 +143,98 @@ _LEAF_TEXT = {
     type(None): lambda v: "null",
 }
 
+# Every writer takes the indent level d of its value.  Text that depends only
+# on d (punctuation, a tag's opening, a record's field names) is made the
+# first time its level is met and kept for levels below _DEPTHS; a deeper
+# level's is made each time, so no table grows with the input.  The deepest
+# `corpus` report reaches level 15.
+_DEPTHS = 24
 
-def _write_json(v, nl, put) -> None:
+
+class _ByLevel(dict):
+    """make(d) for every indent level d, kept for d < _DEPTHS."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, d):
+        text = self.make(d)
+        if d < _DEPTHS:
+            self[d] = text
+        return text
+
+
+def _nl(d: int) -> str:
+    return "\n" + "  " * d
+
+
+# a container's opening, separator and closer at level d
+_LIST = _ByLevel(lambda d: ("[" + _nl(d + 1), "," + _nl(d + 1), _nl(d) + "]"))
+_OBJECT = _ByLevel(lambda d: ("{" + _nl(d + 1), "," + _nl(d + 1), _nl(d) + "}"))
+_RAT = _ByLevel(lambda d: ("{" + _nl(d + 1) + '"$rat": "', '"' + _nl(d) + "}"))
+
+
+def _write_json(v, d, put) -> None:
     put(json.dumps(v))
 
 
-def _write_rat(v, nl, put) -> None:
-    put(f'{{{nl}  "$rat": "{v.numerator}/{v.denominator}"{nl}}}')
+def _write_rat(v, d, put) -> None:
+    head, close = _RAT[d]
+    put(f"{head}{v.numerator}/{v.denominator}{close}")
 
 
-def _write_items(items, nl, put) -> None:
+def _write_items(items, d, put) -> None:
     if not items:
         put("[]")
         return
-    inner = nl + "  "
-    sep = "[" + inner
+    sep, comma, close = _LIST[d]
+    d += 1
     for x in items:
         leaf = _LEAF_TEXT.get(type(x))
         if leaf is not None:
             put(sep + leaf(x))
         else:
             put(sep)
-            (_WRITERS.get(type(x)) or _subclass_writer(x))(x, inner, put)
-        sep = "," + inner
-    put(nl + "]")
+            (_WRITERS.get(type(x)) or _subclass_writer(x))(x, d, put)
+        sep = comma
+    put(close)
 
 
-def _write_object(keys, values, nl, put) -> None:
-    """A JSON object of the written `keys` and their values, in that order."""
-    if not keys:
-        put("{}")
-        return
-    inner = nl + "  "
-    sep = "{" + inner
-    for k, x in zip(keys, values):
+def _write_fields(heads, values, d, put) -> None:
+    """Each value at level d after its head, the text before it."""
+    for head, x in zip(heads, values):
         leaf = _LEAF_TEXT.get(type(x))
         if leaf is not None:
-            put(sep + k + ": " + leaf(x))
+            put(head + leaf(x))
         else:
-            put(sep + k + ": ")
-            (_WRITERS.get(type(x)) or _subclass_writer(x))(x, inner, put)
-        sep = "," + inner
-    put(nl + "}")
+            put(head)
+            (_WRITERS.get(type(x)) or _subclass_writer(x))(x, d, put)
 
 
-def _write_dict(v, nl, put) -> None:
+def _write_dict(v, d, put) -> None:
     for k in v:
         if not isinstance(k, str) or k.startswith("$"):
-            _write_map(v, nl, put)
+            _write_map(v, d, put)
             return
+    if not v:
+        put("{}")
+        return
+    sep, comma, close = _OBJECT[d]
     keys = sorted(v)
-    _write_object([_json_str(k) for k in keys], [v[k] for k in keys], nl, put)
+    heads = [f"{comma if i else sep}{_json_str(k)}: " for i, k in enumerate(keys)]
+    _write_fields(heads, [v[k] for k in keys], d + 1, put)
+    put(close)
 
 
 def _tagged(tag: str, write_body, body=None):
     """The writer of {tag: body(v)}; `body` defaults to v itself."""
-    head = f'"{tag}": '
+    texts = _ByLevel(lambda d: (f'{{{_nl(d + 1)}"{tag}": ', _nl(d) + "}"))
 
-    def write(v, nl, put):
-        inner = nl + "  "
-        put("{" + inner + head)
-        write_body(v if body is None else body(v), inner, put)
-        put(nl + "}")
+    def write(v, d, put):
+        head, close = texts[d]
+        put(head)
+        write_body(v if body is None else body(v), d + 1, put)
+        put(close)
 
     return write
 
@@ -212,7 +242,24 @@ def _tagged(tag: str, write_body, body=None):
 def _record(tag: str, cls):
     """The writer of a dataclass as {tag: {field: value, ...}}."""
     names = sorted(f.name for f in fields(cls))
-    return _tagged(tag, partial(_write_object, [_json_str(n) for n in names]), attrgetter(*names))
+    values = attrgetter(*names)
+    keys = [_json_str(n) for n in names]
+
+    def make(d):
+        # the text before each field's value, the first with both openings
+        inner = _nl(d + 2)
+        heads = [f'{{{_nl(d + 1)}"{tag}": {{{inner}{keys[0]}: ']
+        heads += [f",{inner}{k}: " for k in keys[1:]]
+        return heads, _nl(d + 1) + "}" + _nl(d) + "}"
+
+    texts = _ByLevel(make)
+
+    def write(v, d, put):
+        heads, close = texts[d]
+        _write_fields(heads, values(v), d + 2, put)
+        put(close)
+
+    return write
 
 
 def _member_key(x) -> str:
@@ -239,6 +286,38 @@ _RECORDS = {WitnessPrime: "$wp", SystemSpec: "$sys", Certificate: "$cert", Verdi
 
 _write_map = _tagged("$map", _write_items, lambda v: [[k, x] for k, x in v.items()])
 
+
+@dataclass(frozen=True)
+class _Report:
+    """A report document, {"command", "config", "result", "schema"}."""
+
+    command: str
+    config: RunConfig
+    result: object
+
+
+@lru_cache(maxsize=16, typed=True)
+def _report_text(command, config, d) -> tuple[str, str]:
+    """A report's text at level d before and after its result's value.  It
+    depends only on (command, config, d), which repeat from report to report:
+    a command is one name and a RunConfig's fields are ints and a str, so
+    equal keys give equal text."""
+    sep, comma, close = _OBJECT[d]
+    parts = [sep + '"command": ']
+    _write(command, d + 1, parts.append)
+    parts.append(comma + '"config": ')
+    _write(dict(vars(config)), d + 1, parts.append)
+    parts.append(comma + '"result": ')
+    return "".join(parts), f'{comma}"schema": {_json_str(SCHEMA)}{close}'
+
+
+def _write_report(v, d, put) -> None:
+    head, tail = _report_text(v.command, v.config, d)
+    put(head)
+    _write(v.result, d + 1, put)
+    put(tail)
+
+
 # in the order a subclass is matched
 _WRITERS = {
     float: _write_json,
@@ -250,6 +329,7 @@ _WRITERS = {
     frozenset: _tagged("$frozenset", _write_items, lambda v: sorted(v, key=_member_key)),
     EquationSpec: _tagged("$eq", _write_items, attrgetter("a", "b", "c", "m", "n")),
     **{cls: _record(tag, cls) for cls, tag in _RECORDS.items()},
+    _Report: _write_report,
     dict: _write_dict,
 }
 
@@ -279,14 +359,17 @@ def _decode_items(body) -> list:
 
 
 def _decode_rat(body) -> Fraction:
-    """Fraction(body), with the writer's own "n/d" parsed from its two
-    integer halves; anything else goes to Fraction(body), so the bodies
-    accepted and refused are exactly those of Fraction(str)."""
-    if type(body) is str:
-        num, slash, den = body.partition("/")
-        digits = num[1:] if num[:1] == "-" else num
-        if slash and digits.isascii() and digits.isdigit() and den.isascii() and den.isdigit():
-            return Fraction(int(num), int(den))
+    """Fraction(body) for a string body, with the writer's own "n/d" parsed
+    from its two integer halves; any other string goes to Fraction(body), so
+    the bodies accepted and refused are exactly those of Fraction(str).  A
+    body that is not a string is refused: Fraction would take a float or a
+    bool, and the writer never puts one there."""
+    if not isinstance(body, str):
+        raise DegenerateInput(f"a $rat body is a string, not {type(body).__name__}")
+    num, slash, den = body.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if slash and digits.isascii() and digits.isdigit() and den.isascii() and den.isdigit():
+        return Fraction(int(num), int(den))
     return Fraction(body)
 
 
@@ -306,17 +389,13 @@ _DECODERS = {
 }
 
 
-def report(command: str, config: RunConfig, result) -> dict:
-    """The report document; `canonical_json` writes `result` in tagged form."""
-    return {
-        "schema": SCHEMA,
-        "command": command,
-        "config": dict(vars(config)),
-        "result": result,
-    }
+def report(command: str, config: RunConfig, result) -> _Report:
+    """The report document; `canonical_json` writes `result` in tagged form
+    after the text of the command and config, made once per pair."""
+    return _Report(command, config, result)
 
 
-def emit(out, rep: dict, config: RunConfig, text_lines) -> None:
+def emit(out, rep: _Report, config: RunConfig, text_lines) -> None:
     if config.output == "json":
         out.write(canonical_json(rep) + "\n")
     else:

@@ -322,29 +322,66 @@ def _columns_value(M):
     return {"ordered_partition": cert.ordered_partition, "span_witnesses": cert.span_witnesses}
 
 
+# the default RunConfig, and one differing from it in each field alone
+ONE_FIELD_CONFIGS = [
+    RunConfig(),
+    RunConfig(witness_bound=999),
+    RunConfig(box_half_width=7),
+    RunConfig(factor_budget=5),
+    RunConfig(sieve_bound=1000),
+    RunConfig(output="json"),
+    RunConfig(threads=2),
+]
+COMMANDS = ("classify", "system", "witness", "verify", "columns", "density", "reproduce")
+
+
+def reference_report(command, config, value) -> dict:
+    return {
+        "schema": "parreg-report/1",
+        "command": command,
+        "config": asdict(config),
+        "result": reference_encode(value),
+    }
+
+
 def test_report_bytes_match_reference_on_traffic():
+    # each result is reported under the next (command, config) pair, so a
+    # report's head made once for one pair and served for another fails
     rng = random.Random(20211)
     config = RunConfig(output="json")
     requests = [("classify", classify_equation, _draw_equation(rng)) for _ in range(200)]
     requests += [("system", classify_system, _draw_system(rng)) for _ in range(40)]
     requests += [("columns", None, _draw_matrix(rng)) for _ in range(20)]
+    pairs = [(name, c) for c in ONE_FIELD_CONFIGS for name in COMMANDS]
     kinds = set()
-    for command, fn, subject in requests:
+    for i, (command, fn, subject) in enumerate(requests):
         value = _columns_value(subject) if fn is None else fn(subject, config=config)
-        text = canonical_json(cli.report(command, config, value))
-        want = {
-            "schema": "parreg-report/1",
-            "command": command,
-            "config": asdict(config),
-            "result": reference_encode(value),
-        }
-        assert text == stdlib_bytes(want), subject
-        assert decode_value(json.loads(text)["result"]) == value, subject
+        for pair in (command, config), pairs[i % len(pairs)]:
+            text = canonical_json(cli.report(*pair, value))
+            assert text == stdlib_bytes(reference_report(*pair, value)), subject
+            assert decode_value(json.loads(text)["result"]) == value, subject
         kinds.add(type(value).__name__)
         if fn is not None:
             kinds.update(c.kind for c in value.certificates)
     # the sample reaches every tagged form a report holds
     assert {"Verdict", "dict", "NoneType", "witness", "rule", "system_intersection"} <= kinds
+
+
+def test_report_bytes_match_reference_past_the_made_levels():
+    # a value whose leaves lie deeper than every indent level whose text the
+    # writer makes once, reported at the top and inside a list
+    verdict = classify_equation(EquationSpec(3, 13, 1, 1, 8), config=SimpleNamespace(witness_bound=5000))
+    value = [verdict, Fraction(-3, 7), {"k": (1, frozenset({2}))}, {(1,): "$"}]
+    for _ in range(cli._DEPTHS):
+        value = [value, (Fraction(1, 2),)]
+    for command, config in ("classify", ONE_FIELD_CONFIGS[0]), ("system", ONE_FIELD_CONFIGS[1]):
+        rep = cli.report(command, config, value)
+        want = reference_report(command, config, value)
+        assert canonical_json(rep) == stdlib_bytes(want)
+        assert canonical_json([rep, rep]) == stdlib_bytes([want, want])
+        assert canonical_json(value) == reference_bytes(value)
+    # a level's text is kept only below the bound
+    assert max(cli._LIST) == cli._DEPTHS - 1 and max(cli._OBJECT) < cli._DEPTHS
 
 
 RAT_BODIES = [
@@ -362,6 +399,16 @@ def test_rat_decoding_matches_fraction_str(body):
     else:
         got = decode_value({"$rat": body})
         assert type(got) is Fraction and got == want
+
+
+@pytest.mark.parametrize("body", [0.1, True, 5, None, [3, 7], {"n": 3}])
+def test_rat_decoding_refuses_a_body_that_is_not_a_string(body):
+    # Fraction(0.1) took the float's binary value, and True and 5 passed as 1
+    # and 5: a float reached the exact codec
+    with pytest.raises(cli.DegenerateInput):
+        decode_value({"$rat": body})
+    with pytest.raises(cli.DegenerateInput):
+        decode_value(json.loads(json.dumps([{"$rat": body}])))
 
 
 # ---------------------------------------------------------------------------

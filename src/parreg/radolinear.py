@@ -31,8 +31,11 @@ class QMatrix:
         width = len(self.entries[0])
         if any(len(r) != width for r in self.entries):
             raise DegenerateInput("rows must have equal length")
-        # the columns search clears denominators, so entries must be exact
-        if not all(isinstance(v, (int, Fraction)) for r in self.entries for v in r):
+        # the columns search clears denominators, so entries must be exact;
+        # a bool is refused, as by `_as_rat`
+        if not all(
+            isinstance(v, (int, Fraction)) and v.__class__ is not bool for r in self.entries for v in r
+        ):
             raise DegenerateInput("matrix entries must be ints or Fractions")
 
     @classmethod

@@ -112,6 +112,7 @@ def test_bool_is_not_an_integer():
         lambda: nth_power_in_Q(True, 2),
         lambda: witness.find_witness_prime([True, 2], 2, search_bound=100),
         lambda: radolinear.QMatrix.from_rows([[True, 2]]),
+        lambda: radolinear.QMatrix(((True, -1),)),
     ):
         with pytest.raises(DegenerateInput):
             fn()
